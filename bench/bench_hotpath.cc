@@ -469,7 +469,7 @@ benchEndToEnd(double scale, bool quick)
     r.wallSec = secondsSince(t0);
 
     r.simCycles = run.cycles;
-    r.events = sys.eventq().executed();
+    r.events = sys.executedEvents();
     r.packets = run.packets;
     r.cyclesPerSec = static_cast<double>(r.simCycles) / r.wallSec;
     r.eventsPerSec = static_cast<double>(r.events) / r.wallSec;
@@ -478,11 +478,12 @@ benchEndToEnd(double scale, bool quick)
 }
 
 // --------------------------------------------------------------------
-// Sharded kernel: one wide (16-GPU) simulation at 1/2/4 sim threads.
-// Reports events/s and speedup over serial, and hard-fails if the
-// parallel kernel breaks either hot-path guarantee: op counts must be
-// thread-count invariant, and warmed worker pools must run the whole
-// simulation without one fresh allocation.
+// Event kernel: one wide (16-GPU) simulation at 1/2/4 sim threads.
+// Reports events/s and speedup over one worker, and hard-fails if the
+// kernel breaks either hot-path guarantee: the executed events and
+// the published result must be thread-count invariant, and warmed
+// worker pools must run the whole simulation without one fresh
+// allocation.
 // --------------------------------------------------------------------
 
 struct SimThreadsPoint
@@ -491,7 +492,7 @@ struct SimThreadsPoint
     double wallSec = 0.0;
     std::uint64_t events = 0;
     double eventsPerSec = 0.0;
-    double speedup = 0.0; ///< events/s over the serial run
+    double speedup = 0.0; ///< events/s over the one-worker run
     std::uint64_t pdesWindows = 0;
     std::uint64_t domainCrossings = 0;
     std::uint64_t windowStalls = 0;
@@ -520,7 +521,8 @@ benchSimThreads(double scale, bool quick)
 
     SimThreadsResult r;
     r.hwThreads = std::thread::hardware_concurrency();
-    RunResult serial{};
+    std::string serial_json;
+    std::uint64_t serial_events = 0;
     for (const std::uint32_t t : {1u, 2u, 4u}) {
         cfg.simThreads = t;
         const WorkloadProfile profile =
@@ -541,15 +543,15 @@ benchSimThreads(double scale, bool quick)
         p.poolFreshPayloads = run.poolFreshPayloads;
 
         if (t == 1) {
-            serial = run;
+            serial_json = resultToJson(run);
+            serial_events = p.events;
         } else {
-            // Thread-count invariance of everything timing-free.
-            if (run.remoteOps != serial.remoteOps ||
-                run.localOps != serial.localOps ||
-                run.migrations != serial.migrations ||
-                run.completed != serial.completed) {
-                std::cerr << "FATAL: sharded run (" << t
-                          << " threads) changed operation counts\n";
+            // Thread-count invariance, event for event.
+            if (p.events != serial_events ||
+                resultToJson(run) != serial_json) {
+                std::cerr << "FATAL: " << t << "-thread run diverged "
+                          << "from one worker (" << p.events << " vs "
+                          << serial_events << " events)\n";
                 std::exit(1);
             }
             // Satellite guarantee: per-domain queues and preloaded
@@ -702,7 +704,7 @@ benchProfiler(double scale, bool quick)
     }
     r.overheadPct = (r.wallSecOn / r.wallSecOff - 1.0) * 100.0;
 
-    // The sharded kernel's allocation guarantee must survive with
+    // The multi-worker allocation guarantee must survive with
     // per-window span recording on every worker.
     {
         ExperimentConfig pc = cfg;

@@ -38,10 +38,12 @@ main(int argc, char **argv)
     Table t({"attacker", "messages", "verified", "failed",
              "decrypt errors"});
 
-    auto run = [&](const char *label, Network::Tamper tamper) {
+    // Attackers sit on the exposed wire after accounting (PostWire):
+    // they alter what arrives, never the traffic already counted.
+    auto run = [&](const char *label, Network::TamperHook tamper) {
         MultiGpuSystem sys(sc, makeProfile(workload, e.scale));
-        if (tamper)
-            sys.network().setTamper(std::move(tamper));
+        sys.network().setTamper(Network::TamperPoint::PostWire,
+                                std::move(tamper));
         const RunResult r = sys.run();
         std::uint64_t verified = 0, failed = 0, bad = 0, msgs = 0;
         for (NodeId n = 0; n < sys.numNodes(); ++n) {
@@ -64,6 +66,7 @@ main(int argc, char **argv)
         run("bit-flip 1 in 500 blocks", [rng](Packet &p) {
             if (p.func && p.func->hasCipher && rng->chance(0.002))
                 p.func->cipher[rng->range(0, 63)] ^= 0x01;
+            return Network::TamperVerdict::Forward;
         });
     }
 
@@ -73,6 +76,7 @@ main(int argc, char **argv)
         run("MAC forgery 1 in 100", [rng](Packet &p) {
             if (p.func && p.func->hasMac && rng->chance(0.01))
                 p.func->mac[0] ^= 0xff;
+            return Network::TamperVerdict::Forward;
         });
     }
 
@@ -82,6 +86,7 @@ main(int argc, char **argv)
         run("payload stripping 1 in 1000", [rng](Packet &p) {
             if (p.func && rng->chance(0.001))
                 p.func.reset();
+            return Network::TamperVerdict::Forward;
         });
     }
 

@@ -42,62 +42,34 @@ makeSystemConfig(const ExperimentConfig &cfg)
     return sys;
 }
 
-namespace
-{
-
-/** The historical key: every knob predating traffic shaping. */
-std::string
-configKeyBase(const std::string &workload, const ExperimentConfig &cfg)
-{
-    return strformat(
-        "%s|gpus=%u|scheme=%s|batch=%d/%u|otp=%ux|aes=%u|meta=%d|"
-        "scale=%g|seed=%llu|comm=%u|dyn=%u/%g/%g/%u/%u|memprot=%d|"
-        "strong=%d|padstall=%u",
-        workload.c_str(), cfg.numGpus, otpSchemeName(cfg.scheme),
-        cfg.batching ? 1 : 0, cfg.batchSize, cfg.otpMult,
-        cfg.aesLatency, cfg.countMetadataBytes ? 1 : 0, cfg.scale,
-        static_cast<unsigned long long>(cfg.seed),
-        cfg.commSampleInterval, cfg.dynParams.interval,
-        cfg.dynParams.alpha, cfg.dynParams.beta,
-        cfg.dynParams.confidenceDir, cfg.dynParams.confidencePeer,
-        cfg.hostMemProtect, cfg.strongScaling ? 1 : 0,
-        cfg.debugPadStallPct);
-}
-
-} // namespace
-
 std::string
 configKey(const std::string &workload, const ExperimentConfig &cfg)
 {
-    std::string key = configKeyBase(workload, cfg);
-    // Conditional suffix: a run without shaping keeps the exact key
-    // (and hash, and observability file names) it had before the
-    // shaping knobs existed.
-    if (cfg.shaping != ShapingPolicy::None) {
-        key += strformat(
-            "|shape=%s/%llu/%llu/%llu/%u",
-            shapingPolicyName(cfg.shaping),
-            static_cast<unsigned long long>(cfg.shapeInterval),
-            static_cast<unsigned long long>(cfg.shapePadTo),
-            static_cast<unsigned long long>(cfg.shapeJitter),
-            cfg.shapeChaffSlots);
-    }
-    // Same contract for the fabric: p2p (the paper's machine) keeps
-    // the historical key.
-    if (cfg.topology.kind != TopologyKind::P2p) {
-        key += strformat(
-            "|topo=%s/%u/%llu/%g/%u/%llu/%g",
-            topologyKindName(cfg.topology.kind),
-            cfg.topology.switchRadix,
-            static_cast<unsigned long long>(
-                cfg.topology.switchLatency),
-            cfg.topology.switchBytesPerCycle,
-            cfg.topology.gpusPerNode,
-            static_cast<unsigned long long>(
-                cfg.topology.interLatency),
-            cfg.topology.interBytesPerCycle);
-    }
-    return key;
+    return strformat(
+        "%s|gpus=%u|scheme=%s|batch=%d/%u|otp=%ux|aes=%llu|meta=%d|"
+        "scale=%g|seed=%llu|comm=%llu|dyn=%llu/%g/%g/%u/%u|memprot=%d|"
+        "strong=%d|padstall=%u|shape=%s/%llu/%llu/%llu/%u|"
+        "topo=%s/%u/%llu/%g/%u/%llu/%g",
+        workload.c_str(), cfg.numGpus, otpSchemeName(cfg.scheme),
+        cfg.batching ? 1 : 0, cfg.batchSize, cfg.otpMult,
+        static_cast<unsigned long long>(cfg.aesLatency),
+        cfg.countMetadataBytes ? 1 : 0, cfg.scale,
+        static_cast<unsigned long long>(cfg.seed),
+        static_cast<unsigned long long>(cfg.commSampleInterval),
+        static_cast<unsigned long long>(cfg.dynParams.interval),
+        cfg.dynParams.alpha, cfg.dynParams.beta,
+        cfg.dynParams.confidenceDir, cfg.dynParams.confidencePeer,
+        cfg.hostMemProtect, cfg.strongScaling ? 1 : 0,
+        cfg.debugPadStallPct, shapingPolicyName(cfg.shaping),
+        static_cast<unsigned long long>(cfg.shapeInterval),
+        static_cast<unsigned long long>(cfg.shapePadTo),
+        static_cast<unsigned long long>(cfg.shapeJitter),
+        cfg.shapeChaffSlots, topologyKindName(cfg.topology.kind),
+        cfg.topology.switchRadix,
+        static_cast<unsigned long long>(cfg.topology.switchLatency),
+        cfg.topology.switchBytesPerCycle, cfg.topology.gpusPerNode,
+        static_cast<unsigned long long>(cfg.topology.interLatency),
+        cfg.topology.interBytesPerCycle);
 }
 
 std::string

@@ -53,17 +53,12 @@ struct ExperimentConfig
      */
     bool strongScaling = true;
 
-    /**
-     * Fabric topology plus its knobs (SystemConfig::topology). Joins
-     * configKey only when the kind is not the default p2p, so every
-     * pre-existing configuration keeps its hash.
-     */
+    /** Fabric topology plus its knobs (SystemConfig::topology). */
     TopologyConfig topology{};
 
     /**
      * Traffic-shaping countermeasure (SecurityConfig::shaping) plus
-     * its knobs. Joins configKey only when a policy is active, so
-     * every pre-existing configuration keeps its hash.
+     * its knobs.
      */
     ShapingPolicy shaping = ShapingPolicy::None;
     Cycles shapeInterval = 64;
@@ -86,13 +81,10 @@ struct ExperimentConfig
     crypto::CryptoImpl cryptoImpl = crypto::CryptoImpl::Auto;
 
     /**
-     * Worker threads for the domain-sharded event kernel
-     * (SystemConfig::simThreads): 0 = auto (MGSEC_SIM_THREADS env,
-     * else serial), 1 = the exact legacy serial path, >= 2 =
-     * conservative-PDES sharding. A host-side speed knob like
-     * cryptoImpl — op counts are thread-count invariant and timing
-     * aggregates agree to well under a percent — so it is NOT part
-     * of configKey.
+     * Worker threads of the event kernel (SystemConfig::simThreads):
+     * 0 = auto (MGSEC_SIM_THREADS env, else 1). A host-side speed
+     * knob like cryptoImpl — every result is byte-identical for
+     * every thread count — so it is NOT part of configKey.
      */
     std::uint32_t simThreads = 0;
 
@@ -108,8 +100,11 @@ SystemConfig makeSystemConfig(const ExperimentConfig &cfg);
 
 /**
  * Stable textual identity of one (workload, config) run: every knob
- * that can change simulated results, none that cannot (observe
- * paths, expectedEvents). Used to tag per-job observability files.
+ * that can change simulated results, none that never can (observe
+ * paths, expectedEvents, cryptoImpl, simThreads). One fixed format:
+ * the shaping and fabric knobs are always present, even when the
+ * policy is off or the fabric is p2p. Used to tag per-job
+ * observability files.
  */
 std::string configKey(const std::string &workload,
                       const ExperimentConfig &cfg);

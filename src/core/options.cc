@@ -442,7 +442,8 @@ RunOptions::usage(std::ostream &os)
           "  --crypto-impl I        host crypto tier: auto|portable|"
           "simd (bit-identical results)\n"
           "  --sim-threads N        event-kernel worker threads "
-          "(1 = serial; default MGSEC_SIM_THREADS or 1)\n"
+          "(bit-identical results; default MGSEC_SIM_THREADS or "
+          "1)\n"
           "  --debug FLAGS          enable trace flags "
           "('help' lists them)\n"
           "  --config FILE          read 'key = value' lines first\n";

@@ -62,7 +62,8 @@ SweepArgs::printUsage(std::ostream &os, const char *argv0) const
     os << "  --crypto-impl I  host crypto tier auto|portable|simd "
        << "(bit-identical results)\n"
        << "  --sim-threads N  event-kernel worker threads per run "
-       << "(1 = serial; default MGSEC_SIM_THREADS or 1)\n"
+       << "(bit-identical results; default MGSEC_SIM_THREADS or "
+       << "1)\n"
        << "  --debug FLAGS  enable trace flags ('help' lists "
        << "them)\n";
 }

@@ -72,9 +72,9 @@ struct SweepArgs
 
     /**
      * Event-kernel worker threads per queued run (--sim-threads).
-     * 0 = auto (MGSEC_SIM_THREADS, else serial). Speeds up a single
+     * 0 = auto (MGSEC_SIM_THREADS, else 1). Speeds up a single
      * large simulation, where --jobs only helps across independent
-     * runs; op counts are thread-count invariant (see
+     * runs; results are thread-count invariant (see
      * ExperimentConfig::simThreads).
      */
     std::uint32_t simThreads = 0;

@@ -6,6 +6,7 @@
 #include <ostream>
 
 #include "net/packet_pool.hh"
+#include "sim/debug.hh"
 #include "sim/json_writer.hh"
 #include "sim/logging.hh"
 #include "sim/parallel_kernel.hh"
@@ -18,8 +19,10 @@ namespace
 
 /**
  * 0 = auto: MGSEC_SIM_THREADS if set (mirroring the
- * MGSEC_CRYPTO_IMPL override), else the serial kernel. Clamped to
- * the domain count — extra threads would only idle at barriers.
+ * MGSEC_CRYPTO_IMPL override), else one worker. Clamped to the
+ * domain count — extra threads would only idle at barriers — and to
+ * one while debug tracing is on: its flags and stream are process-
+ * global and unsynchronized, as the sweep's --jobs fallback notes.
  */
 std::uint32_t
 resolveSimThreads(std::uint32_t cfg_threads, std::uint32_t num_domains)
@@ -34,6 +37,15 @@ resolveSimThreads(std::uint32_t cfg_threads, std::uint32_t num_domains)
                 t = v;
             } else {
                 warn("ignoring invalid MGSEC_SIM_THREADS='%s'", env);
+            }
+        }
+    }
+    if (t > 1) {
+        for (const debug::DebugFlag *f : debug::DebugFlag::all()) {
+            if (f->enabled()) {
+                warn("debug tracing enabled; running the event kernel "
+                     "on one worker");
+                return 1;
             }
         }
     }
@@ -52,46 +64,36 @@ MultiGpuSystem::MultiGpuSystem(const SystemConfig &cfg,
     // built (process-global; last system constructed wins, which is
     // fine — every tier computes identical bytes).
     crypto::setCryptoImpl(cfg_.security.cryptoImpl);
-    // Pre-size the event queue: the pending population is bounded by
-    // each node's outstanding-request window plus per-peer ACK/batch
+    sim_threads_ = resolveSimThreads(cfg_.simThreads, n);
+
+    // One event domain per GPU node plus the host/fabric domain
+    // (CPU + network + page table on eq_). Wire hops are the only
+    // cross-domain edges, so the Network is the explicit
+    // cross-domain channel (capture mode below).
+    domains_.reserve(n);
+    domains_.push_back(std::make_unique<Domain>(0, eq_));
+    for (NodeId id = 1; id < n; ++id)
+        domains_.push_back(std::make_unique<Domain>(id));
+    // Pre-size the queues: the pending population is bounded by each
+    // node's outstanding-request window plus per-peer ACK/batch
     // timers and in-flight link deliveries; 2x covers lazily
-    // cancelled leftovers still parked in the heap.
+    // cancelled leftovers still parked in the heap. Each domain
+    // hosts one node, so the system-wide hint splits evenly.
     const std::uint64_t window =
         std::max(cfg_.gpu.maxOutstanding, cfg_.cpu.maxOutstanding);
     std::uint64_t hint = cfg_.expectedEvents;
     if (hint == 0)
         hint = static_cast<std::uint64_t>(n) * (window + 64) * 2;
-    eq_.reserve(hint);
-
-    sim_threads_ = resolveSimThreads(cfg_.simThreads, n);
-    if (sharded()) {
-        // One event domain per GPU node plus the host/fabric domain
-        // (CPU + network + page table on the legacy queue). Wire
-        // hops are the only cross-domain edges, so the Network is
-        // the explicit cross-domain channel (capture mode below).
-        domains_.reserve(n);
-        domains_.push_back(std::make_unique<Domain>(0, eq_));
-        // A GPU domain hosts one node: its outstanding window plus
-        // per-peer timers and in-flight deliveries landing in its
-        // queue. 4x slack keeps the no-reallocation guarantee that
-        // the serial queue gets from the full-system hint.
-        const std::uint64_t per = (window + 64) * 4;
-        for (NodeId id = 1; id < n; ++id) {
-            auto d = std::make_unique<Domain>(id);
-            d->eq().reserve(per);
-            domains_.push_back(std::move(d));
-        }
-        burst16_by_src_.resize(n);
-        burst32_by_src_.resize(n);
-    }
+    for (auto &d : domains_)
+        d->eq().reserve(std::max<std::uint64_t>(hint / n, 1));
+    burst16_.resize(n);
+    burst32_.resize(n);
 
     net_ = std::make_unique<Network>("net", eq_, n, cfg_.pcie,
                                      cfg_.nvlink, cfg_.topology);
+    net_->setParallelCapture(true);
     pt_ = std::make_unique<PageTable>("pt", eq_, cfg_.pageTable, n);
-    if (sharded()) {
-        net_->setParallelCapture(true);
-        pt_->setConcurrent(true);
-    }
+    pt_->setConcurrent(sim_threads_ > 1);
 
     nodes_.resize(n);
     for (NodeId id = 0; id < n; ++id) {
@@ -99,9 +101,8 @@ MultiGpuSystem::MultiGpuSystem(const SystemConfig &cfg,
         const NodeParams &np = is_cpu ? cfg_.cpu : cfg_.gpu;
         const std::string nm =
             is_cpu ? std::string("cpu") : strformat("gpu%u", id);
-        EventQueue &neq = sharded() ? domains_[id]->eq() : eq_;
         nodes_[id] = std::make_unique<Node>(
-            nm, neq, id, *net_, *pt_, cfg_.security, np);
+            nm, domains_[id]->eq(), id, *net_, *pt_, cfg_.security, np);
         if (!is_cpu) {
             nodes_[id]->attachWorkload(std::make_unique<TraceSource>(
                 profile_, id, n, cfg_.seed));
@@ -132,13 +133,11 @@ MultiGpuSystem::recordBlock(NodeId src, NodeId dst, Tick t)
         burst_state_[static_cast<std::size_t>(src) * cfg_.numNodes() +
                      dst];
     // Non-overlapping windows: time for 16 (and 32) consecutive data
-    // blocks on this pair to accumulate. Sharded runs append to
-    // per-source vectors (only src's domain thread writes the
-    // (src, *) rows), concatenated in node order at harvest.
-    std::vector<Cycles> &b16 =
-        sharded() ? burst16_by_src_[src] : burst16_;
-    std::vector<Cycles> &b32 =
-        sharded() ? burst32_by_src_[src] : burst32_;
+    // blocks on this pair to accumulate, appended per source (only
+    // src's domain thread writes the (src, *) rows) and concatenated
+    // in node order at harvest.
+    std::vector<Cycles> &b16 = burst16_[src];
+    std::vector<Cycles> &b32 = burst32_[src];
     bs.ticks.push_back(t);
     if (bs.ticks.size() >= 32) {
         b32.push_back(bs.ticks.back() - bs.ticks.front());
@@ -150,7 +149,7 @@ MultiGpuSystem::recordBlock(NodeId src, NodeId dst, Tick t)
 }
 
 void
-MultiGpuSystem::sampleComm(Tick tick, bool reschedule)
+MultiGpuSystem::sampleComm(Tick tick)
 {
     const Node &g1 = *nodes_[1];
     CommSample s;
@@ -169,12 +168,6 @@ MultiGpuSystem::sampleComm(Tick tick, bool reschedule)
     s.recvs = recvs_now - prev_recvs_;
     prev_recvs_ = recvs_now;
     comm_series_.push_back(std::move(s));
-
-    if (reschedule && done_gpus_ < cfg_.numGpus) {
-        eq_.scheduleIn(cfg_.commSampleInterval, [this]() {
-            sampleComm(eq_.now(), true);
-        });
-    }
 }
 
 void
@@ -252,48 +245,41 @@ MultiGpuSystem::enableTrace(std::ostream &os)
 {
     MGSEC_ASSERT(!trace_, "trace sink already attached");
     trace_ = std::make_unique<TraceSink>(os);
-    eq_.setTraceSink(trace_.get());
-    if (sharded()) {
-        // Named lanes for the sharded kernel's traces: without the
-        // metadata, about:tracing shows bare tids. Serial traces
-        // stay byte-identical to their historical form.
-        trace_->metadata(0, "process_name", "mgsec " + profile_.name);
-        for (const auto &n : nodes_)
-            trace_->metadata(n->nodeId(), "thread_name", n->name());
-    }
+    for (auto &d : domains_)
+        d->eq().setTraceSink(trace_.get());
+    // Named lanes: without the metadata, about:tracing shows bare
+    // tids.
+    trace_->metadata(0, "process_name", "mgsec " + profile_.name);
+    for (const auto &n : nodes_)
+        trace_->metadata(n->nodeId(), "thread_name", n->name());
 }
 
 void
 MultiGpuSystem::enableMetrics(Cycles interval, std::size_t capacity)
 {
     MGSEC_ASSERT(!sampler_, "metric sampler already attached");
-    sampler_ = std::make_unique<MetricSampler>(
-        eq_, interval, capacity,
-        [this]() { return done_gpus_ < cfg_.numGpus; });
+    sampler_ = std::make_unique<MetricSampler>(interval, capacity);
     MetricSampler &ms = *sampler_;
 
     ms.addGauge("eq.pending", [this](Tick) {
-        double p = static_cast<double>(eq_.pending());
-        // Sharded runs: the pending population spans every domain
-        // queue (domain 0 wraps eq_, already counted above).
-        for (std::size_t d = 1; d < domains_.size(); ++d)
-            p += static_cast<double>(domains_[d]->eq().pending());
+        // The pending population spans every domain queue.
+        double p = 0.0;
+        for (const auto &d : domains_)
+            p += static_cast<double>(d->eq().pending());
         return p;
     });
     ms.addGauge("net.inFlight", [this](Tick) {
         return static_cast<double>(net_->inFlight());
     });
-    if (sharded()) {
-        // Window-sync overhead pair: how much cross-domain traffic
-        // the barriers replay vs how often a domain sat idle inside
-        // a window other domains were executing.
-        ms.addGauge("pdes.domainCrossings", [this](Tick) {
-            return static_cast<double>(pdes_crossings_);
-        });
-        ms.addGauge("pdes.windowStalls", [this](Tick) {
-            return static_cast<double>(pdes_stalls_);
-        });
-    }
+    // Window-sync overhead pair: how much cross-domain traffic the
+    // barriers replay vs how often a domain sat idle inside a window
+    // other domains were executing.
+    ms.addGauge("pdes.domainCrossings", [this](Tick) {
+        return static_cast<double>(pdes_crossings_);
+    });
+    ms.addGauge("pdes.windowStalls", [this](Tick) {
+        return static_cast<double>(pdes_stalls_);
+    });
 
     for (auto &nptr : nodes_) {
         Node &n = *nptr;
@@ -419,16 +405,13 @@ MultiGpuSystem::enableAttribution()
     attr_ = std::make_unique<LatencyAttribution>(
         otpSchemeName(cfg_.security.scheme),
         net_->topology().numLinkClasses());
-    eq_.setAttribution(attr_.get());
-    if (sharded()) {
-        // One shared collector across every domain, folding under an
-        // internal mutex: histogram accumulation commutes, so the
-        // values stay deterministic, and the conservation telescope
-        // remains a single global identity.
-        attr_->setConcurrent(true);
-        for (std::size_t d = 1; d < domains_.size(); ++d)
-            domains_[d]->eq().setAttribution(attr_.get());
-    }
+    // One shared collector across every domain, folding under an
+    // internal mutex when workers run concurrently: histogram
+    // accumulation commutes, so the values stay deterministic, and
+    // the conservation telescope remains a single global identity.
+    attr_->setConcurrent(sim_threads_ > 1);
+    for (auto &d : domains_)
+        d->eq().setAttribution(attr_.get());
 }
 
 void
@@ -440,13 +423,10 @@ MultiGpuSystem::enableProfiler()
     // worker d % threads, so lane attribution must be built from the
     // same (already clamped) thread count to keep every lane
     // single-writer.
-    const unsigned workers = sharded() ? sim_threads_ : 1;
-    const unsigned doms =
-        sharded() ? static_cast<unsigned>(domains_.size()) : 1;
-    prof_ = std::make_unique<Profiler>(workers, doms);
-    eq_.setProfiler(prof_.get());
-    for (std::size_t d = 1; d < domains_.size(); ++d)
-        domains_[d]->eq().setProfiler(prof_.get());
+    prof_ = std::make_unique<Profiler>(
+        sim_threads_, static_cast<unsigned>(domains_.size()));
+    for (auto &d : domains_)
+        d->eq().setProfiler(prof_.get());
     prof_->start();
 }
 
@@ -519,10 +499,7 @@ MultiGpuSystem::flushObservability()
         if (sampler_) {
             // Final snapshot so short runs and run tails are
             // captured.
-            if (sharded() && parallel_end_ > 0)
-                sampler_->sampleAt(parallel_end_);
-            else
-                sampler_->sampleNow();
+            sampler_->sampleAt(kernelNow());
             if (!cfg_.observe.metricsOut.empty()) {
                 std::ofstream f(cfg_.observe.metricsOut);
                 if (!f) {
@@ -585,35 +562,40 @@ MultiGpuSystem::flushObservability()
 std::uint64_t
 MultiGpuSystem::executedEvents() const
 {
-    std::uint64_t total = eq_.executed();
-    for (std::size_t d = 1; d < domains_.size(); ++d)
-        total += domains_[d]->eq().executed();
+    std::uint64_t total = 0;
+    for (const auto &d : domains_)
+        total += d->eq().executed();
     return total;
 }
 
-void
-MultiGpuSystem::runParallel()
+Tick
+MultiGpuSystem::kernelNow() const
 {
-    // GPU domains buffer trace events privately; the coordinator
-    // splices the buffers into the master sink at every barrier, in
-    // domain order, so the merged file is run-to-run deterministic.
-    if (trace_) {
+    Tick t = 0;
+    for (const auto &d : domains_)
+        t = std::max(t, d->eq().now());
+    return t;
+}
+
+void
+MultiGpuSystem::runKernel()
+{
+    // With several workers, GPU domains buffer trace events
+    // privately and the coordinator splices the buffers into the
+    // master sink in domain order, ahead of the window's wire replay.
+    // A lone worker executes the domains in that same order, so it
+    // writes straight into the master sink and emits the same bytes
+    // without the copy.
+    const bool buffer_trace = trace_ && sim_threads_ > 1;
+    if (buffer_trace) {
         for (std::size_t d = 1; d < domains_.size(); ++d)
             domains_[d]->enableTraceBuffer();
     }
-    if (sampler_)
-        metrics_due_ = sampler_->interval();
-    if (sampler_ && trace_) {
-        // Counter tracks: mirror each barrier-driven sample into the
-        // trace so gauges render as lanes next to the named threads.
-        // Sharded-only, keeping serial trace artifacts byte-stable.
-        sampler_->setTraceSink(trace_.get());
-    }
-    if (cfg_.commSampleInterval > 0)
-        comm_due_ = cfg_.commSampleInterval;
-
-    const std::uint64_t window =
-        std::max(cfg_.gpu.maxOutstanding, cfg_.cpu.maxOutstanding);
+    // Next due ticks of the barrier-driven samplers.
+    Tick metrics_due = sampler_ ? sampler_->interval() : MaxTick;
+    Tick comm_due = cfg_.commSampleInterval > 0
+                        ? cfg_.commSampleInterval
+                        : MaxTick;
 
     ParallelKernelConfig kc;
     kc.domains.reserve(domains_.size());
@@ -626,20 +608,33 @@ MultiGpuSystem::runParallel()
     kc.lookahead = net_->topology().minLatency();
     kc.maxCycles = cfg_.maxCycles;
     kc.done = [this]() { return done_gpus_ >= cfg_.numGpus; };
-    kc.exchange = [this]() {
+    kc.exchange = [this, buffer_trace]() {
+        if (buffer_trace) {
+            for (std::size_t d = 1; d < domains_.size(); ++d) {
+                std::uint64_t ne = 0;
+                const std::string buf = domains_[d]->takeTraceBuf(ne);
+                trace_->appendRaw(buf, ne);
+            }
+        }
         return net_->replayCaptured(
             [this](NodeId dst) -> EventQueue & {
                 return domains_[dst]->eq();
             });
     };
 
-    // Each worker provisions its thread-local packet pool up front
-    // (a worker cannot warm its free lists from packets released on
-    // other threads) and reports its fresh-allocation delta at exit.
-    const std::size_t preload = (window + 64) * 8;
+    // With several workers, each provisions its thread-local packet
+    // pool up front (a worker cannot warm its free lists from
+    // packets released on other threads). A lone worker is the
+    // calling thread, whose pool warms itself as on any single-
+    // threaded run. Each reports its fresh-allocation delta at exit.
+    const std::uint64_t window =
+        std::max(cfg_.gpu.maxOutstanding, cfg_.cpu.maxOutstanding);
+    const std::size_t preload =
+        sim_threads_ > 1 ? (window + 64) * 8 : 0;
     std::vector<PacketPool::Stats> base(sim_threads_);
     kc.workerStart = [&base, preload](unsigned w) {
-        PacketPool::preload(preload, preload);
+        if (preload > 0)
+            PacketPool::preload(preload, preload);
         base[w] = PacketPool::stats();
     };
     kc.workerEnd = [this, &base](unsigned w) {
@@ -651,32 +646,17 @@ MultiGpuSystem::runParallel()
     };
 
     ParallelKernel *kptr = nullptr;
-    kc.atBarrier = [this, &kptr](Tick window_end) {
-        pdes_windows_ = kptr->windows();
+    kc.atBarrier = [&](Tick window_end) {
         pdes_crossings_ = kptr->domainCrossings();
         pdes_stalls_ = kptr->windowStalls();
-        if (trace_) {
-            for (std::size_t d = 1; d < domains_.size(); ++d) {
-                std::uint64_t ne = 0;
-                const std::string buf = domains_[d]->takeTraceBuf(ne);
-                if (!buf.empty())
-                    trace_->appendRaw(buf, ne);
-            }
-        }
-        // Catch up the barrier-driven samplers on every due tick the
-        // closed window covered (idle-window skips can cover many).
-        if (sampler_) {
-            while (metrics_due_ <= window_end) {
-                sampler_->sampleAt(metrics_due_);
-                metrics_due_ += sampler_->interval();
-            }
-        }
-        if (cfg_.commSampleInterval > 0) {
-            while (comm_due_ <= window_end) {
-                sampleComm(comm_due_, false);
-                comm_due_ += cfg_.commSampleInterval;
-            }
-        }
+        // Catch up the samplers on every due tick the closed window
+        // covered (idle-window skips can cover many).
+        for (; metrics_due <= window_end;
+             metrics_due += sampler_->interval())
+            sampler_->sampleAt(metrics_due);
+        for (; comm_due <= window_end;
+             comm_due += cfg_.commSampleInterval)
+            sampleComm(comm_due);
     };
 
     ParallelKernel kernel(std::move(kc));
@@ -686,9 +666,6 @@ MultiGpuSystem::runParallel()
     pdes_windows_ = kernel.windows();
     pdes_crossings_ = kernel.domainCrossings();
     pdes_stalls_ = kernel.windowStalls();
-    parallel_end_ = 0;
-    for (auto &d : domains_)
-        parallel_end_ = std::max(parallel_end_, d->eq().now());
 }
 
 RunResult
@@ -697,71 +674,9 @@ MultiGpuSystem::run()
     openObservability();
     for (auto &n : nodes_)
         n->start();
-    if (cfg_.commSampleInterval > 0 && !sharded()) {
-        eq_.scheduleIn(cfg_.commSampleInterval, [this]() {
-            sampleComm(eq_.now(), true);
-        });
-    }
-    if (sampler_) {
-        if (sharded())
-            sampler_->startManual();
-        else
-            sampler_->start();
-    }
-
-    if (sharded()) {
-        runParallel();
-    } else {
-        if (prof_) {
-            // Sliced timing: clock a bounded batch of events as one
-            // serialExec span so the per-event steady_clock cost
-            // stays amortized. The loop evaluates exactly the same
-            // conditions in the same order as the legacy loop below,
-            // so event execution is identical.
-            constexpr std::uint64_t kSlice = 4096;
-            bool live = true;
-            while (live && done_gpus_ < cfg_.numGpus &&
-                   eq_.now() <= cfg_.maxCycles) {
-                const std::uint64_t t0 = Profiler::nowNs();
-                std::uint64_t n = 0;
-                do {
-                    if (!eq_.runOne()) {
-                        live = false;
-                        break;
-                    }
-                    ++n;
-                } while (n < kSlice && done_gpus_ < cfg_.numGpus &&
-                         eq_.now() <= cfg_.maxCycles);
-                if (n > 0)
-                    prof_->serialSlice(t0, Profiler::nowNs(), n);
-            }
-        } else {
-            while (done_gpus_ < cfg_.numGpus &&
-                   eq_.now() <= cfg_.maxCycles) {
-                if (!eq_.runOne())
-                    break;
-            }
-        }
-        if (net_->canonicalWireOrder() &&
-            done_gpus_ >= cfg_.numGpus) {
-            // The sharded kernel only polls the done flag at window
-            // boundaries, so it always finishes the lookahead window
-            // that completed the workload. Run the serial queue to
-            // that same boundary so end-of-run timers (ACK deadline
-            // flushes) fire in both kernels or in neither — without
-            // this the two disagree on trailing control traffic.
-            const Tick L = net_->topology().minLatency();
-            const Tick tail_end = eq_.now() / L * L + L - 1;
-            if (prof_) {
-                const std::uint64_t t0 = Profiler::nowNs();
-                const std::uint64_t n = eq_.run(tail_end);
-                if (n > 0)
-                    prof_->serialSlice(t0, Profiler::nowNs(), n);
-            } else {
-                eq_.run(tail_end);
-            }
-        }
-    }
+    if (sampler_)
+        sampler_->start();
+    runKernel();
     flushObservability();
 
     RunResult r;
@@ -776,8 +691,7 @@ MultiGpuSystem::run()
     Tick finish = 0;
     for (NodeId id = 1; id < cfg_.numNodes(); ++id)
         finish = std::max(finish, nodes_[id]->finishTick());
-    r.cycles = r.completed ? finish
-                           : (sharded() ? parallel_end_ : eq_.now());
+    r.cycles = r.completed ? finish : kernelNow();
 
     r.totalBytes = net_->totalBytes();
     for (std::size_t c = 0; c < kNumTrafficClasses; ++c)
@@ -800,16 +714,10 @@ MultiGpuSystem::run()
     r.avgRemoteLatency =
         lat_n > 0 ? lat_sum / static_cast<double>(lat_n) : 0.0;
 
-    if (sharded()) {
-        for (auto &v : burst16_by_src_)
-            burst16_.insert(burst16_.end(), v.begin(), v.end());
-        for (auto &v : burst32_by_src_)
-            burst32_.insert(burst32_.end(), v.begin(), v.end());
-        burst16_by_src_.clear();
-        burst32_by_src_.clear();
-    }
-    r.burst16 = std::move(burst16_);
-    r.burst32 = std::move(burst32_);
+    for (auto &v : burst16_)
+        r.burst16.insert(r.burst16.end(), v.begin(), v.end());
+    for (auto &v : burst32_)
+        r.burst32.insert(r.burst32.end(), v.begin(), v.end());
     r.commSeries = std::move(comm_series_);
 
     r.simThreads = sim_threads_;

@@ -98,9 +98,9 @@ struct SystemConfig
 
     /**
      * Fabric topology carrying the links above (net/topology.hh).
-     * The default p2p fabric reproduces the paper's target system
-     * byte-identically; nvswitch/hier model the scale-out machines
-     * of the 8/16/64-GPU studies.
+     * The default p2p fabric is the paper's target system;
+     * nvswitch/hier model the scale-out machines of the 8/16/64-GPU
+     * studies.
      */
     TopologyConfig topology{};
 
@@ -132,22 +132,24 @@ struct SystemConfig
     /** Safety valve: abort runs that exceed this many cycles. */
     Tick maxCycles = 500'000'000;
     /**
-     * Expected peak of simultaneously-pending events; pre-sizes the
-     * event queue so steady-state scheduling never reallocates.
-     * 0 = derive from the node count and outstanding-request windows.
+     * Expected peak of simultaneously-pending events, summed over
+     * every domain queue; pre-sizes the queues (split evenly) so
+     * steady-state scheduling rarely reallocates. 0 = derive from the
+     * node count and outstanding-request windows.
      */
     std::uint64_t expectedEvents = 0;
     /** >0: sample GPU 1's communication mix every N cycles. */
     Cycles commSampleInterval = 0;
 
     /**
-     * Worker threads for the domain-sharded kernel. 1 runs the exact
-     * legacy serial path (byte-identical artifacts); >= 2 shards the
-     * kernel into one event domain per GPU plus a host/fabric domain,
-     * synchronized conservatively at barrier windows of the minimum
-     * cross-domain link latency. 0 = auto: the MGSEC_SIM_THREADS
-     * environment variable if set, else 1. Thread counts beyond the
-     * domain count (numGpus + 1) are clamped.
+     * Worker threads of the event kernel (sim/parallel_kernel.hh).
+     * Every run shards the simulation into one event domain per GPU
+     * plus a host/fabric domain, synchronized conservatively at
+     * barrier windows of the minimum cross-domain link latency; this
+     * only picks how many threads execute the domains. Results are
+     * byte-identical for every value. 0 = auto: the
+     * MGSEC_SIM_THREADS environment variable if set, else 1. Thread
+     * counts beyond the domain count (numGpus + 1) are clamped.
      */
     std::uint32_t simThreads = 0;
 
@@ -191,7 +193,11 @@ struct RunResult
     /** GPU 1 communication mix over time (Fig. 13/14). */
     std::vector<CommSample> commSeries;
 
-    /** @name Sharded-kernel run accounting (1/0s on serial runs). */
+    /**
+     * @name Event-kernel run accounting. The window counts do not
+     * depend on the worker count; the pool deltas do (one thread-
+     * local pool per worker).
+     */
     /// @{
     std::uint32_t simThreads = 1;
     std::uint64_t pdesWindows = 0;
@@ -284,6 +290,7 @@ class MultiGpuSystem
         return attr_.get();
     }
 
+    /** The host/fabric domain's queue (CPU, network, page table). */
     EventQueue &eventq() { return eq_; }
     Network &network() { return *net_; }
     PageTable &pageTable() { return *pt_; }
@@ -292,16 +299,16 @@ class MultiGpuSystem
 
     /** Resolved worker-thread count (config / env, clamped). */
     std::uint32_t simThreads() const { return sim_threads_; }
-    /** True when the run uses the domain-sharded kernel. */
-    bool sharded() const { return sim_threads_ > 1; }
     /** Events executed across every domain queue. */
     std::uint64_t executedEvents() const;
 
   private:
     void recordBlock(NodeId src, NodeId dst, Tick t);
-    void sampleComm(Tick tick, bool reschedule);
-    /** The sharded-kernel main loop (run() with simThreads >= 2). */
-    void runParallel();
+    void sampleComm(Tick tick);
+    /** Drive every domain through the windowed event kernel. */
+    void runKernel();
+    /** Latest domain clock: where the kernel stopped. */
+    Tick kernelNow() const;
     /** Open the file-backed sinks cfg_.observe asks for. */
     void openObservability();
     /** Flush and close them at the end of run(). */
@@ -311,9 +318,8 @@ class MultiGpuSystem
     WorkloadProfile profile_;
     EventQueue eq_;
     /**
-     * Event domains of a sharded run: [0] wraps eq_ (host/fabric),
-     * [1..numGpus] own one queue per GPU node. Empty on serial runs
-     * so the legacy path constructs nothing new.
+     * Event domains: [0] wraps eq_ (host/fabric), [1..numGpus] own
+     * one queue per GPU node.
      */
     std::vector<std::unique_ptr<Domain>> domains_;
     std::uint32_t sim_threads_ = 1;
@@ -346,32 +352,23 @@ class MultiGpuSystem
         std::deque<Tick> ticks;
     };
     std::vector<BurstState> burst_state_;
-    std::vector<Cycles> burst16_;
-    std::vector<Cycles> burst32_;
     /**
-     * Sharded runs append bursts per source node (the only writer of
-     * a (src, *) row is src's domain thread) and concatenate in node
-     * order at harvest — deterministic without a lock. Serial runs
-     * keep the legacy shared vectors, preserving their global
-     * interleave order byte-for-byte.
+     * Burst windows per source node (the only writer of a (src, *)
+     * row is src's domain thread), concatenated in node order at
+     * harvest — deterministic without a lock.
      */
-    std::vector<std::vector<Cycles>> burst16_by_src_;
-    std::vector<std::vector<Cycles>> burst32_by_src_;
+    std::vector<std::vector<Cycles>> burst16_;
+    std::vector<std::vector<Cycles>> burst32_;
 
     std::vector<std::uint64_t> prev_sends_to_;
     std::uint64_t prev_recvs_ = 0;
     std::vector<CommSample> comm_series_;
 
-    /** @name Sharded-kernel run state */
+    /** @name Event-kernel run state */
     /// @{
     std::uint64_t pdes_windows_ = 0;
     std::uint64_t pdes_crossings_ = 0;
     std::uint64_t pdes_stalls_ = 0;
-    /** Next due ticks of the barrier-driven samplers. */
-    Tick metrics_due_ = 0;
-    Tick comm_due_ = 0;
-    /** max over domains of eq().now() when the kernel exited. */
-    Tick parallel_end_ = 0;
     /** Worker packet-pool deltas, accumulated under pool_mu_. */
     std::mutex pool_mu_;
     std::uint64_t pool_fresh_packets_ = 0;

@@ -73,7 +73,7 @@ class PageTable : public SimObject
     }
 
     /**
-     * Guard the table with an internal mutex for sharded runs — the
+     * Guard the table with an internal mutex for multi-worker runs — the
      * page table is pure state (no events), and it is the single
      * object GPU node domains call into directly. Every value it
      * returns is interleaving-independent: a page's first-touch home

@@ -13,23 +13,19 @@ namespace mgsec
 
 Network::Network(const std::string &name, EventQueue &eq,
                  std::uint32_t num_nodes, LinkParams pcie,
-                 LinkParams nvlink)
-    : Network(name, eq, num_nodes, pcie, nvlink, TopologyConfig{})
-{
-}
-
-Network::Network(const std::string &name, EventQueue &eq,
-                 std::uint32_t num_nodes, LinkParams pcie,
                  LinkParams nvlink, const TopologyConfig &topo)
     : SimObject(name, eq), num_nodes_(num_nodes), pcie_(pcie),
       nvlink_(nvlink),
       topo_(makeTopology(topo, num_nodes, pcie, nvlink)),
       handlers_(num_nodes),
       pair_bytes_(static_cast<std::size_t>(num_nodes) * num_nodes,
-                  0.0)
+                  0.0),
+      // One lane per possible writer domain plus the overflow lane
+      // (domain counts never exceed the node count in either the
+      // system or the verify testbed).
+      lanes_(static_cast<std::size_t>(num_nodes) + 1)
 {
     MGSEC_ASSERT(num_nodes_ >= 2, "need a CPU and at least one GPU");
-    canonical_order_ = topo.kind != TopologyKind::P2p;
     regStat(packets_);
     for (auto &s : class_bytes_)
         regStat(s);
@@ -50,12 +46,10 @@ Network::deliver(Tick when, PacketPtr pkt, EventQueue &eq)
     // still queued returns its in-flight packets to the pool instead
     // of leaking them.
     ++in_flight_;
-    // On canonical-order fabrics the delivery's place among the
-    // arrival tick's events must not depend on when it was scheduled
-    // (send tick under the serial kernel, window barrier under the
-    // sharded one) — kPriWire pins deliveries ahead of local work.
-    const EventPri pri = canonical_order_ ? kPriWire : kPriNormal;
-    eq.schedule(when, pri, [this, p = std::move(pkt)]() mutable {
+    // The delivery's place among the arrival tick's events must not
+    // depend on when the replay ran — kPriWire pins deliveries ahead
+    // of local work.
+    eq.schedule(when, kPriWire, [this, p = std::move(pkt)]() mutable {
         --in_flight_;
         MGSEC_ASSERT(handlers_[p->dst] != nullptr,
                      "no handler for node %u", p->dst);
@@ -66,20 +60,10 @@ Network::deliver(Tick when, PacketPtr pkt, EventQueue &eq)
 void
 Network::setParallelCapture(bool on)
 {
+    for (const auto &lane : lanes_)
+        MGSEC_ASSERT(lane.empty(), "switching capture mode with "
+                                   "unreplayed packets");
     capture_ = on;
-    if (on) {
-        // One lane per possible writer domain plus the overflow lane
-        // for sends outside any Domain scope (domain counts never
-        // exceed the node count in either the system or the verify
-        // testbed).
-        lanes_.resize(static_cast<std::size_t>(num_nodes_) + 1);
-    } else {
-        for (const auto &lane : lanes_)
-            MGSEC_ASSERT(lane.empty(), "disabling capture with "
-                                       "unreplayed packets");
-        lanes_.clear();
-        lanes_.shrink_to_fit();
-    }
 }
 
 std::uint64_t
@@ -92,13 +76,12 @@ Network::replayCaptured(
     // identical for every thread count and run. In the system proper
     // each (src, dst) pair has exactly one writer lane, so this is
     // exactly (sendTick, src, dst, push order).
-    std::vector<CapturedSend> window;
     for (auto &lane : lanes_) {
         for (CapturedSend &c : lane)
-            window.push_back(std::move(c));
+            window_.push_back(std::move(c));
         lane.clear();
     }
-    std::stable_sort(window.begin(), window.end(),
+    std::stable_sort(window_.begin(), window_.end(),
                      [](const CapturedSend &a, const CapturedSend &b) {
                          if (a.sendTick != b.sendTick)
                              return a.sendTick < b.sendTick;
@@ -106,11 +89,12 @@ Network::replayCaptured(
                              return a.pkt->src < b.pkt->src;
                          return a.pkt->dst < b.pkt->dst;
                      });
-    const std::uint64_t n = window.size();
-    for (CapturedSend &c : window) {
+    const std::uint64_t n = window_.size();
+    for (CapturedSend &c : window_) {
         EventQueue &dst_eq = queue_of(c.pkt->dst);
         sendOnWire(std::move(c.pkt), c.sendTick, dst_eq);
     }
+    window_.clear();
     return n;
 }
 
@@ -120,52 +104,22 @@ Network::send(PacketPtr pkt)
     MGSEC_ASSERT(pkt->src < num_nodes_ && pkt->dst < num_nodes_ &&
                      pkt->src != pkt->dst,
                  "bad route %u -> %u", pkt->src, pkt->dst);
-    if (capture_) {
-        // Record against the *sender's* clock: under the sharded
-        // kernel the caller executes on its domain's queue, not on
-        // the network's home queue.
-        Domain *dom = Domain::current();
-        const Tick send_tick = dom ? dom->eq().now() : now();
-        const std::size_t lane = dom ? dom->id() : num_nodes_;
-        MGSEC_ASSERT(lane < lanes_.size(), "capture lane %zu out of "
-                     "range", lane);
-        lanes_[lane].push_back(CapturedSend{std::move(pkt), send_tick});
-        return;
-    }
-    if (canonical_order_) {
-        // Switch-based fabric under the serial kernel: defer the
-        // wire crossing to a same-tick flush so shared-port
-        // reservations happen in the replay sort's (src, dst)
-        // order, not event-scheduling order. Nothing in the system
-        // schedules zero-delay events, so every send at this tick
-        // lands in one batch: the flush event, scheduled during the
-        // tick's first send, outsequences every already-pending
-        // event at this tick.
-        tick_pending_.push_back(CapturedSend{std::move(pkt), now()});
-        if (!flush_scheduled_) {
-            flush_scheduled_ = true;
-            eventq().schedule(now(), [this] { flushTick(); });
-        }
-        return;
-    }
-    sendOnWire(std::move(pkt), now(), eventq());
-}
-
-void
-Network::flushTick()
-{
-    flush_scheduled_ = false;
-    std::vector<CapturedSend> batch;
-    batch.swap(tick_pending_);
-    std::stable_sort(batch.begin(), batch.end(),
-                     [](const CapturedSend &a, const CapturedSend &b) {
-                         if (a.pkt->src != b.pkt->src)
-                             return a.pkt->src < b.pkt->src;
-                         return a.pkt->dst < b.pkt->dst;
-                     });
-    for (CapturedSend &c : batch) {
-        MGSEC_ASSERT(c.sendTick == now(), "flush crossed a tick");
-        sendOnWire(std::move(c.pkt), c.sendTick, eventq());
+    // Record against the *sender's* clock: under the kernel the
+    // caller executes on its domain's queue, not on the network's
+    // home queue.
+    Domain *dom = capture_ ? Domain::current() : nullptr;
+    const Tick send_tick = dom ? dom->eq().now() : now();
+    const std::size_t lane = dom ? dom->id() : num_nodes_;
+    MGSEC_ASSERT(lane < lanes_.size(), "capture lane %zu out of range",
+                 lane);
+    lanes_[lane].push_back(CapturedSend{std::move(pkt), send_tick});
+    if (!capture_ && !flush_scheduled_) {
+        flush_scheduled_ = true;
+        eventq().schedule(now(), [this] {
+            flush_scheduled_ = false;
+            replayCaptured(
+                [this](NodeId) -> EventQueue & { return eventq(); });
+        });
     }
 }
 

@@ -43,20 +43,16 @@ class Network : public SimObject
     using Handler = std::function<void(PacketPtr)>;
 
     /**
-     * The historical point-to-point constructor.
      * @param num_nodes total processors (CPU is node 0), >= 2.
      * @param pcie per-direction parameters of each CPU<->GPU channel.
      * @param nvlink per-direction parameters of each GPU's shared
      *               inter-GPU port.
+     * @param topo the fabric carrying them (net/topology.hh); the
+     *             default is the paper's p2p machine.
      */
     Network(const std::string &name, EventQueue &eq,
-            std::uint32_t num_nodes, LinkParams pcie,
-            LinkParams nvlink);
-
-    /** Fabric-selecting constructor (net/topology.hh). */
-    Network(const std::string &name, EventQueue &eq,
-            std::uint32_t num_nodes, LinkParams pcie,
-            LinkParams nvlink, const TopologyConfig &topo);
+            std::uint32_t num_nodes, LinkParams pcie, LinkParams nvlink,
+            const TopologyConfig &topo = {});
 
     std::uint32_t numNodes() const { return num_nodes_; }
     const LinkParams &pcieParams() const { return pcie_; }
@@ -64,12 +60,6 @@ class Network : public SimObject
 
     /** The fabric carrying this network's packets. */
     const Topology &topology() const { return *topo_; }
-    /**
-     * True on switch-based fabrics, where the wire order is defined
-     * canonically (see canonical_order_ below) so serial and sharded
-     * kernels agree bit-for-bit on every statistic.
-     */
-    bool canonicalWireOrder() const { return canonical_order_; }
     /** Link class of an (src, dst) crossing on this fabric. */
     LinkType
     linkType(NodeId src, NodeId dst) const
@@ -84,25 +74,35 @@ class Network : public SimObject
     void send(PacketPtr pkt);
 
     /**
-     * @name Sharded-kernel capture mode
+     * @name Wire order: capture and replay
      *
-     * Under the domain-sharded kernel every send() crosses domains
-     * (nodes live in different domains, and wire hops are the only
-     * cross-domain edges), so the network is the explicit
-     * cross-domain message channel. With capture on, send() only
-     * records {packet, sender-local tick} into the *calling
-     * domain's* capture lane — one writer per lane regardless of the
-     * src the packet carries, so even an attacker model injecting
-     * foreign-src traffic from its own domain stays race-free — and
-     * the whole wire crossing (tamper points, byte accounting, port
-     * serialization, trace/lifecycle stamps, delivery) happens later
-     * in replayCaptured() on the quiesced coordinator thread, in an
-     * order fixed by (send tick, src, dst, lane, push order) and
-     * thus independent of thread count.
+     * send() never crosses the wire inline. It records {packet,
+     * sender-local tick} into a writer lane, and replayCaptured()
+     * later performs the whole crossing (tamper points, byte
+     * accounting, port serialization, trace/lifecycle stamps,
+     * delivery) in one canonical order: (send tick, src, dst, lane,
+     * push order). Every delivery is scheduled at kPriWire, ahead of
+     * local work at its arrival tick. Wire order, port reservations
+     * and the interleaving at the receiver are therefore a pure
+     * function of simulation state, on every fabric and for every
+     * kernel thread count.
      *
-     * A window's deliveries always land in a later window: with
-     * lookahead L = min link latency and sends at tick >= window
-     * start T, arrival >= T + L, past the window end T + L - 1.
+     * With capture on (the event kernel, sim/parallel_kernel.hh),
+     * nodes live in per-node domains and every send() crosses
+     * domains, so the network is the explicit cross-domain message
+     * channel. A send lands in the *calling domain's* lane (one
+     * writer per lane regardless of the src the packet carries, so
+     * an attacker model injecting foreign-src traffic from its own
+     * domain stays race-free), and the kernel replays all lanes at
+     * each barrier on the quiesced coordinator thread. A window's
+     * deliveries always land in a later window: with lookahead L =
+     * min link latency and sends at tick >= window start T, arrival
+     * >= T + L, past the window end T + L - 1.
+     *
+     * With capture off (a standalone network on one queue, as in unit
+     * tests), sends buffer in the overflow lane and a same-tick flush
+     * event replays them onto the home queue; the sort and the
+     * crossing are the same code as under the kernel.
      */
     /// @{
     void setParallelCapture(bool on);
@@ -151,26 +151,6 @@ class Network : public SimObject
     setTamper(TamperPoint point, TamperHook h)
     {
         tamper_[static_cast<std::size_t>(point)] = std::move(h);
-    }
-
-    /**
-     * Legacy single-point form: a void meddler mounted post-wire
-     * that always forwards (the historical behavior).
-     */
-    using Tamper = std::function<void(Packet &)>;
-    void
-    setTamper(Tamper t)
-    {
-        if (!t) {
-            tamper_[static_cast<std::size_t>(TamperPoint::PostWire)] =
-                TamperHook{};
-            return;
-        }
-        setTamper(TamperPoint::PostWire,
-                  [t = std::move(t)](Packet &p) {
-                      t(p);
-                      return TamperVerdict::Forward;
-                  });
     }
 
     /** Packets a tamper hook dropped (either point). */
@@ -224,10 +204,6 @@ class Network : public SimObject
     /** The full wire crossing, parameterized so capture replay can
      *  run it with the sender's tick and the receiver's queue. */
     void sendOnWire(PacketPtr pkt, Tick send_tick, EventQueue &dst_eq);
-    /** Serial-mode canonical flush: route every send buffered at the
-     *  current tick in (src, dst) order. */
-    void flushTick();
-
     struct CapturedSend
     {
         PacketPtr pkt;
@@ -249,31 +225,18 @@ class Network : public SimObject
     std::atomic<std::uint64_t> in_flight_{0};
 
     bool capture_ = false;
-    /**
-     * Canonical wire order (switch-based fabrics only). Routing on
-     * nvswitch/hier funnels many flows through shared switch-egress
-     * and trunk ports, so same-tick sends contend far more often
-     * than on p2p — and the serial kernel's inline routing would
-     * reserve those ports in event-scheduling order while the
-     * sharded replay reserves them in (send tick, src, dst) order,
-     * making serial and sharded results drift apart. When set,
-     * serial send() buffers the packet and a same-tick flush event
-     * routes the whole batch in (src, dst) order, matching the
-     * replay sort exactly. p2p keeps the historical inline path so
-     * pre-topology artifacts stay byte-identical.
-     */
-    bool canonical_order_ = false;
-    /** Sends buffered at the current tick awaiting flushTick(). */
-    std::vector<CapturedSend> tick_pending_;
+    /** A standalone same-tick flush is pending (capture off). */
     bool flush_scheduled_ = false;
-    /** Per-writer capture lanes, indexed by the sending domain's id
-     *  (last lane = sends outside any Domain scope, e.g. drains run
-     *  between kernel windows on the main thread). Single-writer
-     *  each; the kernel barrier orders writes before the coordinator
-     *  reads. Keyed by writer rather than (src, dst) because the
-     *  verify testbed's adversary injects foreign-src packets from
-     *  its own domain. */
+    /** Per-writer capture lanes, indexed by the sending domain's id.
+     *  The last lane takes sends outside any Domain scope (drains run
+     *  between kernel windows on the main thread, and every send of a
+     *  standalone network). Single-writer each; the kernel barrier
+     *  orders writes before the coordinator reads. Keyed by writer
+     *  rather than (src, dst) because the verify testbed's adversary
+     *  injects foreign-src packets from its own domain. */
     std::vector<std::vector<CapturedSend>> lanes_;
+    /** replayCaptured()'s merge buffer, kept to reuse its capacity. */
+    std::vector<CapturedSend> window_;
 
     stats::Scalar packets_{"packets", "packets sent"};
     std::array<stats::Scalar, kNumTrafficClasses> class_bytes_{

@@ -68,9 +68,9 @@ class PacketPool
      * object counts. Provisioning is not allocator *traffic* — the
      * hot-path guarantee is zero fresh allocations in steady state,
      * and a preloaded list is exactly a warmed-up one — so these
-     * allocations are not counted as fresh. The sharded kernel
-     * preloads each worker thread before the run: unlike a serial
-     * run, a worker cannot warm its lists from packets other threads
+     * allocations are not counted as fresh. A multi-worker kernel
+     * preloads each worker thread before the run: unlike a lone
+     * thread, a worker cannot warm its lists from packets other threads
      * released (migration trains drift packets from the home node's
      * thread to the requester's).
      */

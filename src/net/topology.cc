@@ -80,9 +80,8 @@ namespace
 
 /**
  * The paper's point-to-point fabric: shared per-GPU NVLink ports.
- * The routing arithmetic is the historical Network::sendOnWire()
- * block, moved verbatim — p2p runs are byte-identical to the
- * pre-Topology simulator.
+ * Egress serializes at the sender's port and ingress at the
+ * receiver's, as in Fig. 2.
  */
 class P2pTopology : public Topology
 {

@@ -1,6 +1,6 @@
 /**
  * @file
- * Event domains for the sharded (conservative-PDES) kernel.
+ * Event domains of the conservative-PDES kernel.
  *
  * A Domain is one shard of the discrete-event kernel: an EventQueue
  * plus the per-domain observability buffers that let a multi-threaded
@@ -11,9 +11,8 @@
  * (sim/parallel_kernel.hh).
  *
  * Domain 0 is the host/fabric domain. It wraps an externally owned
- * queue (the system's legacy `eq_`) so the serial code path and every
- * component bound to that queue stay untouched; GPU domains own their
- * queues.
+ * queue (the system's `eq_`, which the CPU, network and page table
+ * are bound to); GPU domains own their queues.
  *
  * The thread-local current() pointer tells code running inside a
  * window which domain's clock it is on — Network::send() uses it to
@@ -54,8 +53,8 @@ class Domain
 
     /**
      * Domain whose window the calling thread is currently executing,
-     * or nullptr outside the parallel kernel (serial runs, barrier
-     * phases).
+     * or nullptr outside a window (barrier phases, code driving a
+     * queue directly).
      */
     static Domain *current();
 

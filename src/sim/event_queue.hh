@@ -42,13 +42,12 @@ class TraceSink;
 
 /**
  * Same-tick ordering class; lower runs first. Almost everything uses
- * kPriNormal, keeping the historical pure-FIFO same-tick order.
- * kPriWire exists for wire deliveries on canonical-order fabrics
- * (net/network.hh): the serial kernel schedules a delivery the tick
- * the packet is sent while the sharded kernel schedules it at a
- * window barrier, so its FIFO position among the arrival tick's
- * events depends on the kernel. Sorting deliveries ahead of local
- * work makes the interleaving a pure function of simulation state.
+ * kPriNormal, keeping pure-FIFO same-tick order. kPriWire is for wire
+ * deliveries (net/network.hh): the network schedules a delivery when
+ * it replays the send, at a window barrier or a same-tick flush, so
+ * its FIFO position among the arrival tick's events would depend on
+ * when that replay ran. Sorting deliveries ahead of local work makes
+ * the interleaving a pure function of simulation state.
  */
 enum EventPri : std::uint8_t
 {
@@ -155,9 +154,8 @@ class EventQueue
     Tick nextPendingTick();
 
     /**
-     * Domain this queue belongs to when the kernel is sharded
-     * (sim/domain.hh); 0 — the host domain — otherwise, so serial
-     * runs need no special case.
+     * Domain this queue belongs to (sim/domain.hh); 0 — the host
+     * domain — for a queue outside any domain.
      */
     DomainId domainId() const { return domain_id_; }
     void setDomainId(DomainId d) { domain_id_ = d; }

@@ -115,7 +115,7 @@ class LatencyAttribution
     /// @}
 
     /**
-     * Guard record/fold with an internal mutex for sharded runs,
+     * Guard record/fold with an internal mutex for multi-worker runs,
      * where every domain thread folds into this one collector.
      * Histogram accumulation is commutative (bucket counts and
      * sums), so the fold order across domains cannot change any

@@ -5,15 +5,12 @@
 #include "sim/json_writer.hh"
 #include "sim/logging.hh"
 #include "sim/stats.hh"
-#include "sim/trace_sink.hh"
 
 namespace mgsec
 {
 
-MetricSampler::MetricSampler(EventQueue &eq, Cycles interval,
-                             std::size_t capacity, KeepGoing keep)
-    : eq_(eq), interval_(interval), capacity_(capacity),
-      keep_(std::move(keep))
+MetricSampler::MetricSampler(Cycles interval, std::size_t capacity)
+    : interval_(interval), capacity_(capacity)
 {
     MGSEC_ASSERT(interval_ > 0, "sample interval must be positive");
     MGSEC_ASSERT(capacity_ > 0, "ring capacity must be positive");
@@ -43,7 +40,7 @@ MetricSampler::addScalars(const stats::StatGroup &g)
 }
 
 void
-MetricSampler::arm()
+MetricSampler::start()
 {
     MGSEC_ASSERT(!started_, "sampler already started");
     MGSEC_ASSERT(!gauges_.empty(), "no gauges registered");
@@ -52,36 +49,6 @@ MetricSampler::arm()
     values_.assign(capacity_ * gauges_.size(), 0.0);
     size_ = 0;
     head_ = 0;
-}
-
-void
-MetricSampler::start()
-{
-    arm();
-    scheduleNext();
-}
-
-void
-MetricSampler::startManual()
-{
-    arm();
-}
-
-void
-MetricSampler::scheduleNext()
-{
-    eq_.scheduleIn(interval_, [this]() {
-        sample();
-        if (!keep_ || keep_())
-            scheduleNext();
-    });
-}
-
-void
-MetricSampler::sampleNow()
-{
-    if (started_)
-        sample();
 }
 
 void
@@ -101,23 +68,12 @@ MetricSampler::sampleAt(Tick t)
     double *vals = values_.data() + row * gauges_.size();
     for (std::size_t c = 0; c < gauges_.size(); ++c)
         vals[c] = gauges_[c](t);
-    if (trace_) {
-        for (std::size_t c = 0; c < gauges_.size(); ++c)
-            trace_->counter(0, "metric", names_[c].c_str(), t,
-                            vals[c]);
-    }
 }
 
 std::size_t
 MetricSampler::rowIndex(std::size_t i) const
 {
     return (head_ + i) % capacity_;
-}
-
-void
-MetricSampler::sample()
-{
-    sampleAt(eq_.now());
 }
 
 Tick

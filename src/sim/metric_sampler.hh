@@ -3,8 +3,11 @@
  * Periodic time-series sampling of live simulation metrics.
  *
  * A MetricSampler owns a set of named gauge callbacks and, once
- * started, samples all of them every `interval` simulated cycles
- * into a preallocated ring buffer (sampling itself never allocates).
+ * started, records one row of all of them per sampleAt() call into a
+ * preallocated ring buffer (sampling itself never allocates). It
+ * schedules nothing: the event kernel calls sampleAt() at every
+ * `interval` boundary from its barrier phase, when every domain is
+ * quiesced and gauges may read cross-domain state.
  * When the ring fills, the oldest rows are overwritten and counted
  * as dropped, so a long run degrades to "most recent window" rather
  * than unbounded memory. The collected series flush as one JSON
@@ -26,13 +29,10 @@
 #include <string>
 #include <vector>
 
-#include "sim/event_queue.hh"
 #include "sim/types.hh"
 
 namespace mgsec
 {
-
-class TraceSink;
 
 namespace stats { class StatGroup; }
 
@@ -42,17 +42,13 @@ class MetricSampler
   public:
     /** Reads one metric at the given sample tick. */
     using Gauge = std::function<double(Tick)>;
-    /** Re-arm predicate: sampling stops when this returns false. */
-    using KeepGoing = std::function<bool()>;
 
     /**
-     * @param interval  cycles between samples (> 0).
+     * @param interval  cycles between samples (> 0); the driver's
+     *                  cadence, reported in the JSON.
      * @param capacity  ring rows kept in memory (> 0).
-     * @param keep      optional liveness predicate; without one the
-     *                  sampler re-arms until the queue drains.
      */
-    MetricSampler(EventQueue &eq, Cycles interval, std::size_t capacity,
-                  KeepGoing keep = {});
+    MetricSampler(Cycles interval, std::size_t capacity);
 
     /** Register a gauge column. Must precede start(). */
     void addGauge(std::string name, Gauge g);
@@ -64,30 +60,11 @@ class MetricSampler
      */
     void addScalars(const stats::StatGroup &g);
 
-    /** Schedule the first sample at now + interval. */
+    /** Allocate the ring; no gauge may be added afterwards. */
     void start();
 
-    /**
-     * Arm the ring without scheduling any events: the caller drives
-     * sampling explicitly via sampleAt(). The sharded kernel uses
-     * this so gauges reading cross-domain state only run at barrier
-     * windows, when every domain thread is quiesced.
-     */
-    void startManual();
-
-    /** Take one sample immediately (e.g. the end-of-run snapshot). */
-    void sampleNow();
-
-    /** Take one sample recorded at tick @p t (manual mode). */
+    /** Take one sample recorded at tick @p t. */
     void sampleAt(Tick t);
-
-    /**
-     * Mirror every sampled row into @p ts as Chrome counter ("C")
-     * events, one track per column, so metric gauges render as
-     * counter lanes alongside the event timeline. Null detaches.
-     * The sink must outlive the sampler (or be detached first).
-     */
-    void setTraceSink(TraceSink *ts) { trace_ = ts; }
 
     Cycles interval() const { return interval_; }
     std::size_t capacity() const { return capacity_; }
@@ -108,17 +85,11 @@ class MetricSampler
     void writeJson(std::ostream &os) const;
 
   private:
-    void arm();
-    void scheduleNext();
-    void sample();
     std::size_t rowIndex(std::size_t i) const;
 
-    EventQueue &eq_;
     Cycles interval_;
     std::size_t capacity_;
-    KeepGoing keep_;
     bool started_ = false;
-    TraceSink *trace_ = nullptr;
 
     std::vector<std::string> names_;
     std::vector<Gauge> gauges_;

@@ -60,7 +60,7 @@ ParallelKernel::run(Tick from)
     // threads still wait on — either is std::terminate. Every side
     // captures instead; the coordinator notices at the next barrier,
     // shuts the pool down cleanly, and rethrows on the caller so
-    // abnormal exits behave exactly like the serial kernel's.
+    // abnormal exits behave exactly like a one-worker run's.
     std::vector<std::exception_ptr> errors(threads_);
 
     std::barrier<> sync(threads_);
@@ -114,8 +114,8 @@ ParallelKernel::run(Tick from)
         }
         // The coordinator's barrier wait is the straggler gap: time
         // between finishing its own domains and the slowest worker
-        // quiescing. Not measured on serial-fallback runs (no
-        // barrier, the wait is identically zero).
+        // quiescing. Not measured with one worker (no barrier, the
+        // wait is identically zero).
         Profiler *const prof = cfg_.profiler;
         if (threads_ > 1) {
             if (prof) {

@@ -17,23 +17,24 @@
  * window's start, so the schedule-into-the-past assertion holds by
  * construction.
  *
- * Determinism contract: a parallel run is run-to-run deterministic
- * AND thread-count invariant (2 threads produce byte-identical
- * results to 8), because the domain partition, per-domain execution
- * order, and the barrier merge order are all independent of the
- * thread count. It is NOT event-for-event identical to the serial
- * kernel: same-tick sends from different domains tie-break by pair
- * order at the barrier instead of by global event sequence, and the
- * final window runs to its boundary instead of stopping at the
- * completing event. Timing-independent results (operation counts,
- * migrations, completion) are identical; timing-derived aggregates
- * differ by well under a percent (tests/test_parallel_kernel.cc pins
- * both properties down).
+ * This is the simulator's only event kernel. Determinism contract:
+ * a run is run-to-run deterministic AND thread-count invariant — 1,
+ * 2 and 8 workers execute the same events in the same per-domain
+ * order and produce byte-identical results and artifacts — because
+ * the domain partition, per-domain execution order, the window
+ * bounds and the barrier merge order are all independent of the
+ * thread count. Termination is polled at window boundaries only, so
+ * every run finishes the window that completed its workload
+ * (tests/test_parallel_kernel.cc pins byte equality down on every
+ * fabric).
  *
- * Threads are spawned per run() and statically pinned: domain d runs
- * on worker d % threads, so a domain's events — and its thread-local
- * packet-pool traffic — stay on one thread for the whole run. The
- * calling thread doubles as worker 0 and coordinator.
+ * One worker is the serial case: the calling thread runs every
+ * domain in index order, no thread is spawned and no barrier is
+ * crossed. With more, threads are spawned per run() and statically
+ * pinned: domain d runs on worker d % threads, so a domain's events
+ * — and its thread-local packet-pool traffic — stay on one thread
+ * for the whole run. The calling thread doubles as worker 0 and
+ * coordinator.
  */
 
 #ifndef MGSEC_SIM_PARALLEL_KERNEL_HH

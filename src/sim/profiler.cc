@@ -125,18 +125,6 @@ Profiler::domainExec(DomainId d, std::uint64_t t0, std::uint64_t t1,
 }
 
 void
-Profiler::serialSlice(std::uint64_t t0, std::uint64_t t1,
-                      std::uint64_t events)
-{
-    record(0, kProfSerialExec, t0, t1);
-    const std::uint64_t dt = t1 >= t0 ? t1 - t0 : 0;
-    lanes_[0].busyNs += dt;
-    lanes_[0].events += events;
-    domain_busy_[0] += dt;
-    domain_events_[0] += events;
-}
-
-void
 Profiler::barrierEpilogue()
 {
     ++windows_;
@@ -231,8 +219,7 @@ Profiler::barrierFrac() const
     const double wait =
         static_cast<double>(phase_hist_[kProfBarrierWait].sum());
     const double exec =
-        static_cast<double>(phase_hist_[kProfDomainExec].sum()) +
-        static_cast<double>(phase_hist_[kProfSerialExec].sum());
+        static_cast<double>(phase_hist_[kProfDomainExec].sum());
     const double denom = wait + exec;
     return denom > 0.0 ? wait / denom : 0.0;
 }
@@ -257,7 +244,7 @@ Profiler::topStallPhase() const
     std::uint64_t best = 0;
     unsigned idx = kProfNumPhases;
     for (unsigned p = 0; p < kProfNumPhases; ++p) {
-        if (p == kProfSerialExec || p == kProfDomainExec)
+        if (p == kProfDomainExec)
             continue;
         const std::uint64_t s = phase_hist_[p].sum();
         if (s > best) {

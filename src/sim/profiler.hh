@@ -55,11 +55,11 @@ class TraceSink;
  */
 enum ProfPhase : std::uint8_t
 {
-    kProfSerialExec = 0, ///< serial kernel: event-loop slices
-    kProfDomainExec,     ///< parallel: per-window per-domain execution
+    kProfSerialExec = 0, ///< retired unsharded event loop (always 0)
+    kProfDomainExec,     ///< per-window per-domain execution
     kProfBarrierWait,    ///< workers parked at window barriers
-    kProfCaptureReplay,  ///< coordinator replaying captured sends
-    kProfMetricFlush,    ///< barrier metric samples + trace merges
+    kProfCaptureReplay,  ///< trace merges + replaying captured sends
+    kProfMetricFlush,    ///< barrier-driven metric/comm samples
     kProfSinkFlush,      ///< end-of-run observability flush
     kProfCryptoSeal,     ///< functional pad-XOR + MAC on send
     kProfCryptoOpen,     ///< functional decrypt + MAC verify on recv
@@ -74,10 +74,9 @@ class Profiler
 {
   public:
     /**
-     * @param workers kernel worker threads (1 on serial runs) — one
-     *        span lane each.
-     * @param domains event domains (1 on serial runs) — sizes the
-     *        per-domain busy-time ledger.
+     * @param workers kernel worker threads — one span lane each.
+     * @param domains event domains — sizes the per-domain busy-time
+     *        ledger.
      */
     Profiler(unsigned workers, unsigned domains);
 
@@ -117,12 +116,6 @@ class Profiler
      */
     void domainExec(DomainId d, std::uint64_t t0, std::uint64_t t1,
                     std::uint64_t events);
-    /**
-     * One serial event-loop slice (a bounded batch of runOne calls,
-     * timed as a unit so the per-event clock cost stays amortized).
-     */
-    void serialSlice(std::uint64_t t0, std::uint64_t t1,
-                     std::uint64_t events);
     /// @}
 
     /**
@@ -135,8 +128,8 @@ class Profiler
     /**
      * Attach the wall-clock "host" process track: spans additionally
      * buffer per lane and drain into @p sink as pid-1 complete
-     * events (microsecond timestamps). Coordinator/serial thread
-     * only; emits the track's process/thread metadata immediately.
+     * events (microsecond timestamps). Coordinator thread only;
+     * emits the track's process/thread metadata immediately.
      */
     void setHostTrack(TraceSink *sink);
     /** Drain lane @p l's pending host-track spans (owning thread). */
@@ -186,9 +179,9 @@ class Profiler
         std::vector<stats::Histogram> hist;
         /** Open-span depth (RAII balance check). */
         std::int64_t depth = 0;
-        /** Events executed by this worker (serial: lane 0). */
+        /** Events executed by this worker. */
         std::uint64_t events = 0;
-        /** Execution (domainExec/serialExec) wall time. */
+        /** Execution (domainExec) wall time. */
         std::uint64_t busyNs = 0;
         /** Host-track spans pending coordinator drain. */
         struct PendingSpan

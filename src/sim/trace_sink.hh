@@ -55,8 +55,8 @@ class TraceSink
     };
 
     /**
-     * Embedded mode, used for the per-domain buffers of the sharded
-     * kernel: no document header or footer is written, and every
+     * Embedded mode, used for the per-domain buffers of multi-worker
+     * kernel runs: no document header or footer is written, and every
      * event is prefixed with ",\n" so the buffered bytes can be
      * spliced verbatim into a master sink's traceEvents array with
      * appendRaw().

@@ -32,9 +32,8 @@ using NodeId = std::uint32_t;
 constexpr NodeId InvalidNode = static_cast<NodeId>(-1);
 
 /**
- * Identifier of an event domain when the kernel is sharded
- * (sim/domain.hh). Domain 0 is the host/fabric domain; domains
- * 1..numGpus are the per-GPU domains. A serial run is all domain 0.
+ * Identifier of an event domain (sim/domain.hh). Domain 0 is the
+ * host/fabric domain; domains 1..numGpus are the per-GPU domains.
  */
 using DomainId = std::uint32_t;
 

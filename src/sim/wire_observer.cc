@@ -169,7 +169,9 @@ windowShape(const std::vector<std::uint64_t> &bins)
         hi = i;
     }
     WindowShape ws;
-    if (lo > hi)
+    // No active window (an empty vector included: a link class that
+    // never carried a packet has no bins at all).
+    if (lo == bins.size())
         return ws;
     const std::size_t n = hi - lo + 1;
     double sum = 0.0, sqsum = 0.0;

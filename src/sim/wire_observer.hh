@@ -18,7 +18,7 @@
  * via setLinkClasses()). Everything is a commutative multiset fold over packets
  * keyed by departure tick, so the serialized output is byte-identical
  * across --sim-threads worker counts that produce the same wire
- * schedule (the sharded kernel's barrier merge replays captured wire
+ * schedule (the kernel's barrier merge replays captured wire
  * events in a deterministic total order; see docs/OBSERVABILITY.md).
  *
  * "Control-sized" packets (wire size <= ctlMaxBytes) approximate the
@@ -89,7 +89,7 @@ class WireObserver
      * link, departing at @p send_tick and fully delivered at
      * @p arrive_tick. Calls must be ordered by the wire schedule
      * (nondecreasing send_tick per flow); the Network guarantees
-     * this in both the serial and the sharded kernel.
+     * this at every kernel worker count.
      */
     void onWirePacket(NodeId src, NodeId dst, Bytes bytes,
                       Tick send_tick, Tick arrive_tick);

@@ -115,8 +115,8 @@ Network::TamperVerdict
 AdversaryModel::onWire(Packet &p)
 {
     // Never tamper with our own injections. The id record, not the
-    // transient flag, is what fires under the sharded kernel's
-    // deferred (capture/replay) wire traversal.
+    // transient flag, is what fires under the kernel's deferred
+    // (capture/replay) wire traversal.
     if (wasInjected(p, /*consume=*/true) || injecting_)
         return Network::TamperVerdict::Forward;
 

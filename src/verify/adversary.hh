@@ -55,7 +55,7 @@ class AdversaryModel
     /**
      * True iff @p p is one of the adversary's own injected packets.
      * Identification is by (flow, packet id), recorded at inject()
-     * time, so it survives the sharded kernel's deferred wire
+     * time, so it survives the event kernel's deferred wire
      * traversal: under capture mode the network replays sends at the
      * window barrier, long after the transient injecting() flag has
      * reset. Records are counted (a script can replay one packet

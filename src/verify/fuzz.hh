@@ -74,8 +74,8 @@ struct CampaignConfig
     /**
      * Event-kernel threads for every case (TestbedConfig::simThreads,
      * clamped per case to its node count). Repro strings deliberately
-     * omit it: verdicts are thread-count invariant, so a repro always
-     * replays serially.
+     * omit it: results are thread-count invariant, so a repro always
+     * replays on one worker.
      */
     std::uint32_t simThreads = 1;
     /**

@@ -91,8 +91,8 @@ class SecurityOracle
     }
 
     /**
-     * Guard the observation hooks with a mutex for the sharded
-     * testbed, where deliveries land on concurrent domain threads.
+     * Guard the observation hooks with a mutex for multi-worker
+     * testbeds, where deliveries land on concurrent domain threads.
      * Each hook's model updates are keyed by flow or receiver, so
      * the interleaving across domains cannot change any individual
      * verdict — only the append order of the findings/neutralized

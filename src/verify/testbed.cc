@@ -42,11 +42,9 @@ VerifyTestbed::VerifyTestbed(const TestbedConfig &cfg) : cfg_(cfg)
 
     sim_threads_ = std::min(std::max(cfg_.simThreads, 1u),
                             cfg_.numNodes);
-    if (sharded()) {
-        domains_.push_back(std::make_unique<Domain>(0, eq_));
-        for (NodeId n = 1; n < cfg_.numNodes; ++n)
-            domains_.push_back(std::make_unique<Domain>(n));
-    }
+    domains_.push_back(std::make_unique<Domain>(0, eq_));
+    for (NodeId n = 1; n < cfg_.numNodes; ++n)
+        domains_.push_back(std::make_unique<Domain>(n));
 
     net_ = std::make_unique<Network>("net", eq_, cfg_.numNodes,
                                      LinkParams{16.0, 50},
@@ -54,7 +52,7 @@ VerifyTestbed::VerifyTestbed(const TestbedConfig &cfg) : cfg_(cfg)
                                      cfg_.topology);
     for (NodeId n = 0; n < cfg_.numNodes; ++n) {
         channels_.push_back(std::make_unique<SecureChannel>(
-            strformat("ch%u", n), queueOf(n), *net_, n, sec_));
+            strformat("ch%u", n), domains_[n]->eq(), *net_, n, sec_));
         channels_.back()->setDeliver(
             [this](PacketPtr) { ++delivered_; });
     }
@@ -63,17 +61,9 @@ VerifyTestbed::VerifyTestbed(const TestbedConfig &cfg) : cfg_(cfg)
         std::make_unique<AdversaryModel>(eq_, *net_, oracle_.get());
     adversary_->setScript(cfg_.script);
     factory_ = std::make_unique<crypto::PadFactory>(sec_.sessionKey);
-    if (sharded()) {
-        net_->setParallelCapture(true);
-        oracle_->setConcurrent(true);
-    }
+    net_->setParallelCapture(true);
+    oracle_->setConcurrent(sim_threads_ > 1);
     mountHooks();
-}
-
-EventQueue &
-VerifyTestbed::queueOf(NodeId n)
-{
-    return sharded() ? domains_[n]->eq() : eq_;
 }
 
 void
@@ -119,9 +109,9 @@ VerifyTestbed::scheduleTraffic()
             ++dst;
         const bool req = rng.below(100) < cfg_.requestPercent;
         const std::uint64_t addr = rng.next() & 0xffffffc0ULL;
-        // On the sender's own queue, so a sharded run executes the
-        // send inside src's domain window with src's local clock.
-        queueOf(src).schedule(t, [this, src, dst, req, addr]() {
+        // On the sender's own queue, so the kernel executes the send
+        // inside src's domain window with src's local clock.
+        domains_[src]->eq().schedule(t, [this, src, dst, req, addr]() {
             auto p = makePacket();
             p->src = src;
             p->dst = dst;
@@ -211,16 +201,11 @@ VerifyTestbed::maybeSeedBug(Packet &p)
 void
 VerifyTestbed::runUntil(Tick until)
 {
-    // run() stops once the queue drains or time passes `until`; the
-    // bound matters because the Dynamic scheme's adjustment timer
-    // re-arms forever.
-    if (!sharded()) {
-        eq_.run(until);
-        return;
-    }
-    // One kernel per leg, resuming at the window the previous leg
-    // stopped before. Lookahead = the minimum cross-domain link
-    // latency, exactly as in the system proper.
+    // The kernel stops once the queues drain or time passes `until`;
+    // the bound matters because the Dynamic scheme's adjustment timer
+    // re-arms forever. One kernel per leg, resuming at the window the
+    // previous leg stopped before. Lookahead = the minimum
+    // cross-domain link latency, exactly as in the system proper.
     ParallelKernelConfig k;
     for (auto &d : domains_)
         k.domains.push_back(d.get());
@@ -241,21 +226,15 @@ VerifyTestbed::run()
 {
     scheduleTraffic();
     runUntil(last_send_ + kSettle);
-    if (sharded()) {
-        // Drain each channel inside its own domain (a drain sends
-        // packets, which must be captured on the sender's lane with
-        // the sender's clock), then settle.
-        for (NodeId n = 0; n < cfg_.numNodes; ++n) {
-            EventQueue &q = queueOf(n);
-            q.schedule(std::max(pdes_next_, q.now()),
-                       [this, n]() { channels_[n]->drainBatches(); });
-        }
-        runUntil(pdes_next_ + kSettle);
-    } else {
-        for (auto &ch : channels_)
-            ch->drainBatches();
-        runUntil(eq_.now() + kSettle);
+    // Drain each channel inside its own domain (a drain sends
+    // packets, which must be captured on the sender's lane with the
+    // sender's clock), then settle.
+    for (NodeId n = 0; n < cfg_.numNodes; ++n) {
+        EventQueue &q = domains_[n]->eq();
+        q.schedule(std::max(pdes_next_, q.now()),
+                   [this, n]() { channels_[n]->drainBatches(); });
     }
+    runUntil(pdes_next_ + kSettle);
 
     TestbedResult r;
     std::vector<SecureChannel *> chans;

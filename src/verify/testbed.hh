@@ -56,7 +56,7 @@ struct TestbedConfig
     /**
      * Fabric under test. The adversary, oracle and channels are all
      * routing-agnostic, so every security verdict must hold on every
-     * topology; the default p2p keeps historical repros bit-exact.
+     * topology; the default is the paper's p2p machine.
      */
     TopologyConfig topology{};
     SeededBug bug = SeededBug::None;
@@ -65,12 +65,11 @@ struct TestbedConfig
     std::vector<AttackStep> script;
 
     /**
-     * Event-kernel worker threads: 1 = the exact legacy serial path,
-     * >= 2 = one event domain per node under the conservative-PDES
-     * kernel (clamped to numNodes). Sharded campaigns keep every
-     * verdict, counter and finding deterministic — only the append
-     * order of the findings list and the exact delivery ticks can
-     * differ from serial — and a repro is always replayed serially.
+     * Event-kernel worker threads (clamped to numNodes). Every
+     * campaign runs one event domain per node under the conservative-
+     * PDES kernel; this only picks how many threads execute them, and
+     * every verdict, counter and finding is identical for every
+     * value — so a repro replays on one worker.
      */
     std::uint32_t simThreads = 1;
 };
@@ -123,17 +122,13 @@ class VerifyTestbed
     /** Run events until @p until (the Dynamic timer never drains). */
     void runUntil(Tick until);
 
-    bool sharded() const { return sim_threads_ > 1; }
-    /** The queue node @p n's channel lives on (domain n if sharded). */
-    EventQueue &queueOf(NodeId n);
-
     TestbedConfig cfg_;
     SecurityConfig sec_;
     EventQueue eq_;
     /**
-     * Sharded mode only: one event domain per node — domain 0 wraps
-     * eq_ (keeping the network, adversary and node 0's channel on the
-     * legacy queue), the rest own their queues. Empty when serial.
+     * One event domain per node — domain 0 wraps eq_ (keeping the
+     * network, adversary and node 0's channel on it), the rest own
+     * their queues.
      */
     std::vector<std::unique_ptr<Domain>> domains_;
     std::uint32_t sim_threads_ = 1;
@@ -144,10 +139,10 @@ class VerifyTestbed
     /** The testbed's own pad factory for seeded-bug recomputation. */
     std::unique_ptr<crypto::PadFactory> factory_;
 
-    /** Atomic: sharded deliveries count on concurrent domain threads. */
+    /** Atomic: deliveries count on concurrent domain threads. */
     std::atomic<std::uint64_t> delivered_{0};
     Tick last_send_ = 0;
-    /** Sharded kernel time: where the next runUntil() resumes. */
+    /** Kernel time: where the next runUntil() resumes. */
     Tick pdes_next_ = 0;
 
     /** Seeded-bug state. */

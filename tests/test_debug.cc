@@ -121,3 +121,21 @@ TEST(Debug, SystemRunProducesChannelTrace)
     EXPECT_NE(out.find("recv ReadResp"), std::string::npos);
     EXPECT_NE(out.find("outcome="), std::string::npos);
 }
+
+TEST(Debug, TracingRunsTheKernelOnOneWorker)
+{
+    // Debug flags and the trace stream are process-global and
+    // unsynchronized, so concurrent workers would race on them.
+    FlagGuard g;
+    std::ostringstream os;
+    debug::setStream(os);
+    debug::Channel.enable();
+    ExperimentConfig e;
+    e.scheme = OtpScheme::Private;
+    e.scale = 0.02;
+    e.simThreads = 4;
+    MultiGpuSystem sys(makeSystemConfig(e),
+                       makeProfile("mm", e.scale));
+    EXPECT_EQ(sys.simThreads(), 1u);
+    EXPECT_TRUE(sys.run().completed);
+}

@@ -117,9 +117,10 @@ TEST(FunctionalCrypto, FlippedCiphertextBitIsDetected)
 {
     Rig rig(false);
     int hit = 0;
-    rig.net.setTamper([&](Packet &p) {
+    rig.net.setTamper(Network::TamperPoint::PostWire, [&](Packet &p) {
         if (p.func && p.func->hasCipher && hit++ == 3)
             p.func->cipher[17] ^= 0x01;
+        return Network::TamperVerdict::Forward;
     });
     rig.sendData(1, 2, 10);
     rig.eq.run();
@@ -134,9 +135,10 @@ TEST(FunctionalCrypto, FlippedCiphertextBitIsDetected)
 TEST(FunctionalCrypto, ForgedMacIsDetected)
 {
     Rig rig(false);
-    rig.net.setTamper([&](Packet &p) {
+    rig.net.setTamper(Network::TamperPoint::PostWire, [&](Packet &p) {
         if (p.func && p.func->hasMac)
             p.func->mac[0] ^= 0xff;
+        return Network::TamperVerdict::Forward;
     });
     rig.sendData(1, 2, 5);
     rig.eq.run();
@@ -147,9 +149,10 @@ TEST(FunctionalCrypto, ForgedMacIsDetected)
 TEST(FunctionalCrypto, StrippedPayloadIsDetected)
 {
     Rig rig(false);
-    rig.net.setTamper([&](Packet &p) {
+    rig.net.setTamper(Network::TamperPoint::PostWire, [&](Packet &p) {
         // The attacker drops the crypto material entirely.
         p.func.reset();
+        return Network::TamperVerdict::Forward;
     });
     rig.sendData(1, 2, 4);
     rig.eq.run();
@@ -170,9 +173,10 @@ TEST(FunctionalCrypto, TamperedBatchMemberBreaksBatchMac)
 {
     Rig rig(true);
     int n = 0;
-    rig.net.setTamper([&](Packet &p) {
+    rig.net.setTamper(Network::TamperPoint::PostWire, [&](Packet &p) {
         if (p.func && p.func->hasCipher && n++ == 1)
             p.func->cipher[0] ^= 0x80;
+        return Network::TamperVerdict::Forward;
     });
     rig.sendData(1, 2, 4);
     rig.eq.run();
@@ -194,9 +198,10 @@ TEST(FunctionalCrypto, FlushedShortBatchStillVerifies)
 TEST(FunctionalCrypto, TamperedTrailerDetected)
 {
     Rig rig(true);
-    rig.net.setTamper([&](Packet &p) {
+    rig.net.setTamper(Network::TamperPoint::PostWire, [&](Packet &p) {
         if (p.type == PacketType::BatchMac && p.func)
             p.func->mac[3] ^= 0x10;
+        return Network::TamperVerdict::Forward;
     });
     rig.sendData(1, 2, 2);
     rig.eq.run(30);

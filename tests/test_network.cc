@@ -312,19 +312,22 @@ TEST(NetworkTamper, PostWireDropConsumesBandwidthButNeverArrives)
     EXPECT_EQ(net.inFlight(), 0u);
 }
 
-TEST(NetworkTamper, LegacySetTamperMountsPostWire)
+TEST(NetworkTamper, ClearedPostWireHookStopsFiring)
 {
     EventQueue eq;
     Network net("net", eq, 3, LinkParams{16.0, 1},
                 LinkParams{16.0, 1});
     net.setHandler(2, [](PacketPtr) {});
     Bytes seen = 0;
-    net.setTamper([&](Packet &p) { seen = p.wireBytes(); });
+    net.setTamper(Network::TamperPoint::PostWire, [&](Packet &p) {
+        seen = p.wireBytes();
+        return Network::TamperVerdict::Forward;
+    });
     net.send(makePkt(1, 2, 16, 64));
     eq.run();
     EXPECT_EQ(seen, 80u); // post-wire: exact accounted bytes
-    // Clearing the legacy hook clears the post-wire point.
-    net.setTamper(Network::Tamper{});
+    // An empty hook clears the point.
+    net.setTamper(Network::TamperPoint::PostWire, {});
     seen = 0;
     net.send(makePkt(1, 2, 16, 0));
     eq.run();

@@ -18,7 +18,6 @@
 #include "core/json_in.hh"
 #include "core/sweep.hh"
 #include "core/system.hh"
-#include "sim/event_queue.hh"
 #include "sim/json_writer.hh"
 #include "sim/metric_sampler.hh"
 #include "sim/stats.hh"
@@ -140,18 +139,18 @@ TEST(Observability, ResetStatsMatchesFreshSystem)
 
 TEST(MetricSampler, RingWrapsAndCountsDropped)
 {
-    EventQueue eq;
     int calls = 0;
-    MetricSampler ms(eq, 10, 4,
-                     [&eq]() { return eq.now() < 100; });
+    MetricSampler ms(10, 4);
     ms.addGauge("n", [&calls](Tick) {
         return static_cast<double>(++calls);
     });
     ms.start();
-    eq.run();
+    // Driven as the event kernel does at its barriers: one sample
+    // per interval boundary, at t = 10, 20, ..., 100.
+    for (Tick t = 10; t <= 100; t += 10)
+        ms.sampleAt(t);
 
-    // Samples fire at t = 10, 20, ..., 100: ten rows into a
-    // four-row ring keeps the newest four.
+    // Ten rows into a four-row ring keeps the newest four.
     EXPECT_EQ(ms.samples(), 4u);
     EXPECT_EQ(ms.dropped(), 6u);
     EXPECT_EQ(ms.tickAt(0), 70u);
@@ -162,11 +161,11 @@ TEST(MetricSampler, RingWrapsAndCountsDropped)
 
 TEST(MetricSampler, WriteJsonReportsDroppedRows)
 {
-    EventQueue eq;
-    MetricSampler ms(eq, 5, 2, [&eq]() { return eq.now() < 20; });
+    MetricSampler ms(5, 2);
     ms.addGauge("g", [](Tick t) { return static_cast<double>(t); });
     ms.start();
-    eq.run();
+    for (Tick t = 5; t <= 20; t += 5)
+        ms.sampleAt(t);
 
     std::ostringstream os;
     ms.writeJson(os);

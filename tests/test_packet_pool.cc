@@ -132,9 +132,9 @@ TEST_F(PacketPoolTest, WholeRunIsBitIdenticalWithPoolingOnAndOff)
 
 TEST_F(PacketPoolTest, SteadyStateRunAllocatesNoPackets)
 {
-    // Pinned to the serial kernel: this test asserts the *calling
-    // thread's* pool counters, a thread-confined contract. A sharded
-    // run drifts packets between worker pools (acquired here,
+    // Pinned to one kernel worker: this test asserts the *calling
+    // thread's* pool counters, a thread-confined contract. A multi-
+    // worker run drifts packets between worker pools (acquired here,
     // released on the worker that runs the destination domain), so
     // per-thread live counts skew by design; the sharded equivalent
     // — zero fresh allocations summed over the preloaded worker

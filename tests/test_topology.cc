@@ -379,7 +379,8 @@ TEST_P(TopologyShardedEquality, StatsMatchSerialAt16Gpus)
 }
 
 INSTANTIATE_TEST_SUITE_P(Fabrics, TopologyShardedEquality,
-                         ::testing::Values(TopologyKind::NvSwitch,
+                         ::testing::Values(TopologyKind::P2p,
+                                           TopologyKind::NvSwitch,
                                            TopologyKind::Hier),
                          [](const auto &info) {
                              return std::string(

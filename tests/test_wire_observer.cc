@@ -1,7 +1,7 @@
 /**
  * @file
  * Wire-level observability tests: the passive observer's dump must be
- * deterministic run-to-run and across sharded thread counts, the
+ * deterministic run-to-run and across kernel thread counts, the
  * constant-rate shaping countermeasure must actually impose its
  * metronome (and emit chaff), the observer-side adversary must
  * classify separable features and score capacity sanely, and the
@@ -86,36 +86,23 @@ TEST(WireObserver, ShardedDumpsAreThreadCountInvariant)
     const WireRun a = runWithObserver(two);
     const WireRun b = runWithObserver(four);
     ASSERT_TRUE(a.result.completed);
-    // Same sharded kernel, different worker counts: byte-identical.
+    // Same kernel, different worker counts: byte-identical.
     EXPECT_EQ(a.wire, b.wire);
 }
 
 TEST(WireObserver, SerialAndShardedAgreeOnFeatures)
 {
+    // One worker runs the same windowed kernel as two, so the wire
+    // the observer sees is the same wire, byte for byte.
     ExperimentConfig serial = quick();
+    serial.simThreads = 1;
     ExperimentConfig sharded = quick();
     sharded.simThreads = 2;
     const WireRun a = runWithObserver(serial);
     const WireRun b = runWithObserver(sharded);
-
-    JsonValue da, db;
-    std::string err;
-    ASSERT_TRUE(jsonParse(a.wire, da, err)) << err;
-    ASSERT_TRUE(jsonParse(b.wire, db, err)) << err;
-    // The serial and sharded kernels replay the same protocol, so
-    // the packet count matches exactly; wire bytes may drift by a
-    // handful of ACK records whose piggyback window falls on the
-    // other side of a shard boundary.
-    EXPECT_EQ(da.find("packets")->asNumber(),
-              db.find("packets")->asNumber());
-    const double bytes_a = da.find("bytes")->asNumber();
-    const double bytes_b = db.find("bytes")->asNumber();
-    EXPECT_NEAR(bytes_a, bytes_b, 0.001 * bytes_a);
-    const double fa =
-        da.find("features")->find("nvlink.gapMean")->asNumber();
-    const double fb =
-        db.find("features")->find("nvlink.gapMean")->asNumber();
-    EXPECT_NEAR(fa, fb, std::max(1.0, 0.05 * fa));
+    ASSERT_TRUE(a.result.completed);
+    EXPECT_EQ(a.wire, b.wire);
+    EXPECT_EQ(a.stats, b.stats);
 }
 
 TEST(WireObserver, ConstantRateImposesMetronomeAndChaff)
@@ -147,16 +134,14 @@ TEST(WireObserver, ConstantRateImposesMetronomeAndChaff)
     EXPECT_EQ(plain.stats.find("shapePadBytes"), std::string::npos);
 }
 
-TEST(WireObserver, ConfigKeyShapeSuffixIsConditional)
+TEST(WireObserver, ConfigKeyAlwaysCarriesShapeAndTopo)
 {
-    ExperimentConfig plain = quick();
-    EXPECT_EQ(configKey("mm", plain).find("shape="),
-              std::string::npos);
-
-    // Chaff (or any shaping knob) must not disturb unshaped hashes.
-    ExperimentConfig tweaked = quick();
-    tweaked.shapeChaffSlots = 7;
-    EXPECT_EQ(configHash("mm", plain), configHash("mm", tweaked));
+    // One key format: the shaping and fabric knobs are always part
+    // of the key, active or not.
+    const std::string plain = configKey("mm", quick());
+    EXPECT_NE(plain.find("|shape=none/64/128/96/512"), std::string::npos)
+        << plain;
+    EXPECT_NE(plain.find("|topo=p2p/"), std::string::npos) << plain;
 
     ExperimentConfig shaped = quick();
     shaped.shaping = ShapingPolicy::ConstantRate;
@@ -164,8 +149,50 @@ TEST(WireObserver, ConfigKeyShapeSuffixIsConditional)
     EXPECT_NE(key.find("|shape=constant-rate/64/128/96/512"),
               std::string::npos)
         << key;
+    EXPECT_NE(configHash("mm", quick()), configHash("mm", shaped));
     shaped.shapeChaffSlots = 7;
     EXPECT_NE(configHash("mm", quick()), configHash("mm", shaped));
+
+    ExperimentConfig hier = quick();
+    hier.topology.kind = TopologyKind::Hier;
+    EXPECT_NE(configKey("mm", hier).find("|topo=hier/"),
+              std::string::npos);
+    EXPECT_NE(configHash("mm", quick()), configHash("mm", hier));
+}
+
+namespace
+{
+
+/** Write WIRE JSON for a 16-GPU run on @p kind and parse it back. */
+void
+expectWireJsonParses(TopologyKind kind)
+{
+    ExperimentConfig cfg = quick();
+    cfg.numGpus = 16;
+    cfg.scale = 0.05;
+    cfg.topology.kind = kind;
+    if (kind == TopologyKind::Hier)
+        cfg.topology.gpusPerNode = 4;
+    const WireRun r = runWithObserver(cfg);
+    ASSERT_TRUE(r.result.completed);
+    JsonValue doc;
+    std::string err;
+    ASSERT_TRUE(jsonParse(r.wire, doc, err)) << err;
+    const JsonValue *feats = doc.find("features");
+    ASSERT_NE(feats, nullptr);
+    EXPECT_EQ(doc.find("packets")->asNumber(),
+              static_cast<double>(r.result.packets));
+}
+
+} // anonymous namespace
+
+TEST(WireObserver, SwitchFabricWireJsonRoundTrips)
+{
+    // Link classes a fabric never uses have no utilization bins; the
+    // window-shape features must treat that as "no activity" rather
+    // than read past the empty vector.
+    expectWireJsonParses(TopologyKind::NvSwitch);
+    expectWireJsonParses(TopologyKind::Hier);
 }
 
 TEST(ObserverAdversary, TimingFeatureAllowlist)

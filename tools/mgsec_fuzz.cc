@@ -37,9 +37,8 @@ usage(const char *argv0)
         "          [--artifact PATH] [--sim-threads N]\n"
         "          [--topology p2p|nvswitch|hier] [--nodes N]\n"
         "          [--verbose]\n"
-        "  --sim-threads N   run every case on the domain-sharded\n"
-        "                    event kernel (repros still replay "
-        "serially)\n"
+        "  --sim-threads N   event-kernel worker threads per case\n"
+        "                    (repros replay on one worker)\n"
         "  --topology T      fabric for every case (default p2p;\n"
         "                    part of the repro, unlike --sim-threads)\n"
         "  --nodes N         fix the node count of every case\n"

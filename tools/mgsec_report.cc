@@ -231,7 +231,7 @@ reportProf(const JsonValue &doc, const std::string &what)
 
     const JsonValue *pdes = doc.find("pdes");
     if (!pdes || num(*pdes, "windows") == 0) {
-        std::printf("pdes: serial run (no barrier windows)\n");
+        std::printf("pdes: no barrier windows recorded\n");
         return true;
     }
     const JsonValue *stall = pdes->find("topStallPhase");
