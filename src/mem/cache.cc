@@ -1,5 +1,7 @@
 #include "mem/cache.hh"
 
+#include <bit>
+
 #include "sim/logging.hh"
 
 namespace mgsec
@@ -29,6 +31,9 @@ Cache::Cache(const std::string &name, EventQueue &eq, CacheParams params)
                  params_.assoc);
     num_sets_ = static_cast<std::uint32_t>(blocks / params_.assoc);
     MGSEC_ASSERT(isPow2(num_sets_), "set count must be a power of two");
+    block_shift_ = static_cast<std::uint32_t>(
+        std::countr_zero(params_.blockSize));
+    set_shift_ = static_cast<std::uint32_t>(std::countr_zero(num_sets_));
     lines_.resize(blocks);
 
     regStat(hits_);
@@ -40,20 +45,20 @@ Cache::Cache(const std::string &name, EventQueue &eq, CacheParams params)
 std::uint32_t
 Cache::setIndex(std::uint64_t addr) const
 {
-    return static_cast<std::uint32_t>((addr / params_.blockSize) &
+    return static_cast<std::uint32_t>((addr >> block_shift_) &
                                       (num_sets_ - 1));
 }
 
 std::uint64_t
 Cache::tagOf(std::uint64_t addr) const
 {
-    return (addr / params_.blockSize) / num_sets_;
+    return addr >> (block_shift_ + set_shift_);
 }
 
 std::uint64_t
 Cache::blockAddr(std::uint64_t tag, std::uint32_t set) const
 {
-    return (tag * num_sets_ + set) * params_.blockSize;
+    return ((tag << set_shift_) | set) << block_shift_;
 }
 
 Cache::AccessResult

@@ -87,6 +87,9 @@ class Cache : public SimObject
 
     CacheParams params_;
     std::uint32_t num_sets_;
+    /** log2 of blockSize and num_sets_: index math is shifts. */
+    std::uint32_t block_shift_ = 0;
+    std::uint32_t set_shift_ = 0;
     std::vector<Line> lines_;
     std::uint64_t lru_clock_ = 0;
 

@@ -9,6 +9,8 @@ Tlb::Tlb(const std::string &name, EventQueue &eq, TlbParams params)
     : SimObject(name, eq), params_(params)
 {
     MGSEC_ASSERT(params_.entries > 0, "TLB needs entries");
+    // Sized for a full TLB up front so lookups never rehash mid-run.
+    map_.reserve(params_.entries);
     regStat(hits_);
     regStat(misses_);
     regStat(evictions_);

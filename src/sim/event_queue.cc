@@ -12,7 +12,8 @@ void
 EventQueue::reserve(std::size_t expected_pending)
 {
     heap_.reserve(expected_pending);
-    pending_ids_.reserve(expected_pending);
+    slots_.reserve(expected_pending);
+    free_slots_.reserve(expected_pending);
 }
 
 EventId
@@ -24,11 +25,21 @@ EventQueue::schedule(Tick when, EventPri pri, Callback cb)
                  static_cast<unsigned long long>(now_));
     MGSEC_ASSERT(static_cast<bool>(cb), "null event callback");
     const std::uint64_t seq = next_seq_++;
-    heap_.push_back(Entry{when, seq, pri, std::move(cb)});
+    std::uint32_t slot;
+    if (!free_slots_.empty()) {
+        slot = free_slots_.back();
+        free_slots_.pop_back();
+    } else {
+        MGSEC_ASSERT(slots_.size() < UINT32_MAX, "event slab overflow");
+        slot = static_cast<std::uint32_t>(slots_.size());
+        slots_.emplace_back();
+    }
+    slots_[slot].seq = seq;
+    slots_[slot].cb = std::move(cb);
+    heap_.push_back(
+        Key{when, static_cast<std::uint64_t>(pri) << 63 | seq, slot});
     std::push_heap(heap_.begin(), heap_.end(), Later{});
-    pending_ids_.insert(seq);
-    ++live_;
-    return EventId{seq};
+    return EventId{seq, slot};
 }
 
 EventId
@@ -40,46 +51,53 @@ EventQueue::scheduleIn(Cycles delta, Callback cb)
 bool
 EventQueue::cancel(EventId id)
 {
-    if (!id.valid())
+    // Only the slot is freed; the heap key stays behind and is
+    // discarded when it reaches the top. Ids of events that already
+    // ran or were cancelled no longer match their slot's seq, even
+    // after the slot has been reused.
+    if (!id.valid() || id.slot >= slots_.size() ||
+        slots_[id.slot].seq != id.seq)
         return false;
-    // Lazy cancel: only the pending set is updated; the heap entry
-    // stays behind and is discarded when it reaches the top. Ids of
-    // events that already ran (or were already cancelled) are no
-    // longer in the set and are rejected.
-    if (pending_ids_.erase(id.seq) == 0)
-        return false;
-    MGSEC_ASSERT(live_ > 0, "live counter out of sync");
-    --live_;
+    release(id.slot);
     return true;
 }
 
-EventQueue::Entry
+void
 EventQueue::popTop()
 {
     std::pop_heap(heap_.begin(), heap_.end(), Later{});
-    Entry e = std::move(heap_.back());
     heap_.pop_back();
-    return e;
+}
+
+EventQueue::Callback
+EventQueue::release(std::uint32_t i)
+{
+    Slot &s = slots_[i];
+    s.seq = 0;
+    free_slots_.push_back(i);
+    return std::move(s.cb);
 }
 
 void
-EventQueue::execute(Entry &e)
+EventQueue::execute(const Key &k)
 {
-    MGSEC_ASSERT(e.when >= now_, "event queue time went backwards");
-    now_ = e.when;
-    --live_;
+    MGSEC_ASSERT(k.when >= now_, "event queue time went backwards");
+    now_ = k.when;
     ++executed_;
-    e.cb();
+    // Moved out first: the callback may schedule, growing the slab.
+    Callback cb = release(k.slot);
+    cb();
 }
 
 bool
 EventQueue::runOne()
 {
     while (!heap_.empty()) {
-        Entry e = popTop();
-        if (pending_ids_.erase(e.seq) == 0)
+        const Key k = heap_.front();
+        popTop();
+        if (!live(k))
             continue; // lazily-cancelled leftover
-        execute(e);
+        execute(k);
         return true;
     }
     return false;
@@ -89,7 +107,7 @@ Tick
 EventQueue::nextPendingTick()
 {
     while (!heap_.empty()) {
-        if (pending_ids_.contains(heap_.front().seq))
+        if (live(heap_.front()))
             return heap_.front().when;
         popTop(); // lazily-cancelled leftover
     }
@@ -101,19 +119,16 @@ EventQueue::run(Tick until, std::uint64_t max_events)
 {
     std::uint64_t n = 0;
     while (n < max_events && !heap_.empty()) {
-        if (heap_.front().when > until) {
-            // The head may be a cancelled leftover; a live event past
-            // the bound must stay queued, so this is the one place a
-            // non-destructive liveness probe is needed.
-            if (pending_ids_.contains(heap_.front().seq))
-                break;
-            popTop();
+        const Key k = heap_.front();
+        const bool is_live = live(k);
+        // A live event past the bound stays queued; a cancelled
+        // leftover at the head is dropped either way.
+        if (is_live && k.when > until)
+            break;
+        popTop();
+        if (!is_live)
             continue;
-        }
-        Entry e = popTop();
-        if (pending_ids_.erase(e.seq) == 0)
-            continue;
-        execute(e);
+        execute(k);
         ++n;
     }
     return n;

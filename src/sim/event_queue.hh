@@ -2,24 +2,31 @@
  * @file
  * Discrete-event simulation kernel.
  *
- * A single global-ordered queue of (tick, sequence) keyed callbacks.
- * Events scheduled for the same tick execute in scheduling (FIFO)
- * order, which every higher-level component relies on for in-order
- * link delivery and deterministic replays.
+ * A single global-ordered queue of (tick, priority, sequence) keyed
+ * callbacks. Events scheduled for the same tick and priority execute
+ * in scheduling (FIFO) order, which every higher-level component
+ * relies on for in-order link delivery and deterministic replays.
  *
- * Cancellation is lazy: cancel() only removes the event's id from
- * the pending set, and the heap entry is discarded when it surfaces.
- * The pending set doubles as the liveness oracle, so the steady-state
- * cost per executed event is one hash insert (schedule) and one hash
- * erase (pop) — there is no separate cancelled set to consult on the
- * hot path.
+ * The queue is split in two so the heap never moves a callback:
+ *
+ *  - a binary min-heap of 24-byte trivially-copyable keys
+ *    (when, pri << 63 | seq, slot), so each sift step copies three
+ *    words instead of relocating a callback through its ops table;
+ *  - a slab of (seq, callback) slots with a free list, indexed by the
+ *    key's slot. A slot is reused as soon as its event runs or is
+ *    cancelled.
+ *
+ * An event is live while its slot still carries its seq. cancel()
+ * frees the slot at once and leaves the stale key in the heap, where
+ * it is skipped when it surfaces; seqs are never reused, so a key or
+ * EventId that outlived its slot can never match the slot's next
+ * tenant. There is no separate pending or cancelled set.
  *
  * Steady-state schedule()/runOne() perform no heap allocation:
- * callbacks live inline in the heap entry (InplaceCallback — an
- * oversized capture is a compile error, not a malloc), the pending
- * set is a flat open-addressing table, and reserve() pre-sizes both
- * containers from a caller-supplied event ceiling so neither grows
- * mid-run.
+ * callbacks are InplaceCallbacks (an oversized capture is a compile
+ * error, not a malloc), freed slots are recycled, and reserve()
+ * pre-sizes the heap and slab from a caller-supplied event ceiling
+ * so neither grows mid-run.
  */
 
 #ifndef MGSEC_SIM_EVENT_QUEUE_HH
@@ -29,7 +36,6 @@
 #include <utility>
 #include <vector>
 
-#include "sim/flat_set.hh"
 #include "sim/inplace_function.hh"
 #include "sim/types.hh"
 
@@ -57,14 +63,19 @@ enum EventPri : std::uint8_t
 
 /**
  * Handle returned by EventQueue::schedule(); lets the creator cancel
- * the event before it fires.
+ * the event before it fires. A default-constructed id names no event.
  */
 struct EventId
 {
     std::uint64_t seq = 0;
+    std::uint32_t slot = 0;
 
     bool valid() const { return seq != 0; }
-    bool operator==(const EventId &o) const { return seq == o.seq; }
+    bool
+    operator==(const EventId &o) const
+    {
+        return seq == o.seq && slot == o.slot;
+    }
 };
 
 /**
@@ -90,7 +101,7 @@ class EventQueue
     Tick now() const { return now_; }
 
     /**
-     * Pre-size the heap and pending set for @p expected_pending
+     * Pre-size the heap and slab for @p expected_pending
      * simultaneously-live events so steady-state scheduling never
      * reallocates. A hint smaller than the real peak only costs the
      * usual amortized growth; it never affects results.
@@ -122,10 +133,14 @@ class EventQueue
     bool cancel(EventId id);
 
     /** True when no runnable events remain. */
-    bool empty() const { return live_ == 0; }
+    bool empty() const { return pending() == 0; }
 
     /** Number of pending (non-cancelled) events. */
-    std::uint64_t pending() const { return live_; }
+    std::uint64_t
+    pending() const
+    {
+        return slots_.size() - free_slots_.size();
+    }
 
     /**
      * Execute the next event, advancing time to it.
@@ -191,48 +206,58 @@ class EventQueue
     void setProfiler(Profiler *prof) { profiler_ = prof; }
 
   private:
-    struct Entry
+    /** Heap key; the callback stays put in slots_[slot]. */
+    struct Key
     {
         Tick when;
-        std::uint64_t seq;
-        EventPri pri;
-        Callback cb;
+        std::uint64_t order; ///< pri << 63 | seq
+        std::uint32_t slot;
     };
 
     struct Later
     {
         bool
-        operator()(const Entry &a, const Entry &b) const
+        operator()(const Key &a, const Key &b) const
         {
             if (a.when != b.when)
                 return a.when > b.when;
-            if (a.pri != b.pri)
-                return a.pri > b.pri;
-            return a.seq > b.seq;
+            return a.order > b.order;
         }
     };
 
-    /** Pop the (when, seq)-least entry, moving it out of the heap. */
-    Entry popTop();
-    /** Advance time to @p e and run its callback. */
-    void execute(Entry &e);
+    /** A slab cell; seq is 0 while the slot is on the free list. */
+    struct Slot
+    {
+        std::uint64_t seq = 0;
+        Callback cb;
+    };
 
+    static constexpr std::uint64_t kSeqMask = ~std::uint64_t{0} >> 1;
+
+    /** True when @p k's event was neither run nor cancelled. */
+    bool
+    live(const Key &k) const
+    {
+        return slots_[k.slot].seq == (k.order & kSeqMask);
+    }
+
+    /** Drop the heap's least key. */
+    void popTop();
     /**
-     * Min-heap on (when, seq), managed with std::push_heap /
-     * std::pop_heap rather than std::priority_queue so entries can
-     * be *moved* out on pop — priority_queue::top() would force a
-     * copy of every callback's std::function state.
+     * Empty slot @p i onto the free list and hand back its callback,
+     * which the caller runs or discards once the slab may grow again.
      */
-    std::vector<Entry> heap_;
-    /**
-     * Seqs scheduled but not yet executed or cancelled. A popped
-     * heap entry whose seq is absent here was lazily cancelled.
-     */
-    FlatSeqSet pending_ids_;
+    Callback release(std::uint32_t i);
+    /** Advance time to @p k (already popped) and run its callback. */
+    void execute(const Key &k);
+
+    /** Min-heap on (when, order), kept with std::push/pop_heap. */
+    std::vector<Key> heap_;
+    std::vector<Slot> slots_;
+    std::vector<std::uint32_t> free_slots_;
     Tick now_ = 0;
     DomainId domain_id_ = 0;
     std::uint64_t next_seq_ = 1;
-    std::uint64_t live_ = 0;
     std::uint64_t executed_ = 0;
     TraceSink *trace_sink_ = nullptr;
     LatencyAttribution *attr_ = nullptr;

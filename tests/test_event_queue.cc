@@ -8,6 +8,8 @@
 #include <memory>
 #include <random>
 #include <set>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "sim/event_queue.hh"
@@ -104,6 +106,115 @@ TEST(EventQueue, CancelInvalidIdFails)
     EventQueue eq;
     EXPECT_FALSE(eq.cancel(EventId{}));
     EXPECT_FALSE(eq.cancel(EventId{999}));
+    // Forged ids naming a real slot with the wrong seq, or a slot
+    // past the slab, are rejected too.
+    const EventId a = eq.schedule(5, []() {});
+    EXPECT_FALSE(eq.cancel(EventId{999}));
+    EXPECT_FALSE(eq.cancel(EventId{a.seq + 1, a.slot}));
+    EXPECT_FALSE(eq.cancel(EventId{a.seq, a.slot + 1}));
+    EXPECT_EQ(eq.pending(), 1u);
+}
+
+TEST(EventQueue, CancelledSlotReuseRejectsStaleId)
+{
+    // A's slot is freed by cancel() and handed to B; A's id must not
+    // reach B through the reused slot.
+    EventQueue eq;
+    bool a_ran = false;
+    bool b_ran = false;
+    const EventId a = eq.schedule(10, [&]() { a_ran = true; });
+    EXPECT_TRUE(eq.cancel(a));
+    const EventId b = eq.schedule(10, [&]() { b_ran = true; });
+    ASSERT_EQ(b.slot, a.slot);
+    EXPECT_FALSE(eq.cancel(a));
+    EXPECT_EQ(eq.pending(), 1u);
+    eq.run();
+    EXPECT_FALSE(a_ran);
+    EXPECT_TRUE(b_ran);
+    EXPECT_EQ(eq.executed(), 1u);
+}
+
+TEST(EventQueue, ExecutedSlotReuseRejectsStaleId)
+{
+    // Same as above, but A's slot is freed by running it.
+    EventQueue eq;
+    bool b_ran = false;
+    const EventId a = eq.schedule(10, []() {});
+    EXPECT_TRUE(eq.runOne());
+    const EventId b = eq.schedule(20, [&]() { b_ran = true; });
+    ASSERT_EQ(b.slot, a.slot);
+    EXPECT_FALSE(eq.cancel(a));
+    eq.run();
+    EXPECT_TRUE(b_ran);
+    EXPECT_EQ(eq.executed(), 2u);
+}
+
+TEST(EventQueue, CallbackGrowingTheSlabKeepsRunning)
+{
+    // The running callback schedules far more events than the slab
+    // holds, forcing it to reallocate mid-invoke; the callback's own
+    // captures must survive and every new event must run.
+    EventQueue eq;
+    auto owned = std::make_unique<int>(7);
+    std::vector<int> order;
+    eq.schedule(1, [&eq, &order, p = std::move(owned)]() {
+        for (int i = 0; i < 4096; ++i)
+            eq.schedule(2, [&order, i]() { order.push_back(i); });
+        order.push_back(-*p); // captures still intact after growth
+    });
+    eq.run();
+    ASSERT_EQ(order.size(), 4097u);
+    EXPECT_EQ(order[0], -7);
+    for (int i = 0; i < 4096; ++i)
+        EXPECT_EQ(order[static_cast<std::size_t>(i) + 1], i);
+}
+
+TEST(EventQueue, MatchesMultisetOracleWithPriorities)
+{
+    // Seeded schedule/cancel/run mix with kPriWire and kPriNormal
+    // events crowded onto a few ticks; the execution order must equal
+    // a std::multiset reference ordered by (when, pri, seq).
+    using Ref = std::tuple<Tick, int, std::uint64_t, int>;
+    std::mt19937 rng(2024);
+    EventQueue eq;
+    std::multiset<Ref> ref;
+    std::vector<std::pair<EventId, Ref>> handles;
+    std::vector<int> got;
+    std::vector<int> want;
+    std::uint64_t order = 0;
+    int next_tag = 0;
+    for (int round = 0; round < 200; ++round) {
+        for (int i = 0; i < 30; ++i) {
+            const Tick when = eq.now() + rng() % 4;
+            const EventPri pri = rng() % 3 == 0 ? kPriWire : kPriNormal;
+            const int tag = next_tag++;
+            const EventId id = eq.schedule(
+                when, pri, [&got, tag]() { got.push_back(tag); });
+            const Ref r{when, pri, order++, tag};
+            ref.insert(r);
+            handles.emplace_back(id, r);
+        }
+        for (int i = 0; i < 8 && !handles.empty(); ++i) {
+            const std::size_t k = rng() % handles.size();
+            const bool was_pending = ref.count(handles[k].second) != 0;
+            EXPECT_EQ(eq.cancel(handles[k].first), was_pending);
+            ref.erase(handles[k].second);
+            handles[k] = handles.back();
+            handles.pop_back();
+        }
+        const std::uint64_t steps = rng() % 40;
+        for (std::uint64_t s = 0; s < steps && !ref.empty(); ++s) {
+            want.push_back(std::get<3>(*ref.begin()));
+            ref.erase(ref.begin());
+            ASSERT_TRUE(eq.runOne());
+        }
+        EXPECT_EQ(eq.pending(), ref.size());
+    }
+    for (const Ref &r : ref)
+        want.push_back(std::get<3>(r));
+    eq.run();
+    EXPECT_EQ(got, want);
+    EXPECT_TRUE(eq.empty());
 }
 
 TEST(EventQueue, CancelAfterExecutionFails)
@@ -312,8 +423,8 @@ TEST(EventQueue, ReservePreservesSemantics)
 
 TEST(EventQueue, RandomizedScheduleCancelStress)
 {
-    // Hammers the flat open-addressing pending set (insert, erase
-    // with backward-shift deletion, lookup) with a deterministic
+    // Hammers the callback slab (slot allocation, free-list reuse,
+    // seq-based liveness of stale heap keys) with a deterministic
     // random schedule/cancel mix and checks exactly the surviving
     // events fire.
     constexpr int kEvents = 20000;
