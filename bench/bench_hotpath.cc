@@ -5,8 +5,9 @@
  * Unlike the figure benches (which measure the *simulated* system),
  * this driver measures the simulator itself: raw event-queue
  * throughput, packet pool recycling, GHASH bandwidth of the
- * table-driven path against the bit-serial reference, and the
- * end-to-end wall-clock of a reference workload. CI runs it on every
+ * table-driven path against the bit-serial reference, the
+ * end-to-end wall-clock of a reference workload, and the cost of
+ * each observability sink alone and all together. CI runs it on every
  * push so hot-path regressions show up as numbers, not vibes.
  *
  * Usage:
@@ -576,12 +577,37 @@ benchSimThreads(double scale, bool quick)
 }
 
 // --------------------------------------------------------------------
-// Observability: end-to-end with trace + metrics on vs. off, plus a
-// proof that compiled-in-but-disabled hooks stay allocation-free.
+// Observability: the price of each sink. A 16-GPU nvswitch run (big
+// enough that sinks-off takes ~0.2 s even under --quick) is timed
+// with sinks off, then trace, metrics, attribution and the wire
+// observer each alone, then all four on; configurations alternate
+// and each keeps its minimum over the reps. The small reference run
+// (4-GPU mm, trace + attribution + metrics) supplies the simulated
+// counts BENCH_baseline.json pins. Last, a proof that compiled-in-
+// but-disabled hooks stay allocation-free.
 // --------------------------------------------------------------------
+
+enum SinkMask : unsigned
+{
+    kSinkTrace = 1,
+    kSinkMetrics = 2,
+    kSinkAttr = 4,
+    kSinkWire = 8,
+    kSinkAll = 15,
+};
+
+/** One row of the per-sink ledger. */
+struct SinkCost
+{
+    const char *name;
+    unsigned sinks;
+    double wallSec = 1e30; ///< minimum over the reps
+    double pct = 0.0;      ///< over the sinks-off minimum
+};
 
 struct ObserveResult
 {
+    // Reference run (counts pinned by BENCH_baseline.json).
     double wallSecOff = 0.0;
     double wallSecOn = 0.0;
     double overheadPct = 0.0;
@@ -589,6 +615,12 @@ struct ObserveResult
     std::uint64_t metricSamples = 0;
     std::uint64_t attrFolds = 0;
     std::uint64_t freshAfterTrace = 0;
+
+    // Per-sink ledger; sinks[0] is sinks off, the last all on.
+    std::uint32_t ledgerGpus = 0;
+    double ledgerScale = 0.0;
+    int ledgerReps = 0;
+    std::vector<SinkCost> sinks;
 };
 
 /** Swallows trace bytes so only event formatting is measured. */
@@ -607,38 +639,77 @@ struct NullBuf : std::streambuf
     }
 };
 
+/** Wall seconds of one run() with the @p sinks attached. */
+double
+observedRun(const ExperimentConfig &cfg, const WorkloadProfile &profile,
+            unsigned sinks, ObserveResult *counts = nullptr)
+{
+    NullBuf nb;
+    std::ostream null_os(&nb);
+    MultiGpuSystem sys(makeSystemConfig(cfg), profile);
+    // Attribution first: the sampler registers percentile columns
+    // only for a collector that already exists.
+    if (sinks & kSinkAttr)
+        sys.enableAttribution();
+    if (sinks & kSinkTrace)
+        sys.enableTrace(null_os);
+    if (sinks & kSinkWire)
+        sys.enableWireObserver();
+    if (sinks & kSinkMetrics)
+        sys.enableMetrics(1000, 4096);
+    const auto t0 = Clock::now();
+    sys.run();
+    const double wall = secondsSince(t0);
+    if (counts) {
+        counts->traceEvents = sys.traceSink()->events();
+        counts->metricSamples = sys.metrics()->samples();
+        counts->attrFolds = sys.attribution()->folds();
+    }
+    return wall;
+}
+
 ObserveResult
 benchObserve(double scale, bool quick)
 {
-    ExperimentConfig cfg;
-    cfg.scheme = OtpScheme::Dynamic;
-    cfg.batching = true;
-    cfg.scale = quick ? scale * 0.5 : scale;
-    const WorkloadProfile profile =
-        makeProfile("mm", cfg.scale, cfg.numGpus);
-
     ObserveResult r;
     {
-        MultiGpuSystem sys(makeSystemConfig(cfg), profile);
-        const auto t0 = Clock::now();
-        sys.run();
-        r.wallSecOff = secondsSince(t0);
+        ExperimentConfig cfg;
+        cfg.scheme = OtpScheme::Dynamic;
+        cfg.batching = true;
+        cfg.scale = quick ? scale * 0.5 : scale;
+        const WorkloadProfile profile =
+            makeProfile("mm", cfg.scale, cfg.numGpus);
+        r.wallSecOff = observedRun(cfg, profile, 0);
+        r.wallSecOn = observedRun(cfg, profile,
+                                  kSinkTrace | kSinkAttr | kSinkMetrics,
+                                  &r);
+        r.overheadPct = (r.wallSecOn / r.wallSecOff - 1.0) * 100.0;
     }
-    {
-        NullBuf nb;
-        std::ostream null_os(&nb);
-        MultiGpuSystem sys(makeSystemConfig(cfg), profile);
-        sys.enableTrace(null_os);
-        sys.enableAttribution();
-        sys.enableMetrics(1000, 4096);
-        const auto t0 = Clock::now();
-        sys.run();
-        r.wallSecOn = secondsSince(t0);
-        r.traceEvents = sys.traceSink()->events();
-        r.metricSamples = sys.metrics()->samples();
-        r.attrFolds = sys.attribution()->folds();
+
+    ExperimentConfig cfg;
+    cfg.numGpus = 16;
+    cfg.topology.kind = TopologyKind::NvSwitch;
+    cfg.scheme = OtpScheme::Dynamic;
+    cfg.batching = true;
+    cfg.scale = (quick ? 2.5 : 5.0) * scale;
+    const WorkloadProfile profile =
+        makeProfile("mm", cfg.scale, cfg.numGpus);
+    r.ledgerGpus = cfg.numGpus;
+    r.ledgerScale = cfg.scale;
+    r.ledgerReps = quick ? 3 : 5;
+    r.sinks = {{"off", 0},
+               {"trace", kSinkTrace},
+               {"metrics", kSinkMetrics},
+               {"attr", kSinkAttr},
+               {"wire", kSinkWire},
+               {"all", kSinkAll}};
+    for (int rep = 0; rep < r.ledgerReps; ++rep) {
+        for (SinkCost &c : r.sinks)
+            c.wallSec = std::min(c.wallSec,
+                                 observedRun(cfg, profile, c.sinks));
     }
-    r.overheadPct = (r.wallSecOn / r.wallSecOff - 1.0) * 100.0;
+    for (SinkCost &c : r.sinks)
+        c.pct = (c.wallSec / r.sinks[0].wallSec - 1.0) * 100.0;
 
     // With the sinks gone, the hooks must again cost exactly one
     // null test: a warm churn may not touch the allocator.
@@ -826,6 +897,15 @@ writeJson(const std::string &path, const GhashResult &gh,
     w.field("metricSamples", obs.metricSamples);
     w.field("attrFolds", obs.attrFolds);
     w.field("freshAfterTrace", obs.freshAfterTrace);
+    w.key("sinks").beginObject();
+    w.field("gpus", static_cast<std::uint64_t>(obs.ledgerGpus));
+    w.field("scale", obs.ledgerScale);
+    w.field("reps", static_cast<std::uint64_t>(obs.ledgerReps));
+    w.field("wallSecOff", obs.sinks[0].wallSec);
+    for (std::size_t i = 1; i < obs.sinks.size(); ++i)
+        w.field(std::string(obs.sinks[i].name) + "Pct",
+                obs.sinks[i].pct);
+    w.endObject();
     w.endObject();
 
     w.key("profiler").beginObject();
@@ -937,6 +1017,12 @@ main(int argc, char **argv)
                 static_cast<unsigned long long>(obs.traceEvents),
                 static_cast<unsigned long long>(obs.metricSamples),
                 static_cast<unsigned long long>(obs.attrFolds));
+    std::printf("  sinks     16-GPU nvswitch mm, min of %d: %.2f s "
+                "off",
+                obs.ledgerReps, obs.sinks[0].wallSec);
+    for (std::size_t i = 1; i < obs.sinks.size(); ++i)
+        std::printf("   %s %+.1f%%", obs.sinks[i].name, obs.sinks[i].pct);
+    std::printf("\n");
     if (obs.freshAfterTrace != 0) {
         std::printf("  WARNING: %llu fresh allocations in a warm "
                     "churn after tracing (expected 0)\n",

@@ -610,11 +610,8 @@ MultiGpuSystem::runKernel()
     kc.done = [this]() { return done_gpus_ >= cfg_.numGpus; };
     kc.exchange = [this, buffer_trace]() {
         if (buffer_trace) {
-            for (std::size_t d = 1; d < domains_.size(); ++d) {
-                std::uint64_t ne = 0;
-                const std::string buf = domains_[d]->takeTraceBuf(ne);
-                trace_->appendRaw(buf, ne);
-            }
+            for (std::size_t d = 1; d < domains_.size(); ++d)
+                trace_->splice(*domains_[d]->traceBuffer());
         }
         return net_->replayCaptured(
             [this](NodeId dst) -> EventQueue & {

@@ -46,19 +46,8 @@ void
 Domain::enableTraceBuffer()
 {
     MGSEC_ASSERT(!trace_, "domain trace buffer already attached");
-    trace_ = std::make_unique<TraceSink>(trace_buf_,
-                                         TraceSink::Embedded{});
+    trace_ = std::make_unique<TraceSink>(TraceSink::Embedded{});
     eq_->setTraceSink(trace_.get());
-}
-
-std::string
-Domain::takeTraceBuf(std::uint64_t &nevents)
-{
-    nevents = trace_ ? trace_->takeEvents() : 0;
-    std::string buf = std::move(trace_buf_).str();
-    trace_buf_.str(std::string());
-    trace_buf_.clear();
-    return buf;
 }
 
 } // namespace mgsec

@@ -24,8 +24,6 @@
 #define MGSEC_SIM_DOMAIN_HH
 
 #include <memory>
-#include <sstream>
-#include <string>
 
 #include "sim/event_queue.hh"
 #include "sim/types.hh"
@@ -74,27 +72,21 @@ class Domain
     /**
      * @name Per-domain trace buffering
      *
-     * Each domain writes trace events into a private in-memory
-     * embedded TraceSink; the coordinator drains the buffers into
-     * the master sink at every barrier, in domain order, so the
-     * merged file is run-to-run deterministic.
+     * Each domain writes trace events into a private embedded
+     * TraceSink; the coordinator splices the buffers into the master
+     * sink at every barrier, in domain order, so the merged file is
+     * run-to-run deterministic.
      */
     /// @{
     /** Create the buffer sink and attach it to this domain's queue. */
     void enableTraceBuffer();
     TraceSink *traceBuffer() { return trace_.get(); }
-    /**
-     * Move the buffered trace bytes out (clearing the buffer) and
-     * report how many events they contain via @p nevents.
-     */
-    std::string takeTraceBuf(std::uint64_t &nevents);
     /// @}
 
   private:
     DomainId id_;
     std::unique_ptr<EventQueue> owned_; ///< null for the host domain
     EventQueue *eq_;
-    std::ostringstream trace_buf_;
     std::unique_ptr<TraceSink> trace_;
 };
 

@@ -1,5 +1,6 @@
 #include "sim/metric_sampler.hh"
 
+#include <algorithm>
 #include <ostream>
 
 #include "sim/json_writer.hh"
@@ -45,8 +46,6 @@ MetricSampler::start()
     MGSEC_ASSERT(!started_, "sampler already started");
     MGSEC_ASSERT(!gauges_.empty(), "no gauges registered");
     started_ = true;
-    ticks_.assign(capacity_, 0);
-    values_.assign(capacity_ * gauges_.size(), 0.0);
     size_ = 0;
     head_ = 0;
 }
@@ -57,8 +56,18 @@ MetricSampler::sampleAt(Tick t)
     MGSEC_ASSERT(started_, "sampleAt before start");
     std::size_t row;
     if (size_ < capacity_) {
-        row = rowIndex(size_);
-        ++size_;
+        // Until the ring first fills, head_ stays 0 and rows are
+        // appended: storage grows with the rows actually taken.
+        row = size_++;
+        if (ticks_.size() == ticks_.capacity()) {
+            const std::size_t rows =
+                std::min(capacity_, std::max<std::size_t>(
+                                        16, 2 * ticks_.capacity()));
+            ticks_.reserve(rows);
+            values_.reserve(rows * gauges_.size());
+        }
+        ticks_.resize(size_);
+        values_.resize(size_ * gauges_.size());
     } else {
         row = head_;
         head_ = (head_ + 1) % capacity_;

@@ -4,7 +4,10 @@
  *
  * A MetricSampler owns a set of named gauge callbacks and, once
  * started, records one row of all of them per sampleAt() call into a
- * preallocated ring buffer (sampling itself never allocates). It
+ * bounded ring buffer. Rows are allocated as they are first taken
+ * (geometric growth up to the capacity), so a short run never
+ * touches capacity x columns doubles; once the ring has filled,
+ * sampling no longer allocates. It
  * schedules nothing: the event kernel calls sampleAt() at every
  * `interval` boundary from its barrier phase, when every domain is
  * quiesced and gauges may read cross-domain state.
@@ -60,7 +63,7 @@ class MetricSampler
      */
     void addScalars(const stats::StatGroup &g);
 
-    /** Allocate the ring; no gauge may be added afterwards. */
+    /** Open the (empty) ring; no gauge may be added afterwards. */
     void start();
 
     /** Take one sample recorded at tick @p t. */
@@ -94,7 +97,10 @@ class MetricSampler
     std::vector<std::string> names_;
     std::vector<Gauge> gauges_;
 
-    /** Ring storage: ticks_[r] + values_[r * columns + c]. */
+    /**
+     * Ring storage: ticks_[r] + values_[r * columns + c]. Both grow
+     * row by row to capacity_ rows, then wrap in place.
+     */
     std::vector<Tick> ticks_;
     std::vector<double> values_;
     std::size_t head_ = 0;

@@ -1,5 +1,8 @@
 #include "sim/trace_sink.hh"
 
+#include <algorithm>
+#include <charconv>
+#include <cstring>
 #include <ostream>
 #include <string>
 
@@ -9,15 +12,59 @@
 namespace mgsec
 {
 
-TraceSink::TraceSink(std::ostream &os) : os_(os)
+namespace
 {
-    os_ << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
+
+/** Fixed text of the longest event plus six 20-digit numbers. */
+constexpr std::size_t kEventBytes = 256;
+
+template <std::size_t N>
+char *
+put(char *p, const char (&lit)[N])
+{
+    std::memcpy(p, lit, N - 1);
+    return p + N - 1;
 }
 
-TraceSink::TraceSink(std::ostream &os, Embedded)
-    : os_(os), embedded_(true)
+char *
+put(char *p, const char *s, std::size_t n)
 {
+    std::memcpy(p, s, n);
+    return p + n;
 }
+
+char *
+putStr(char *p, const char *s)
+{
+    return put(p, s, std::strlen(s));
+}
+
+char *
+putUint(char *p, std::uint64_t v)
+{
+    return std::to_chars(p, p + 20, v).ptr;
+}
+
+char *
+putDouble(char *p, double v)
+{
+    // "%g" at precision 6, what `ostream << double` prints by
+    // default; at most 13 characters ("-1.23457e-308").
+    return std::to_chars(p, p + 16, v, std::chars_format::general, 6)
+        .ptr;
+}
+
+const char kHeader[] = "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
+
+} // namespace
+
+TraceSink::TraceSink(std::ostream &os) : os_(&os)
+{
+    reserve(sizeof(kHeader));
+    commit(put(buf_.data(), kHeader));
+}
+
+TraceSink::TraceSink(Embedded) {}
 
 TraceSink::~TraceSink()
 {
@@ -25,57 +72,99 @@ TraceSink::~TraceSink()
 }
 
 void
+TraceSink::reserve(std::size_t n)
+{
+    if (len_ + n > buf_.size())
+        buf_.resize(std::max(2 * buf_.size(), len_ + n));
+}
+
+void
+TraceSink::drain()
+{
+    os_->write(buf_.data(), static_cast<std::streamsize>(len_));
+    len_ = 0;
+}
+
+void
+TraceSink::commit(char *end)
+{
+    len_ = static_cast<std::size_t>(end - buf_.data());
+    if (os_ && len_ >= kDrainBytes)
+        drain();
+}
+
+void
 TraceSink::finish()
 {
-    if (finished_ || embedded_)
+    if (finished_ || !os_)
         return;
     finished_ = true;
-    os_ << "\n]}\n";
-    os_.flush();
+    reserve(4);
+    commit(put(buf_.data() + len_, "\n]}\n"));
+    drain();
+    os_->flush();
 }
 
 void
-TraceSink::appendRaw(const std::string &buf, std::uint64_t nevents)
+TraceSink::splice(TraceSink &from)
 {
-    MGSEC_ASSERT(!embedded_, "appendRaw on an embedded sink");
-    if (nevents == 0 || buf.empty())
-        return;
-    MGSEC_ASSERT(buf[0] == ',', "embedded buffer missing its comma");
-    if (events_ == 0)
-        os_.write(buf.data() + 1, // drop the leading comma
-                  static_cast<std::streamsize>(buf.size() - 1));
-    else
-        os_.write(buf.data(),
-                  static_cast<std::streamsize>(buf.size()));
-    events_ += nevents;
+    MGSEC_ASSERT(os_ && !from.os_,
+                 "splice from an embedded into a master sink");
+    if (from.events_ != 0) {
+        MGSEC_ASSERT(from.buf_[0] == ',',
+                     "embedded buffer missing its comma");
+        // The first event of the document has no separator.
+        const std::size_t skip = events_ == 0 ? 1 : 0;
+        reserve(from.len_);
+        commit(put(buf_.data() + len_, from.buf_.data() + skip,
+                   from.len_ - skip));
+        events_ += from.events_;
+    }
+    from.len_ = 0;
+    from.events_ = 0;
 }
 
-std::uint64_t
-TraceSink::takeEvents()
+char *
+TraceSink::open(std::size_t n)
 {
-    MGSEC_ASSERT(embedded_, "takeEvents on a master sink");
-    const std::uint64_t n = events_;
-    events_ = 0;
-    return n;
-}
-
-void
-TraceSink::prefixPid(char ph, unsigned pid, std::uint32_t tid,
-                     const char *cat, const char *name, Tick ts)
-{
-    os_ << (embedded_ || events_ ? ",\n" : "\n");
+    reserve(n + 2);
+    char *p = buf_.data() + len_;
+    p = !os_ || events_ ? put(p, ",\n") : put(p, "\n");
     ++events_;
-    os_ << "{\"ph\":\"" << ph << "\",\"pid\":" << pid
-        << ",\"tid\":" << tid << ",\"cat\":\"" << cat
-        << "\",\"name\":\"" << name << "\",\"ts\":" << ts;
+    return p;
+}
+
+char *
+TraceSink::begin(char ph, unsigned pid, std::uint32_t tid,
+                 const char *cat, const char *name, Tick ts,
+                 std::size_t extra)
+{
+    const std::size_t ncat = std::strlen(cat);
+    const std::size_t nname = std::strlen(name);
+    char *p = open(kEventBytes + ncat + nname + extra);
+    p = put(p, "{\"ph\":\"");
+    *p++ = ph;
+    p = put(p, "\",\"pid\":");
+    p = putUint(p, pid);
+    p = put(p, ",\"tid\":");
+    p = putUint(p, tid);
+    p = put(p, ",\"cat\":\"");
+    p = put(p, cat, ncat);
+    p = put(p, "\",\"name\":\"");
+    p = put(p, name, nname);
+    p = put(p, "\",\"ts\":");
+    return putUint(p, ts);
 }
 
 void
 TraceSink::complete(std::uint32_t tid, const char *cat,
                     const char *name, Tick start, Tick dur)
 {
-    prefix('X', tid, cat, name, start);
-    os_ << ",\"dur\":" << dur << "}";
+    char *p = begin('X', 0, tid, cat, name, start, 0);
+    p = put(p, ",\"dur\":");
+    p = putUint(p, dur);
+    *p++ = '}';
+    commit(p);
 }
 
 void
@@ -83,17 +172,23 @@ TraceSink::complete(std::uint32_t tid, const char *cat,
                     const char *name, Tick start, Tick dur,
                     const char *arg_key, std::uint64_t arg_val)
 {
-    prefix('X', tid, cat, name, start);
-    os_ << ",\"dur\":" << dur << ",\"args\":{\"" << arg_key
-        << "\":" << arg_val << "}}";
+    const std::size_t nkey = std::strlen(arg_key);
+    char *p = begin('X', 0, tid, cat, name, start, nkey);
+    p = put(p, ",\"dur\":");
+    p = putUint(p, dur);
+    p = put(p, ",\"args\":{\"");
+    p = put(p, arg_key, nkey);
+    p = put(p, "\":");
+    p = putUint(p, arg_val);
+    commit(put(p, "}}"));
 }
 
 void
 TraceSink::instant(std::uint32_t tid, const char *cat,
                    const char *name, Tick ts)
 {
-    prefix('i', tid, cat, name, ts);
-    os_ << ",\"s\":\"t\"}";
+    char *p = begin('i', 0, tid, cat, name, ts, 0);
+    commit(put(p, ",\"s\":\"t\"}"));
 }
 
 void
@@ -101,17 +196,25 @@ TraceSink::instant(std::uint32_t tid, const char *cat,
                    const char *name, Tick ts, const char *arg_key,
                    double arg_val)
 {
-    prefix('i', tid, cat, name, ts);
-    os_ << ",\"s\":\"t\",\"args\":{\"" << arg_key << "\":" << arg_val
-        << "}}";
+    const std::size_t nkey = std::strlen(arg_key);
+    char *p = begin('i', 0, tid, cat, name, ts, nkey);
+    p = put(p, ",\"s\":\"t\",\"args\":{\"");
+    p = put(p, arg_key, nkey);
+    p = put(p, "\":");
+    p = putDouble(p, arg_val);
+    commit(put(p, "}}"));
 }
 
 void
 TraceSink::counter(std::uint32_t tid, const char *cat,
                    const char *name, Tick ts, double value)
 {
-    prefix('C', tid, cat, name, ts);
-    os_ << ",\"args\":{\"" << name << "\":" << value << "}}";
+    char *p = begin('C', 0, tid, cat, name, ts, std::strlen(name));
+    p = put(p, ",\"args\":{\"");
+    p = putStr(p, name);
+    p = put(p, "\":");
+    p = putDouble(p, value);
+    commit(put(p, "}}"));
 }
 
 void
@@ -119,19 +222,26 @@ TraceSink::hostComplete(std::uint32_t tid, const char *cat,
                         const char *name, std::uint64_t start_us,
                         std::uint64_t dur_us)
 {
-    prefixPid('X', 1, tid, cat, name, start_us);
-    os_ << ",\"dur\":" << dur_us << "}";
+    char *p = begin('X', 1, tid, cat, name, start_us, 0);
+    p = put(p, ",\"dur\":");
+    p = putUint(p, dur_us);
+    *p++ = '}';
+    commit(p);
 }
 
 void
 TraceSink::hostMetadata(std::uint32_t tid, const char *what,
                         const std::string &name)
 {
-    os_ << (embedded_ || events_ ? ",\n" : "\n");
-    ++events_;
-    os_ << "{\"ph\":\"M\",\"pid\":1,\"tid\":" << tid << ",\"name\":\""
-        << what << "\",\"args\":{\"name\":\""
-        << JsonWriter::escape(name) << "\"}}";
+    const std::string label = JsonWriter::escape(name);
+    char *p = open(kEventBytes + std::strlen(what) + label.size());
+    p = put(p, "{\"ph\":\"M\",\"pid\":1,\"tid\":");
+    p = putUint(p, tid);
+    p = put(p, ",\"name\":\"");
+    p = putStr(p, what);
+    p = put(p, "\",\"args\":{\"name\":\"");
+    p = put(p, label.data(), label.size());
+    commit(put(p, "\"}}"));
 }
 
 void
@@ -139,12 +249,16 @@ TraceSink::metadata(std::uint32_t tid, const char *what,
                     const std::string &name)
 {
     // Metadata events carry no cat/ts; hand-rolled rather than
-    // through prefix() so the viewer does not see bogus fields.
-    os_ << (embedded_ || events_ ? ",\n" : "\n");
-    ++events_;
-    os_ << "{\"ph\":\"M\",\"pid\":0,\"tid\":" << tid << ",\"name\":\""
-        << what << "\",\"args\":{\"name\":\"" << JsonWriter::escape(name)
-        << "\"}}";
+    // through begin() so the viewer does not see bogus fields.
+    const std::string label = JsonWriter::escape(name);
+    char *p = open(kEventBytes + std::strlen(what) + label.size());
+    p = put(p, "{\"ph\":\"M\",\"pid\":0,\"tid\":");
+    p = putUint(p, tid);
+    p = put(p, ",\"name\":\"");
+    p = putStr(p, what);
+    p = put(p, "\",\"args\":{\"name\":\"");
+    p = put(p, label.data(), label.size());
+    commit(put(p, "\"}}"));
 }
 
 } // namespace mgsec

@@ -32,6 +32,7 @@
 #ifndef MGSEC_SIM_TRACE_SINK_HH
 #define MGSEC_SIM_TRACE_SINK_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <iosfwd>
 #include <string>
@@ -41,10 +42,21 @@
 namespace mgsec
 {
 
-/** Streaming Chrome trace_event writer (JSON Array Format). */
+/**
+ * Streaming Chrome trace_event writer (JSON Array Format).
+ *
+ * Events are formatted with std::to_chars into a string the sink
+ * owns; a master sink writes that buffer to its stream in one
+ * write() whenever it passes kDrainBytes, and finish() drains the
+ * rest. Doubles print as `%g` (six significant digits), the bytes an
+ * ostream produces at its default precision.
+ */
 class TraceSink
 {
   public:
+    /** Buffered bytes past which a master sink writes them out. */
+    static constexpr std::size_t kDrainBytes = 64 * 1024;
+
     /** The stream must outlive the sink; finish() seals the JSON. */
     explicit TraceSink(std::ostream &os);
     ~TraceSink();
@@ -56,12 +68,12 @@ class TraceSink
 
     /**
      * Embedded mode, used for the per-domain buffers of multi-worker
-     * kernel runs: no document header or footer is written, and every
-     * event is prefixed with ",\n" so the buffered bytes can be
-     * spliced verbatim into a master sink's traceEvents array with
-     * appendRaw().
+     * kernel runs: no stream, no document header or footer, and
+     * every event is prefixed with ",\n" so the buffered bytes can
+     * be spliced verbatim into a master sink's traceEvents array
+     * with splice().
      */
-    TraceSink(std::ostream &os, Embedded);
+    explicit TraceSink(Embedded);
 
     TraceSink(const TraceSink &) = delete;
     TraceSink &operator=(const TraceSink &) = delete;
@@ -107,37 +119,52 @@ class TraceSink
                       const std::string &name);
     /// @}
 
-    /** Close the traceEvents array; idempotent, called by ~TraceSink. */
+    /**
+     * Drain the buffer and close the traceEvents array; idempotent,
+     * called by ~TraceSink. A no-op on embedded sinks.
+     */
     void finish();
 
     std::uint64_t events() const { return events_; }
 
     /**
-     * Splice @p nevents events captured by an embedded sink into
-     * this (non-embedded) sink's array. The leading comma of the
-     * buffer is dropped when this sink has emitted nothing yet.
+     * Move every event buffered in embedded sink @p from to the end
+     * of this (master) sink's array and empty @p from, keeping its
+     * buffer's capacity for the next window. The leading comma of
+     * the spliced bytes is dropped when this sink has emitted
+     * nothing yet.
      */
-    void appendRaw(const std::string &buf, std::uint64_t nevents);
-
-    /**
-     * Embedded sinks only: return the buffered event count and reset
-     * it, pairing with the owner draining the underlying buffer.
-     */
-    std::uint64_t takeEvents();
+    void splice(TraceSink &from);
 
   private:
-    /** Common prefix up to (but not including) the closing brace. */
-    void prefix(char ph, std::uint32_t tid, const char *cat,
-                const char *name, Tick ts)
-    {
-        prefixPid(ph, 0, tid, cat, name, ts);
-    }
-    void prefixPid(char ph, unsigned pid, std::uint32_t tid,
-                   const char *cat, const char *name, Tick ts);
+    /**
+     * Make room for one event of at most @p n bytes, write its
+     * separator and count it; returns the cursor after the separator.
+     */
+    char *open(std::size_t n);
+    /**
+     * open() plus the common prefix up to the closing brace; @p extra
+     * is the length of the caller's strings still to be written.
+     */
+    char *begin(char ph, unsigned pid, std::uint32_t tid,
+                const char *cat, const char *name, Tick ts,
+                std::size_t extra);
+    /** Close the event ending at @p end; drains past kDrainBytes. */
+    void commit(char *end);
+    /** Grow buf_ so @p n more bytes fit after the first len_. */
+    void reserve(std::size_t n);
+    void drain();
 
-    std::ostream &os_;
+    std::ostream *os_ = nullptr; ///< null for embedded sinks
+    /**
+     * Formatted bytes are buf_[0, len_). buf_'s size is the room
+     * events are formatted into, grown geometrically and never
+     * shrunk, so steady-state formatting writes through a pointer
+     * without reallocating or zero-filling.
+     */
+    std::string buf_;
+    std::size_t len_ = 0;
     std::uint64_t events_ = 0;
-    bool embedded_ = false;
     bool finished_ = false;
 };
 

@@ -159,6 +159,77 @@ TEST(MetricSampler, RingWrapsAndCountsDropped)
     EXPECT_EQ(ms.valueAt(3, 0), 10.0);
 }
 
+TEST(MetricSampler, LazyRowsFillThenWrapInPlace)
+{
+    // Twenty rows fill lazily (past the first growth step), then
+    // thirty more samples wrap the ring. Rows, ticks, the dropped
+    // count and the JSON must read as if the ring had been
+    // preallocated; the JSON is the preallocated ring's output.
+    int calls = 0;
+    MetricSampler ms(10, 20);
+    ms.addGauge("n", [&calls](Tick) {
+        return static_cast<double>(++calls);
+    });
+    ms.addGauge("third", [](Tick t) {
+        return static_cast<double>(t) / 3.0;
+    });
+    ms.start();
+    EXPECT_EQ(ms.samples(), 0u);
+    for (Tick t = 10; t <= 170; t += 10)
+        ms.sampleAt(t);
+    EXPECT_EQ(ms.samples(), 17u);
+    EXPECT_EQ(ms.dropped(), 0u);
+    for (std::size_t i = 0; i < 17; ++i) {
+        EXPECT_EQ(ms.tickAt(i), 10 * (i + 1));
+        EXPECT_EQ(ms.valueAt(i, 0), static_cast<double>(i + 1));
+    }
+    for (Tick t = 180; t <= 500; t += 10)
+        ms.sampleAt(t);
+    EXPECT_EQ(ms.samples(), 20u);
+    EXPECT_EQ(ms.dropped(), 30u);
+    EXPECT_EQ(ms.tickAt(0), 310u);
+    EXPECT_EQ(ms.tickAt(19), 500u);
+    EXPECT_EQ(ms.valueAt(0, 0), 31.0);
+    EXPECT_EQ(ms.valueAt(19, 0), 50.0);
+    EXPECT_DOUBLE_EQ(ms.valueAt(19, 1), 500.0 / 3.0);
+
+    std::ostringstream os;
+    ms.writeJson(os);
+    EXPECT_EQ(
+        os.str(),
+        "{\"interval\":10,\"capacity\":20,\"samples\":20,"
+        "\"dropped\":30,\"columns\":[\"n\",\"third\"],\"data\":["
+        "[310,31,103.333],[320,32,106.667],[330,33,110],"
+        "[340,34,113.333],[350,35,116.667],[360,36,120],"
+        "[370,37,123.333],[380,38,126.667],[390,39,130],"
+        "[400,40,133.333],[410,41,136.667],[420,42,140],"
+        "[430,43,143.333],[440,44,146.667],[450,45,150],"
+        "[460,46,153.333],[470,47,156.667],[480,48,160],"
+        "[490,49,163.333],[500,50,166.667]]}\n");
+}
+
+TEST(MetricSampler, HugeRingOnlyTouchesSampledRows)
+{
+    // 1M rows x 256 gauges would be 2 GiB if allocated up front; a
+    // few samples must cost a few rows.
+    MetricSampler ms(100, std::size_t{1} << 20);
+    for (int g = 0; g < 256; ++g)
+        ms.addGauge("g" + std::to_string(g), [g](Tick t) {
+            return static_cast<double>(t) + g;
+        });
+    ms.start();
+    for (Tick t = 100; t <= 500; t += 100)
+        ms.sampleAt(t);
+    EXPECT_EQ(ms.capacity(), std::size_t{1} << 20);
+    ASSERT_EQ(ms.samples(), 5u);
+    EXPECT_EQ(ms.dropped(), 0u);
+    for (std::size_t i = 0; i < 5; ++i) {
+        EXPECT_EQ(ms.tickAt(i), 100 * (i + 1));
+        EXPECT_EQ(ms.valueAt(i, 0), 100.0 * (i + 1));
+        EXPECT_EQ(ms.valueAt(i, 255), 100.0 * (i + 1) + 255);
+    }
+}
+
 TEST(MetricSampler, WriteJsonReportsDroppedRows)
 {
     MetricSampler ms(5, 2);
