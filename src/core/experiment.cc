@@ -1,7 +1,10 @@
 #include "core/experiment.hh"
 
 #include <cmath>
+#include <filesystem>
+#include <fstream>
 
+#include "sim/json_writer.hh"
 #include "sim/logging.hh"
 
 namespace mgsec
@@ -14,7 +17,6 @@ makeSystemConfig(const ExperimentConfig &cfg)
     sys.numGpus = cfg.numGpus;
     sys.seed = cfg.seed;
     sys.commSampleInterval = cfg.commSampleInterval;
-    sys.expectedEvents = cfg.expectedEvents;
     sys.simThreads = cfg.simThreads;
 
     sys.security.scheme = cfg.scheme;
@@ -82,6 +84,57 @@ configHash(const std::string &workload, const ExperimentConfig &cfg)
         h *= 1099511628211ULL;
     }
     return strformat("%016llx", static_cast<unsigned long long>(h));
+}
+
+void
+setObserveBundle(const std::string &dir, const std::string &workload,
+                 ExperimentConfig &cfg)
+{
+    const std::string h = configHash(workload, cfg);
+    ObserveConfig &obs = cfg.observe;
+    obs.metricsOut = dir + "/METRICS_" + h + ".json";
+    obs.traceOut = dir + "/TRACE_" + h + ".json";
+    obs.statsJsonOut = dir + "/STATS_" + h + ".json";
+    obs.histJsonOut = dir + "/HIST_" + h + ".json";
+    obs.wireOut = dir + "/WIRE_" + h + ".json";
+    obs.profOut = dir + "/PROF_" + h + ".json";
+}
+
+bool
+writeObserveIndex(const std::string &dir, Cycles interval,
+                  const std::vector<ObserveIndexEntry> &runs)
+{
+    const std::string path = dir + "/OBSERVE_INDEX.json";
+    const std::string tmp = path + ".tmp";
+    {
+        std::ofstream os(tmp);
+        if (!os) {
+            warn("cannot write '%s'", tmp.c_str());
+            return false;
+        }
+        JsonWriter w(os);
+        w.beginObject();
+        w.field("interval", static_cast<std::uint64_t>(interval));
+        w.key("runs");
+        w.beginArray();
+        for (const ObserveIndexEntry &e : runs) {
+            w.beginObject();
+            w.field("hash", e.hash);
+            w.field("key", e.key);
+            w.endObject();
+        }
+        w.endArray();
+        w.endObject();
+        os << "\n";
+    }
+    std::error_code ec;
+    std::filesystem::rename(tmp, path, ec);
+    if (ec) {
+        warn("cannot rename '%s': %s", tmp.c_str(),
+             ec.message().c_str());
+        return false;
+    }
+    return true;
 }
 
 RunResult

@@ -29,13 +29,6 @@ struct ExperimentConfig
     std::uint64_t seed = 1;
     Cycles commSampleInterval = 0;
 
-    /**
-     * Hint for EventQueue::reserve(): expected peak of pending
-     * events. 0 = auto (sized from the outstanding-request windows).
-     * Purely a performance knob — never changes simulated results.
-     */
-    std::uint64_t expectedEvents = 0;
-
     /** Dynamic allocator hyperparameters (EWMA ablation). */
     DynamicPadTable::Params dynParams{};
 
@@ -101,7 +94,7 @@ SystemConfig makeSystemConfig(const ExperimentConfig &cfg);
 /**
  * Stable textual identity of one (workload, config) run: every knob
  * that can change simulated results, none that never can (observe
- * paths, expectedEvents, cryptoImpl, simThreads). One fixed format:
+ * paths, cryptoImpl, simThreads). One fixed format:
  * the shaping and fabric knobs are always present, even when the
  * policy is off or the fabric is p2p. Used to tag per-job
  * observability files.
@@ -112,6 +105,31 @@ std::string configKey(const std::string &workload,
 /** FNV-1a 64-bit hash of configKey(), as 16 hex digits. */
 std::string configHash(const std::string &workload,
                        const ExperimentConfig &cfg);
+
+/**
+ * Point every file sink of @p cfg.observe into @p dir, as
+ * <KIND>_<configHash>.json for KIND in METRICS, TRACE, STATS, HIST,
+ * WIRE and PROF: the one observability-bundle naming that
+ * mgsec_run --observe-dir and mgsec_sweep --observe share.
+ */
+void setObserveBundle(const std::string &dir,
+                      const std::string &workload,
+                      ExperimentConfig &cfg);
+
+/** One run of an observability bundle directory. */
+struct ObserveIndexEntry
+{
+    std::string hash; ///< configHash(), the tag of its files
+    std::string key;  ///< configKey() it hashes
+};
+
+/**
+ * Write @p dir/OBSERVE_INDEX.json listing @p runs, through a tmp
+ * file renamed into place so readers never see a partial index.
+ * @retval false the file could not be written (warned).
+ */
+bool writeObserveIndex(const std::string &dir, Cycles interval,
+                       const std::vector<ObserveIndexEntry> &runs);
 
 /** Simulate one workload under one configuration. */
 RunResult runWorkload(const std::string &workload,

@@ -267,14 +267,13 @@ RunOptions::finalizeObservability()
 {
     if (observeDir.empty())
         return true;
-    if (!exp.observe.metricsOut.empty() ||
-        !exp.observe.traceOut.empty() ||
-        !exp.observe.statsJsonOut.empty() ||
-        !exp.observe.histJsonOut.empty() ||
-        !exp.observe.wireOut.empty()) {
+    const ObserveConfig &obs = exp.observe;
+    if (!obs.metricsOut.empty() || !obs.traceOut.empty() ||
+        !obs.statsJsonOut.empty() || !obs.histJsonOut.empty() ||
+        !obs.wireOut.empty() || !obs.profOut.empty()) {
         std::cerr << "--observe-dir bundles --metrics-out/--trace-out/"
-                     "--stats-json/--hist-json/--wire-json; remove "
-                     "the explicit path options\n";
+                     "--stats-json/--hist-json/--wire-json/--prof-out; "
+                     "remove the explicit path options\n";
         return false;
     }
     std::error_code ec;
@@ -284,25 +283,8 @@ RunOptions::finalizeObservability()
                   << observeDir << "': " << ec.message() << "\n";
         return false;
     }
-    const std::string h = configHash(workload, exp);
-    exp.observe.metricsOut = observeDir + "/METRICS_" + h + ".json";
-    exp.observe.traceOut = observeDir + "/TRACE_" + h + ".json";
-    exp.observe.statsJsonOut = observeDir + "/STATS_" + h + ".json";
-    exp.observe.histJsonOut = observeDir + "/HIST_" + h + ".json";
-    exp.observe.wireOut = observeDir + "/WIRE_" + h + ".json";
+    setObserveBundle(observeDir, workload, exp);
     return true;
-}
-
-void
-RunOptions::finalizeProfiler()
-{
-    // Opt-in pairing: host-track spans carry wall-clock timestamps,
-    // so they only enter the trace when the user explicitly asked
-    // for both artifacts — a bare --trace-out stays byte-identical
-    // run to run and across thread counts.
-    if (!exp.observe.profOut.empty() &&
-        !exp.observe.traceOut.empty())
-        exp.observe.profHostTrack = true;
 }
 
 bool
@@ -407,11 +389,9 @@ RunOptions::usage(std::ostream &os)
           "dump as JSON\n"
           "  --prof-out FILE        write the host-side self-profiler "
           "dump as JSON\n"
-          "                         (with --trace-out: adds a "
-          "wall-clock host track)\n"
           "  --observe-dir DIR      bundle all sinks into DIR with "
           "sweep's METRICS_/TRACE_/\n"
-          "                         STATS_/HIST_/WIRE_<hash>.json "
+          "                         STATS_/HIST_/WIRE_/PROF_<hash>.json "
           "naming (+ OBSERVE_INDEX.json)\n"
           "  --shape P              traffic shaping: none|"
           "constant-rate|batch-jitter\n"

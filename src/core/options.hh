@@ -56,9 +56,9 @@ struct RunOptions
     std::string tracePlay;
     /**
      * Bundle every observability sink into one directory using the
-     * sweep's naming scheme (METRICS_/TRACE_/STATS_/HIST_/WIRE_
-     * <confighash>.json plus OBSERVE_INDEX.json). Mutually
-     * exclusive with the explicit per-sink path options.
+     * sweep's naming scheme (setObserveBundle() plus
+     * OBSERVE_INDEX.json). Mutually exclusive with the explicit
+     * per-sink path options.
      */
     std::string observeDir;
 
@@ -70,15 +70,6 @@ struct RunOptions
      *         stderr).
      */
     bool finalizeObservability();
-
-    /**
-     * Pair --prof-out with an explicitly given --trace-out by
-     * turning the trace's "host" (wall-clock) process track on.
-     * Call after parse() but before finalizeObservability(), so an
-     * observe-dir bundle's TRACE_ file — which tests byte-compare
-     * across runs and thread counts — never grows wall-clock spans.
-     */
-    void finalizeProfiler();
 
     /**
      * Apply one key=value setting.

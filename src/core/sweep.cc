@@ -185,57 +185,32 @@ SweepArgs::parseArgs(int argc, char **argv)
 namespace
 {
 
-/** The unsecure configuration a normalized run measures against. */
+/**
+ * The unsecure configuration a normalized run measures against.
+ * Every knob that acts only on a secured() run returns to its
+ * default, so configKey() of the result — the baseline memo key and
+ * the tag of its observability files — is shared by every secure
+ * variant that normalizes against the same unsecure run.
+ */
 ExperimentConfig
 baselineConfig(ExperimentConfig cfg)
 {
+    const ExperimentConfig def;
     cfg.scheme = OtpScheme::Unsecure;
     cfg.batching = false;
     cfg.countMetadataBytes = true;
     cfg.hostMemProtect = -1; // auto: disabled for Unsecure
-    // Shaping is gated on secured(), so an unsecure baseline never
-    // shapes; clearing the knob keeps one memoized baseline (and one
-    // stable config hash) shared across every shaping policy.
-    cfg.shaping = ShapingPolicy::None;
+    cfg.otpMult = def.otpMult;
+    cfg.aesLatency = def.aesLatency;
+    cfg.batchSize = def.batchSize;
+    cfg.dynParams = def.dynParams;
+    cfg.debugPadStallPct = def.debugPadStallPct;
+    cfg.shaping = def.shaping;
+    cfg.shapeInterval = def.shapeInterval;
+    cfg.shapePadTo = def.shapePadTo;
+    cfg.shapeJitter = def.shapeJitter;
+    cfg.shapeChaffSlots = def.shapeChaffSlots;
     return cfg;
-}
-
-/**
- * Cache key of a baseline: only the knobs that can change an
- * unsecure run. The security knobs (otpMult, aesLatency, batchSize,
- * dynParams, countMetadataBytes) are all gated behind
- * SecurityConfig::secured(), so sweeps over them share one baseline.
- */
-std::string
-baselineKey(const std::string &workload, const ExperimentConfig &cfg)
-{
-    char buf[128];
-    std::snprintf(buf, sizeof(buf), "|g%u|s%.17g|d%llu|ss%d|ci%llu",
-                  cfg.numGpus, cfg.scale,
-                  static_cast<unsigned long long>(cfg.seed),
-                  cfg.strongScaling ? 1 : 0,
-                  static_cast<unsigned long long>(
-                      cfg.commSampleInterval));
-    std::string key = workload + buf;
-    // The fabric changes an unsecure run's timing, so non-default
-    // topologies get their own memoized baselines; p2p keeps the
-    // historical key.
-    if (cfg.topology.kind != TopologyKind::P2p) {
-        char tb[96];
-        std::snprintf(tb, sizeof(tb), "|t%s/%u/%llu/%.17g/%u/%llu/"
-                                      "%.17g",
-                      topologyKindName(cfg.topology.kind),
-                      cfg.topology.switchRadix,
-                      static_cast<unsigned long long>(
-                          cfg.topology.switchLatency),
-                      cfg.topology.switchBytesPerCycle,
-                      cfg.topology.gpusPerNode,
-                      static_cast<unsigned long long>(
-                          cfg.topology.interLatency),
-                      cfg.topology.interBytesPerCycle);
-        key += tb;
-    }
-    return key;
 }
 
 } // anonymous namespace
@@ -257,7 +232,7 @@ Sweep::Sweep(double scale, int seeds, unsigned jobs)
 }
 
 void
-Sweep::setObservability(const std::string &dir, Cycles interval)
+Sweep::setObservability(const std::string &dir)
 {
     MGSEC_ASSERT(!ran_, "Sweep::setObservability after run()");
     MGSEC_ASSERT(!dir.empty(), "empty observability directory");
@@ -269,7 +244,6 @@ Sweep::setObservability(const std::string &dir, Cycles interval)
         return;
     }
     observe_dir_ = dir;
-    observe_interval_ = interval;
 }
 
 std::size_t
@@ -322,12 +296,7 @@ Sweep::run()
     // configuration writes sinks tagged by its config hash, so
     // parallel jobs never share a file name. A duplicate submission
     // (the same config queued twice) keeps only the first writer.
-    struct IndexEntry
-    {
-        std::string hash;
-        std::string key;
-    };
-    std::vector<IndexEntry> observe_index;
+    std::vector<ObserveIndexEntry> observe_index;
     std::set<std::string> observe_seen;
     auto withObserve = [&](const std::string &workload,
                            ExperimentConfig cfg) {
@@ -338,63 +307,26 @@ Sweep::run()
             cfg.observe = ObserveConfig{};
             return cfg;
         }
-        cfg.observe.metricsOut =
-            observe_dir_ + "/METRICS_" + h + ".json";
-        cfg.observe.traceOut = observe_dir_ + "/TRACE_" + h + ".json";
-        cfg.observe.statsJsonOut =
-            observe_dir_ + "/STATS_" + h + ".json";
-        cfg.observe.histJsonOut =
-            observe_dir_ + "/HIST_" + h + ".json";
-        cfg.observe.wireOut = observe_dir_ + "/WIRE_" + h + ".json";
-        cfg.observe.profOut = observe_dir_ + "/PROF_" + h + ".json";
-        cfg.observe.metricsInterval = observe_interval_;
+        setObserveBundle(observe_dir_, workload, cfg);
         observe_index.push_back(
-            IndexEntry{h, configKey(workload, cfg)});
+            ObserveIndexEntry{h, configKey(workload, cfg)});
         return cfg;
     };
 
-    // Incremental OBSERVE_INDEX: rewritten through an atomic
-    // tmp-file + rename after every harvested job, listing only the
-    // entries whose runs have been harvested so far — a killed
-    // campaign keeps a valid index of completed artifacts, and the
-    // final rewrite is byte-identical to the historical post-sweep
-    // write.
+    // Incremental OBSERVE_INDEX: rewritten after every harvested job,
+    // listing only the entries whose runs have been harvested so far
+    // — a killed campaign keeps a valid index of completed artifacts.
     std::set<std::string> harvested;
     auto writeIndex = [&]() {
         if (observe_dir_.empty())
             return;
-        const std::string path =
-            observe_dir_ + "/OBSERVE_INDEX.json";
-        const std::string tmp = path + ".tmp";
-        {
-            std::ofstream os(tmp);
-            if (!os) {
-                warn("cannot write '%s'", tmp.c_str());
-                return;
-            }
-            JsonWriter w(os);
-            w.beginObject();
-            w.field("interval", static_cast<std::uint64_t>(
-                                    observe_interval_));
-            w.key("runs");
-            w.beginArray();
-            for (const IndexEntry &e : observe_index) {
-                if (harvested.find(e.hash) == harvested.end())
-                    continue;
-                w.beginObject();
-                w.field("hash", e.hash);
-                w.field("key", e.key);
-                w.endObject();
-            }
-            w.endArray();
-            w.endObject();
-            os << "\n";
+        std::vector<ObserveIndexEntry> done;
+        for (const ObserveIndexEntry &e : observe_index) {
+            if (harvested.count(e.hash))
+                done.push_back(e);
         }
-        std::error_code ec;
-        std::filesystem::rename(tmp, path, ec);
-        if (ec)
-            warn("cannot rename '%s': %s", tmp.c_str(),
-                 ec.message().c_str());
+        writeObserveIndex(observe_dir_, ObserveConfig{}.metricsInterval,
+                          done);
     };
     auto harvestedJob = [&](const std::string &workload,
                             const ExperimentConfig &cfg) {
@@ -488,8 +420,9 @@ Sweep::run()
     };
 
     // Submit in deterministic (handle, seed) order. Baselines are
-    // memoized as shared futures so every normalized request of the
-    // same (workload, gpus, scale, seed) reuses one simulation.
+    // memoized as shared futures keyed by their configKey(), so every
+    // normalized request of the same unsecure run reuses one
+    // simulation.
     std::map<std::string, std::shared_future<RunResult>> baselines;
     struct NormFutures
     {
@@ -504,7 +437,7 @@ Sweep::run()
             ExperimentConfig cfg = req.cfg;
             cfg.seed = static_cast<std::uint64_t>(s);
             const ExperimentConfig base = baselineConfig(cfg);
-            const std::string key = baselineKey(req.workload, base);
+            const std::string key = configKey(req.workload, base);
             auto it = baselines.find(key);
             if (it == baselines.end()) {
                 it = baselines

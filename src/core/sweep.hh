@@ -8,9 +8,9 @@
  *  - results are keyed by the handle add*() returned (submission
  *    order), never by completion order, so `--jobs N` produces
  *    bit-identical output to `--jobs 1`;
- *  - a normalized measurement's unsecure baseline depends only on
- *    (workload, gpus, scale, seed), so each distinct baseline is
- *    simulated exactly once per sweep and shared across every secure
+ *  - a normalized measurement's unsecure baseline ignores every
+ *    security-only knob, so each distinct baseline is simulated
+ *    exactly once per sweep and shared across every secure
  *    configuration that normalizes against it.
  */
 
@@ -137,15 +137,14 @@ class Sweep
 
     /**
      * Write per-job observability files into @p dir (created if
-     * missing): METRICS_<hash>.json, TRACE_<hash>.json and
-     * STATS_<hash>.json per distinct configuration, where <hash> is
-     * configHash(workload, cfg), plus an OBSERVE_INDEX.json manifest
-     * mapping each hash back to its configKey(). Hash-tagged names
+     * missing): the setObserveBundle() files of each distinct
+     * configuration, tagged by configHash(workload, cfg), plus an
+     * OBSERVE_INDEX.json manifest mapping each hash back to its
+     * configKey() and a PROGRESS.jsonl heartbeat. Hash-tagged names
      * keep parallel jobs from ever clobbering each other's files.
      * Call before run().
      */
-    void setObservability(const std::string &dir,
-                          Cycles interval = 1000);
+    void setObservability(const std::string &dir);
 
     /** Execute everything queued; blocks until all results are in. */
     void run();
@@ -184,7 +183,6 @@ class Sweep
     bool ran_ = false;
 
     std::string observe_dir_;
-    Cycles observe_interval_ = 1000;
 
     std::vector<NormRequest> norm_;
     std::vector<RawRequest> raw_;

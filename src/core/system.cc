@@ -53,6 +53,24 @@ resolveSimThreads(std::uint32_t cfg_threads, std::uint32_t num_domains)
         std::min<std::uint64_t>(t, num_domains));
 }
 
+/**
+ * Hand a fresh file at @p path to @p write; an empty path is a
+ * disabled sink, and a file that cannot be opened only warns.
+ */
+template <class Write>
+void
+writeArtifact(const std::string &path, const char *what, Write &&write)
+{
+    if (path.empty())
+        return;
+    std::ofstream f(path);
+    if (!f) {
+        warn("cannot open %s output '%s'", what, path.c_str());
+        return;
+    }
+    write(f);
+}
+
 } // namespace
 
 MultiGpuSystem::MultiGpuSystem(const SystemConfig &cfg,
@@ -74,18 +92,14 @@ MultiGpuSystem::MultiGpuSystem(const SystemConfig &cfg,
     domains_.push_back(std::make_unique<Domain>(0, eq_));
     for (NodeId id = 1; id < n; ++id)
         domains_.push_back(std::make_unique<Domain>(id));
-    // Pre-size the queues: the pending population is bounded by each
-    // node's outstanding-request window plus per-peer ACK/batch
-    // timers and in-flight link deliveries; 2x covers lazily
-    // cancelled leftovers still parked in the heap. Each domain
-    // hosts one node, so the system-wide hint splits evenly.
+    // Pre-size the queues: each domain hosts one node, whose pending
+    // population is bounded by its outstanding-request window plus
+    // per-peer ACK/batch timers and in-flight link deliveries; 2x
+    // covers lazily cancelled leftovers still parked in the heap.
     const std::uint64_t window =
         std::max(cfg_.gpu.maxOutstanding, cfg_.cpu.maxOutstanding);
-    std::uint64_t hint = cfg_.expectedEvents;
-    if (hint == 0)
-        hint = static_cast<std::uint64_t>(n) * (window + 64) * 2;
     for (auto &d : domains_)
-        d->eq().reserve(std::max<std::uint64_t>(hint / n, 1));
+        d->eq().reserve((window + 64) * 2);
     burst16_.resize(n);
     burst32_.resize(n);
 
@@ -435,23 +449,16 @@ MultiGpuSystem::enableWireObserver()
 {
     if (wire_)
         return;
-    wire_ = std::make_unique<WireObserver>(cfg_.numNodes());
-    if (cfg_.topology.kind != TopologyKind::P2p) {
-        // Tag flows with the fabric's own link classes; the default
-        // pcie/nvlink split already matches the p2p fabric, and
-        // leaving it untouched keeps p2p WIRE artifacts
-        // byte-identical.
-        const Topology *topo = &net_->topology();
-        std::vector<std::string> names;
-        for (std::size_t l = 0; l < topo->numLinkClasses(); ++l)
-            names.emplace_back(
-                linkTypeName(static_cast<LinkType>(l)));
-        wire_->setLinkClasses(
-            std::move(names), [topo](NodeId src, NodeId dst) {
-                return static_cast<std::size_t>(
-                    topo->linkType(src, dst));
-            });
-    }
+    // Tag flows with the fabric's own link classes.
+    const Topology *topo = &net_->topology();
+    std::vector<std::string> names;
+    for (std::size_t l = 0; l < topo->numLinkClasses(); ++l)
+        names.emplace_back(linkTypeName(static_cast<LinkType>(l)));
+    wire_ = std::make_unique<WireObserver>(
+        cfg_.numNodes(), std::move(names),
+        [topo](NodeId src, NodeId dst) {
+            return static_cast<std::size_t>(topo->linkType(src, dst));
+        });
     net_->setWireObserver(wire_.get());
 }
 
@@ -480,80 +487,47 @@ MultiGpuSystem::openObservability()
                       cfg_.observe.metricsRing);
     if (!cfg_.observe.wireOut.empty())
         enableWireObserver();
-    if (!cfg_.observe.profOut.empty()) {
+    if (!cfg_.observe.profOut.empty())
         enableProfiler();
-        if (cfg_.observe.profHostTrack && trace_)
-            prof_->setHostTrack(trace_.get());
-    }
 }
 
 void
 MultiGpuSystem::flushObservability()
 {
     observ_flushed_ = true;
+    const ObserveConfig &obs = cfg_.observe;
     {
         // The profiler times the flush itself (it is real wall time
         // a sweep job spends off the hot path); the span must close
-        // before the profiler's own outputs are drained and written.
+        // before the profiler's own dump is written.
         ProfSpan span(prof_.get(), 0, kProfSinkFlush);
         if (sampler_) {
             // Final snapshot so short runs and run tails are
             // captured.
             sampler_->sampleAt(kernelNow());
-            if (!cfg_.observe.metricsOut.empty()) {
-                std::ofstream f(cfg_.observe.metricsOut);
-                if (!f) {
-                    warn("cannot open metrics output '%s'",
-                         cfg_.observe.metricsOut.c_str());
-                } else {
-                    sampler_->writeJson(f);
-                }
-            }
+            writeArtifact(obs.metricsOut, "metrics",
+                          [&](std::ostream &os) {
+                              sampler_->writeJson(os);
+                          });
         }
-        if (!cfg_.observe.statsJsonOut.empty()) {
-            std::ofstream f(cfg_.observe.statsJsonOut);
-            if (!f) {
-                warn("cannot open stats output '%s'",
-                     cfg_.observe.statsJsonOut.c_str());
-            } else {
-                dumpStatsJson(f);
-            }
-        }
-        if (attr_ && !cfg_.observe.histJsonOut.empty()) {
-            std::ofstream f(cfg_.observe.histJsonOut);
-            if (!f) {
-                warn("cannot open histogram output '%s'",
-                     cfg_.observe.histJsonOut.c_str());
-            } else {
-                attr_->writeJson(f);
-            }
-        }
-        if (wire_ && !cfg_.observe.wireOut.empty()) {
-            std::ofstream f(cfg_.observe.wireOut);
-            if (!f) {
-                warn("cannot open wire-observer output '%s'",
-                     cfg_.observe.wireOut.c_str());
-            } else {
-                wire_->writeJson(f);
-            }
-        }
+        writeArtifact(obs.statsJsonOut, "stats",
+                      [&](std::ostream &os) { dumpStatsJson(os); });
+        if (attr_)
+            writeArtifact(obs.histJsonOut, "histogram",
+                          [&](std::ostream &os) {
+                              attr_->writeJson(os);
+                          });
+        if (wire_)
+            writeArtifact(obs.wireOut, "wire-observer",
+                          [&](std::ostream &os) {
+                              wire_->writeJson(os);
+                          });
     }
     if (prof_) {
-        // Threads are joined by now, so draining every lane's host
-        // spans here is single-threaded; the trace must still be
-        // open for them.
-        for (unsigned l = 0; l < prof_->workers(); ++l)
-            prof_->drainHostTrack(l);
         prof_->finish();
-        if (!cfg_.observe.profOut.empty()) {
-            std::ofstream f(cfg_.observe.profOut);
-            if (!f) {
-                warn("cannot open profiler output '%s'",
-                     cfg_.observe.profOut.c_str());
-            } else {
-                prof_->writeJson(f);
-            }
-        }
+        writeArtifact(obs.profOut, "profiler", [&](std::ostream &os) {
+            prof_->writeJson(os);
+        });
     }
     if (trace_)
         trace_->finish();

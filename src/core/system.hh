@@ -53,15 +53,6 @@ struct ObserveConfig
     std::string wireOut;
     /** Host-side self-profiler dump (PROF_<hash>.json schema). */
     std::string profOut;
-    /**
-     * Mirror profiler spans into the Chrome trace as a second
-     * ("host", pid 1) process track. Off by default even when both
-     * the profiler and the trace are on, because host spans carry
-     * wall-clock timestamps and would break the trace's byte-for-
-     * byte determinism contract (run-to-run and across thread
-     * counts). Requires profOut and traceOut.
-     */
-    bool profHostTrack = false;
     /** Cycles between metric samples. */
     Cycles metricsInterval = 1000;
     /** Metric ring rows kept (oldest rows drop beyond this). */
@@ -71,14 +62,6 @@ struct ObserveConfig
      * histJsonOut file (they then ride statsJsonOut / dumpStats).
      */
     bool latencyAttr = false;
-
-    bool
-    any() const
-    {
-        return !metricsOut.empty() || !traceOut.empty() ||
-               !statsJsonOut.empty() || !histJsonOut.empty() ||
-               !wireOut.empty() || !profOut.empty() || latencyAttr;
-    }
 };
 
 struct SystemConfig
@@ -131,13 +114,6 @@ struct SystemConfig
     std::uint64_t seed = 1;
     /** Safety valve: abort runs that exceed this many cycles. */
     Tick maxCycles = 500'000'000;
-    /**
-     * Expected peak of simultaneously-pending events, summed over
-     * every domain queue; pre-sizes the queues (split evenly) so
-     * steady-state scheduling rarely reallocates. 0 = derive from the
-     * node count and outstanding-request windows.
-     */
-    std::uint64_t expectedEvents = 0;
     /** >0: sample GPU 1's communication mix every N cycles. */
     Cycles commSampleInterval = 0;
 
@@ -276,8 +252,7 @@ class MultiGpuSystem
      * Attach the host-side self-profiler (sim/profiler.hh). Call
      * before run(); idempotent. Never touches sim results or
      * deterministic artifacts — its wall-clock data goes only to
-     * observe.profOut (and, with profHostTrack, a separate trace
-     * process track).
+     * observe.profOut.
      */
     void enableProfiler();
 

@@ -1,11 +1,11 @@
 #include "sim/profiler.hh"
 
 #include <algorithm>
+#include <chrono>
 #include <ostream>
 
 #include "sim/json_writer.hh"
 #include "sim/logging.hh"
-#include "sim/trace_sink.hh"
 
 namespace mgsec
 {
@@ -19,9 +19,6 @@ const char *const kPhaseNames[kProfNumPhases] = {
     "cryptoSeal",   "cryptoOpen", "padGen",
 };
 
-/** Cap on buffered host-track spans per lane between drains. */
-constexpr std::size_t kMaxPendingSpans = 1u << 15;
-
 } // anonymous namespace
 
 const char *
@@ -31,21 +28,12 @@ profPhaseName(unsigned phase)
     return kPhaseNames[phase];
 }
 
-std::chrono::steady_clock::time_point
-Profiler::processEpoch()
-{
-    // One epoch per process so host-track timestamps from systems
-    // profiled back to back land on a common wall-clock axis.
-    static const auto epoch = std::chrono::steady_clock::now();
-    return epoch;
-}
-
 std::uint64_t
 Profiler::nowNs()
 {
     return static_cast<std::uint64_t>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - processEpoch())
+            std::chrono::steady_clock::now().time_since_epoch())
             .count());
 }
 
@@ -101,12 +89,6 @@ Profiler::record(unsigned lane, ProfPhase phase, std::uint64_t t0,
     Lane &l = lanes_[lane];
     const std::uint64_t dt = t1 >= t0 ? t1 - t0 : 0;
     l.hist[phase].record(dt);
-    if (host_track_) {
-        if (l.pending.size() < kMaxPendingSpans)
-            l.pending.push_back(Lane::PendingSpan{phase, t0, t1});
-        else
-            ++dropped_spans_;
-    }
 }
 
 void
@@ -140,38 +122,6 @@ Profiler::barrierEpilogue()
     sum_max_busy_ += max_busy;
     sum_busy_ += total;
     active_domain_windows_ += active;
-    if (host_track_) {
-        for (unsigned l = 0; l < workers_; ++l)
-            drainHostTrack(l);
-    }
-}
-
-void
-Profiler::setHostTrack(TraceSink *sink)
-{
-    host_track_ = sink;
-    if (!sink)
-        return;
-    sink->hostMetadata(0, "process_name", "host profiler (wall us)");
-    for (unsigned l = 0; l < workers_; ++l)
-        sink->hostMetadata(l, "thread_name",
-                           "worker" + std::to_string(l));
-}
-
-void
-Profiler::drainHostTrack(unsigned l)
-{
-    Lane &ln = lanes_[l];
-    if (!host_track_ || ln.pending.empty())
-        return;
-    for (const Lane::PendingSpan &s : ln.pending) {
-        const std::uint64_t us0 = s.t0 / 1000;
-        const std::uint64_t dur =
-            s.t1 >= s.t0 ? (s.t1 - s.t0) / 1000 : 0;
-        host_track_->hostComplete(l, "prof", kPhaseNames[s.phase],
-                                  us0, dur);
-    }
-    ln.pending.clear();
 }
 
 std::int64_t
@@ -266,7 +216,6 @@ Profiler::writeJson(std::ostream &os)
     w.field("domains", static_cast<std::uint64_t>(domains_));
     w.field("wallNs", wallNs());
     w.field("spans", totalSpans());
-    w.field("droppedTraceSpans", dropped_spans_);
 
     // Every phase is always present (zero-count ones included) so
     // consumers can key on the taxonomy without existence checks.

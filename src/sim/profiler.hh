@@ -10,11 +10,11 @@
  * through EventQueue::profiler(), so a null pointer there is the
  * entire cost of disabled profiling (the zero-allocation hot path is
  * untouched and artifacts stay byte-identical). When enabled, spans
- * are RAII scopes (ProfSpan) recorded on per-lane buffers — one lane
- * per kernel worker, and domain d always records on lane d % workers
- * because the parallel kernel statically pins domain d to worker
- * d % threads, so every lane is written by exactly one thread with
- * no synchronization on the record path.
+ * are RAII scopes (ProfSpan) recorded into per-lane histograms — one
+ * lane per kernel worker, and domain d always records on lane
+ * d % workers because the parallel kernel statically pins domain d
+ * to worker d % threads, so every lane is written by exactly one
+ * thread with no synchronization on the record path.
  *
  * Aggregation rides the existing stats::Histogram machinery: one
  * wall-time (nanosecond) histogram per (lane, phase), merged into
@@ -25,15 +25,12 @@
  * the kernel's own happens-before edges are the only fences needed.
  *
  * Wall-clock data never enters configKey, sim results, or any
- * deterministic artifact: the profiler writes only its own PROF JSON
- * and (optionally) a separate "host" process track in the Chrome
- * trace.
+ * deterministic artifact: the profiler writes only its own PROF JSON.
  */
 
 #ifndef MGSEC_SIM_PROFILER_HH
 #define MGSEC_SIM_PROFILER_HH
 
-#include <chrono>
 #include <cstdint>
 #include <iosfwd>
 #include <string>
@@ -44,8 +41,6 @@
 
 namespace mgsec
 {
-
-class TraceSink;
 
 /**
  * The phase taxonomy. Fixed and enum-indexed so recording is an
@@ -120,20 +115,9 @@ class Profiler
 
     /**
      * Coordinator-only, at a window barrier (workers parked): close
-     * the window's imbalance scratch and, with a host track
-     * attached, drain every lane's pending trace spans.
+     * the window's imbalance scratch.
      */
     void barrierEpilogue();
-
-    /**
-     * Attach the wall-clock "host" process track: spans additionally
-     * buffer per lane and drain into @p sink as pid-1 complete
-     * events (microsecond timestamps). Coordinator thread only;
-     * emits the track's process/thread metadata immediately.
-     */
-    void setHostTrack(TraceSink *sink);
-    /** Drain lane @p l's pending host-track spans (owning thread). */
-    void drainHostTrack(unsigned l);
 
     /** @name Aggregates (read after finish()) */
     /// @{
@@ -183,17 +167,7 @@ class Profiler
         std::uint64_t events = 0;
         /** Execution (domainExec) wall time. */
         std::uint64_t busyNs = 0;
-        /** Host-track spans pending coordinator drain. */
-        struct PendingSpan
-        {
-            std::uint8_t phase;
-            std::uint64_t t0;
-            std::uint64_t t1;
-        };
-        std::vector<PendingSpan> pending;
     };
-
-    static std::chrono::steady_clock::time_point processEpoch();
 
     unsigned workers_;
     unsigned domains_;
@@ -216,9 +190,6 @@ class Profiler
     std::uint64_t sum_busy_ = 0;
     std::uint64_t active_domain_windows_ = 0;
     /// @}
-
-    TraceSink *host_track_ = nullptr;
-    std::uint64_t dropped_spans_ = 0;
 
     std::uint64_t t_start_ = 0;
     std::uint64_t t_end_ = 0;

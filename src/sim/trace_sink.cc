@@ -135,18 +135,15 @@ TraceSink::open(std::size_t n)
 }
 
 char *
-TraceSink::begin(char ph, unsigned pid, std::uint32_t tid,
-                 const char *cat, const char *name, Tick ts,
-                 std::size_t extra)
+TraceSink::begin(char ph, std::uint32_t tid, const char *cat,
+                 const char *name, Tick ts, std::size_t extra)
 {
     const std::size_t ncat = std::strlen(cat);
     const std::size_t nname = std::strlen(name);
     char *p = open(kEventBytes + ncat + nname + extra);
     p = put(p, "{\"ph\":\"");
     *p++ = ph;
-    p = put(p, "\",\"pid\":");
-    p = putUint(p, pid);
-    p = put(p, ",\"tid\":");
+    p = put(p, "\",\"pid\":0,\"tid\":");
     p = putUint(p, tid);
     p = put(p, ",\"cat\":\"");
     p = put(p, cat, ncat);
@@ -160,7 +157,7 @@ void
 TraceSink::complete(std::uint32_t tid, const char *cat,
                     const char *name, Tick start, Tick dur)
 {
-    char *p = begin('X', 0, tid, cat, name, start, 0);
+    char *p = begin('X', tid, cat, name, start, 0);
     p = put(p, ",\"dur\":");
     p = putUint(p, dur);
     *p++ = '}';
@@ -173,7 +170,7 @@ TraceSink::complete(std::uint32_t tid, const char *cat,
                     const char *arg_key, std::uint64_t arg_val)
 {
     const std::size_t nkey = std::strlen(arg_key);
-    char *p = begin('X', 0, tid, cat, name, start, nkey);
+    char *p = begin('X', tid, cat, name, start, nkey);
     p = put(p, ",\"dur\":");
     p = putUint(p, dur);
     p = put(p, ",\"args\":{\"");
@@ -187,7 +184,7 @@ void
 TraceSink::instant(std::uint32_t tid, const char *cat,
                    const char *name, Tick ts)
 {
-    char *p = begin('i', 0, tid, cat, name, ts, 0);
+    char *p = begin('i', tid, cat, name, ts, 0);
     commit(put(p, ",\"s\":\"t\"}"));
 }
 
@@ -197,7 +194,7 @@ TraceSink::instant(std::uint32_t tid, const char *cat,
                    double arg_val)
 {
     const std::size_t nkey = std::strlen(arg_key);
-    char *p = begin('i', 0, tid, cat, name, ts, nkey);
+    char *p = begin('i', tid, cat, name, ts, nkey);
     p = put(p, ",\"s\":\"t\",\"args\":{\"");
     p = put(p, arg_key, nkey);
     p = put(p, "\":");
@@ -209,39 +206,12 @@ void
 TraceSink::counter(std::uint32_t tid, const char *cat,
                    const char *name, Tick ts, double value)
 {
-    char *p = begin('C', 0, tid, cat, name, ts, std::strlen(name));
+    char *p = begin('C', tid, cat, name, ts, std::strlen(name));
     p = put(p, ",\"args\":{\"");
     p = putStr(p, name);
     p = put(p, "\":");
     p = putDouble(p, value);
     commit(put(p, "}}"));
-}
-
-void
-TraceSink::hostComplete(std::uint32_t tid, const char *cat,
-                        const char *name, std::uint64_t start_us,
-                        std::uint64_t dur_us)
-{
-    char *p = begin('X', 1, tid, cat, name, start_us, 0);
-    p = put(p, ",\"dur\":");
-    p = putUint(p, dur_us);
-    *p++ = '}';
-    commit(p);
-}
-
-void
-TraceSink::hostMetadata(std::uint32_t tid, const char *what,
-                        const std::string &name)
-{
-    const std::string label = JsonWriter::escape(name);
-    char *p = open(kEventBytes + std::strlen(what) + label.size());
-    p = put(p, "{\"ph\":\"M\",\"pid\":1,\"tid\":");
-    p = putUint(p, tid);
-    p = put(p, ",\"name\":\"");
-    p = putStr(p, what);
-    p = put(p, "\",\"args\":{\"name\":\"");
-    p = put(p, label.data(), label.size());
-    commit(put(p, "\"}}"));
 }
 
 void

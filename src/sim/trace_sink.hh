@@ -106,20 +106,6 @@ class TraceSink
                   const std::string &name);
 
     /**
-     * @name Host (wall-clock) track — pid 1
-     * The self-profiler's spans live in a second process track so
-     * wall-clock microseconds sit beside (never mixed into) the
-     * sim-tick lanes of pid 0. tid is the kernel worker lane.
-     */
-    /// @{
-    void hostComplete(std::uint32_t tid, const char *cat,
-                      const char *name, std::uint64_t start_us,
-                      std::uint64_t dur_us);
-    void hostMetadata(std::uint32_t tid, const char *what,
-                      const std::string &name);
-    /// @}
-
-    /**
      * Drain the buffer and close the traceEvents array; idempotent,
      * called by ~TraceSink. A no-op on embedded sinks.
      */
@@ -146,9 +132,8 @@ class TraceSink
      * open() plus the common prefix up to the closing brace; @p extra
      * is the length of the caller's strings still to be written.
      */
-    char *begin(char ph, unsigned pid, std::uint32_t tid,
-                const char *cat, const char *name, Tick ts,
-                std::size_t extra);
+    char *begin(char ph, std::uint32_t tid, const char *cat,
+                const char *name, Tick ts, std::size_t extra);
     /** Close the event ending at @p end; drains past kDrainBytes. */
     void commit(char *end);
     /** Grow buf_ so @p n more bytes fit after the first len_. */

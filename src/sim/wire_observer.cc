@@ -16,25 +16,14 @@ WireObserver::Flow::Flow()
 {
 }
 
-WireObserver::WireObserver(std::uint32_t num_nodes, Params p)
+WireObserver::WireObserver(std::uint32_t num_nodes,
+                           std::vector<std::string> class_names,
+                           Classifier classify, Params p)
     : num_nodes_(num_nodes), params_(p),
       flows_(static_cast<std::size_t>(num_nodes) * num_nodes),
-      class_names_{"pcie", "nvlink"},
-      classify_([](NodeId src, NodeId dst) -> std::size_t {
-          return src == 0 || dst == 0 ? 0 : 1;
-      }),
-      classes_(2)
+      class_names_(std::move(class_names)),
+      classify_(std::move(classify)), classes_(class_names_.size())
 {
-}
-
-void
-WireObserver::setLinkClasses(
-    std::vector<std::string> names,
-    std::function<std::size_t(NodeId, NodeId)> classify)
-{
-    class_names_ = std::move(names);
-    classify_ = std::move(classify);
-    classes_.assign(class_names_.size(), LinkClass{});
 }
 
 WireObserver::Flow &

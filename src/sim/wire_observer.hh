@@ -13,10 +13,11 @@
  *
  * The observer folds the stream online into per-directed-flow state
  * (inter-packet-gap, wire-size, burst-length, and control-gap
- * histograms) plus per-link-class utilization windows (pcie /
- * nvlink by default; scale-out fabrics add switch / inter classes
- * via setLinkClasses()). Everything is a commutative multiset fold over packets
- * keyed by departure tick, so the serialized output is byte-identical
+ * histograms) plus per-link-class utilization windows (the fabric's
+ * classes: pcie / nvlink on the point-to-point machine, plus switch /
+ * inter on the scale-out fabrics). Everything is a commutative
+ * multiset fold over packets keyed by departure tick, so the
+ * serialized output is byte-identical
  * across --sim-threads worker counts that produce the same wire
  * schedule (the kernel's barrier merge replays captured wire
  * events in a deterministic total order; see docs/OBSERVABILITY.md).
@@ -64,25 +65,24 @@ class WireObserver
         Bytes ctlMaxBytes = 32;
     };
 
-    /** Nodes are 0 (CPU) .. num_nodes-1; flows are directed pairs. */
-    explicit WireObserver(std::uint32_t num_nodes)
-        : WireObserver(num_nodes, Params{})
-    {
-    }
-    WireObserver(std::uint32_t num_nodes, Params p);
+    using Classifier = std::function<std::size_t(NodeId, NodeId)>;
 
     /**
-     * Replace the default pcie/nvlink link-class split with the
-     * fabric's own classes: @p names labels class 0..n-1 (class 0
-     * must remain the CPU-side pcie class — the fan-out features
-     * exclude it) and @p classify maps a flow's endpoints to its
-     * class. Call before the first packet; on the default
-     * point-to-point fabric the default split already matches, so
-     * its artifacts are unchanged.
+     * Nodes are 0 (CPU) .. num_nodes-1; flows are directed pairs.
+     * @p class_names labels the fabric's link classes 0..n-1 (class 0
+     * is the CPU-side pcie class, which the fan-out features
+     * exclude) and @p classify maps a flow's endpoints to its class.
      */
-    void setLinkClasses(
-        std::vector<std::string> names,
-        std::function<std::size_t(NodeId, NodeId)> classify);
+    WireObserver(std::uint32_t num_nodes,
+                 std::vector<std::string> class_names,
+                 Classifier classify)
+        : WireObserver(num_nodes, std::move(class_names),
+                       std::move(classify), Params{})
+    {
+    }
+    WireObserver(std::uint32_t num_nodes,
+                 std::vector<std::string> class_names,
+                 Classifier classify, Params p);
 
     /**
      * One packet crossing the wire: src -> dst, @p bytes on the
@@ -167,7 +167,7 @@ class WireObserver
     Params params_;
     std::vector<Flow> flows_; ///< num_nodes^2, index src*n+dst
     std::vector<std::string> class_names_;
-    std::function<std::size_t(NodeId, NodeId)> classify_;
+    Classifier classify_;
     std::vector<LinkClass> classes_;
     std::uint64_t packets_ = 0;
     std::uint64_t bytes_ = 0;

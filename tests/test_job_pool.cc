@@ -188,6 +188,38 @@ TEST(Sweep, SecurityKnobSweepsShareOneBaseline)
     EXPECT_EQ(sweep.baselineHits(), 4u);
 }
 
+TEST(Sweep, ShapingAndEwmaVariantsShareOneBaselinePerFabric)
+{
+    // Shaping and the Dynamic EWMA knobs act only on secured runs, so
+    // their variants share one baseline; the fabric changes the
+    // unsecure run itself, so nvswitch and hier get one each.
+    SweepArgs a = smallArgs(2);
+    a.seeds = 1;
+    Sweep sweep(a);
+    for (TopologyKind kind :
+         {TopologyKind::NvSwitch, TopologyKind::Hier}) {
+        ExperimentConfig cfg;
+        cfg.numGpus = 8;
+        cfg.topology.kind = kind;
+        cfg.topology.gpusPerNode = 4;
+        cfg.scheme = OtpScheme::Dynamic;
+        cfg.batching = true;
+        sweep.addNormalized("fir", cfg);
+        ExperimentConfig shaped = cfg;
+        shaped.shaping = ShapingPolicy::ConstantRate;
+        shaped.shapeInterval = 32;
+        shaped.shapeChaffSlots = 0;
+        sweep.addNormalized("fir", shaped);
+        ExperimentConfig ewma = cfg;
+        ewma.dynParams.alpha = 0.5;
+        ewma.dynParams.interval = 500;
+        sweep.addNormalized("fir", ewma);
+    }
+    sweep.run();
+    EXPECT_EQ(sweep.baselineRuns(), 2u);
+    EXPECT_EQ(sweep.baselineHits(), 4u);
+}
+
 TEST(Sweep, DistinctGpuCountsGetDistinctBaselines)
 {
     SweepArgs a = smallArgs(2);

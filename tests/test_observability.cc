@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <fstream>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -16,6 +17,7 @@
 
 #include "core/experiment.hh"
 #include "core/json_in.hh"
+#include "core/options.hh"
 #include "core/sweep.hh"
 #include "core/system.hh"
 #include "sim/json_writer.hh"
@@ -392,4 +394,50 @@ TEST(Observability, AbnormalExitStillYieldsParseableArtifacts)
             << name << ": " << err;
     }
     fs::remove_all(dir);
+}
+
+TEST(Observability, RunBundleIsWorkerCountInvariantWithProfilerOn)
+{
+    // The mgsec_run --observe-dir bundle at one and four workers:
+    // every deterministic file matches byte for byte while the
+    // wall-clock PROF_ file is written beside them.
+    namespace fs = std::filesystem;
+    const fs::path root =
+        fs::temp_directory_path() / "mgsec_test_run_bundle";
+    fs::remove_all(root);
+    std::string hash;
+    for (std::uint32_t threads : {1u, 4u}) {
+        RunOptions o;
+        o.exp = quick();
+        o.exp.numGpus = 8;
+        o.exp.topology.kind = TopologyKind::NvSwitch;
+        o.exp.observe.latencyAttr = true;
+        o.exp.simThreads = threads;
+        o.observeDir = (root / ("t" + std::to_string(threads))).string();
+        ASSERT_TRUE(o.finalizeObservability());
+        ASSERT_TRUE(runWorkload(o.workload, o.exp).completed);
+        hash = configHash(o.workload, o.exp);
+    }
+    const auto slurp = [](const fs::path &p) {
+        std::ifstream is(p, std::ios::binary);
+        std::ostringstream os;
+        os << is.rdbuf();
+        return os.str();
+    };
+    for (const char *kind :
+         {"TRACE_", "METRICS_", "STATS_", "HIST_", "WIRE_"}) {
+        const std::string name = kind + hash + ".json";
+        const std::string one = slurp(root / "t1" / name);
+        EXPECT_FALSE(one.empty()) << name;
+        EXPECT_EQ(one, slurp(root / "t4" / name)) << name;
+    }
+    for (const char *dir : {"t1", "t4"}) {
+        JsonValue prof;
+        std::string err;
+        EXPECT_TRUE(jsonParseFile(
+            (root / dir / ("PROF_" + hash + ".json")).string(), prof,
+            err))
+            << dir << ": " << err;
+    }
+    fs::remove_all(root);
 }

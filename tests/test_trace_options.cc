@@ -6,10 +6,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
+#include <set>
 #include <sstream>
 
 #include "core/options.hh"
+#include "core/sweep.hh"
 #include "core/system.hh"
 #include "workload/trace_io.hh"
 
@@ -129,6 +132,63 @@ TEST(RunOptions, RejectsBadValues)
     RunOptions o;
     EXPECT_FALSE(o.set("scheme", "quantum"));
     EXPECT_FALSE(o.set("batching", "maybe"));
+}
+
+TEST(RunOptions, ObserveDirNamesTheSweepBundle)
+{
+    namespace fs = std::filesystem;
+    const fs::path root =
+        fs::temp_directory_path() / "mgsec_test_observe_dir";
+    fs::remove_all(root);
+
+    RunOptions o;
+    ASSERT_TRUE(o.set("workload", "fir"));
+    ASSERT_TRUE(o.set("scheme", "dynamic"));
+    ASSERT_TRUE(o.set("scale", "0.05"));
+    ASSERT_TRUE(o.set("observe-dir", (root / "run").string()));
+    ASSERT_TRUE(o.finalizeObservability());
+    const ObserveConfig &obs = o.exp.observe;
+    std::set<std::string> run_files;
+    for (const std::string *p :
+         {&obs.metricsOut, &obs.traceOut, &obs.statsJsonOut,
+          &obs.histJsonOut, &obs.wireOut, &obs.profOut}) {
+        EXPECT_EQ(fs::path(*p).parent_path(), root / "run");
+        run_files.insert(fs::path(*p).filename().string());
+    }
+    EXPECT_EQ(run_files.size(), 6u);
+
+    // The same configuration as a sweep job: the files the sweep
+    // writes for it are exactly the ones --observe-dir names.
+    ExperimentConfig cfg = o.exp;
+    cfg.observe = ObserveConfig{};
+    Sweep sweep(cfg.scale, 1, 1);
+    sweep.setObservability((root / "sweep").string());
+    sweep.addRaw(o.workload, cfg);
+    sweep.run();
+    std::set<std::string> sweep_files;
+    for (const auto &e : fs::directory_iterator(root / "sweep")) {
+        const std::string f = e.path().filename().string();
+        if (f != "OBSERVE_INDEX.json" && f != "PROGRESS.jsonl")
+            sweep_files.insert(f);
+    }
+    EXPECT_EQ(run_files, sweep_files);
+    fs::remove_all(root);
+}
+
+TEST(RunOptions, ObserveDirRejectsExplicitSinkPaths)
+{
+    const std::string dir =
+        (std::filesystem::temp_directory_path() /
+         "mgsec_test_observe_reject")
+            .string();
+    for (const char *key : {"metrics-out", "trace-out", "stats-json",
+                            "hist-json", "wire-json", "prof-out"}) {
+        RunOptions o;
+        ASSERT_TRUE(o.set("observe-dir", dir));
+        ASSERT_TRUE(o.set(key, "explicit.json"));
+        EXPECT_FALSE(o.finalizeObservability()) << key;
+    }
+    EXPECT_FALSE(std::filesystem::exists(dir));
 }
 
 TEST(RunOptions, ParseArgv)

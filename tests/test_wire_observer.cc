@@ -163,9 +163,13 @@ TEST(WireObserver, ConfigKeyAlwaysCarriesShapeAndTopo)
 namespace
 {
 
-/** Write WIRE JSON for a 16-GPU run on @p kind and parse it back. */
+/**
+ * Write WIRE JSON for a 16-GPU run on @p kind, parse it back and
+ * check that its link classes are @p classes, the fabric's own.
+ */
 void
-expectWireJsonParses(TopologyKind kind)
+expectWireJsonParses(TopologyKind kind,
+                     const std::vector<std::string> &classes)
 {
     ExperimentConfig cfg = quick();
     cfg.numGpus = 16;
@@ -182,6 +186,12 @@ expectWireJsonParses(TopologyKind kind)
     ASSERT_NE(feats, nullptr);
     EXPECT_EQ(doc.find("packets")->asNumber(),
               static_cast<double>(r.result.packets));
+    const JsonValue *links = doc.find("links");
+    ASSERT_NE(links, nullptr);
+    std::vector<std::string> names;
+    for (const auto &[name, cls] : links->fields)
+        names.push_back(name);
+    EXPECT_EQ(names, classes);
 }
 
 } // anonymous namespace
@@ -191,8 +201,11 @@ TEST(WireObserver, SwitchFabricWireJsonRoundTrips)
     // Link classes a fabric never uses have no utilization bins; the
     // window-shape features must treat that as "no activity" rather
     // than read past the empty vector.
-    expectWireJsonParses(TopologyKind::NvSwitch);
-    expectWireJsonParses(TopologyKind::Hier);
+    expectWireJsonParses(TopologyKind::P2p, {"pcie", "nvlink"});
+    expectWireJsonParses(TopologyKind::NvSwitch,
+                         {"pcie", "nvlink", "switch"});
+    expectWireJsonParses(TopologyKind::Hier,
+                         {"pcie", "nvlink", "switch", "inter"});
 }
 
 TEST(ObserverAdversary, TimingFeatureAllowlist)

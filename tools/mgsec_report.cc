@@ -200,12 +200,9 @@ reportProf(const JsonValue &doc, const std::string &what)
         return false;
     }
     std::printf("host profile: %.0f worker(s), %.0f domain(s), "
-                "%.1f ms wall, %.0f spans",
+                "%.1f ms wall, %.0f spans\n",
                 num(doc, "threads"), num(doc, "domains"),
                 num(doc, "wallNs") / 1e6, num(doc, "spans"));
-    if (const double dropped = num(doc, "droppedTraceSpans"))
-        std::printf(" (%.0f trace spans dropped)", dropped);
-    std::printf("\n");
 
     // Share is of summed phase time. cryptoSeal/cryptoOpen enclose
     // padGen, so the column can exceed 100% in crypto-heavy runs —

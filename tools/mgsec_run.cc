@@ -17,7 +17,6 @@
 #include "core/options.hh"
 #include "core/report.hh"
 #include "core/system.hh"
-#include "sim/json_writer.hh"
 #include "workload/trace_io.hh"
 
 using namespace mgsec;
@@ -28,7 +27,6 @@ main(int argc, char **argv)
     RunOptions opts;
     if (!opts.parse(argc, argv))
         return 1;
-    opts.finalizeProfiler();
     if (!opts.finalizeObservability())
         return 1;
 
@@ -148,34 +146,16 @@ main(int argc, char **argv)
         std::cout << "wire observer written to " << obs.wireOut
                   << "\n";
     if (!obs.profOut.empty())
-        std::cout << "profiler written to " << obs.profOut
-                  << (obs.profHostTrack ? " (host track in trace)"
-                                        : "")
-                  << "\n";
+        std::cout << "profiler written to " << obs.profOut << "\n";
 
     if (!opts.observeDir.empty()) {
         // Single-entry manifest in the same schema mgsec_sweep
         // emits, so mgsec_report can consume either directory.
-        const std::string path =
-            opts.observeDir + "/OBSERVE_INDEX.json";
-        std::ofstream os(path);
-        if (!os) {
-            std::cerr << "cannot write " << path << "\n";
+        if (!writeObserveIndex(
+                opts.observeDir, obs.metricsInterval,
+                {{configHash(opts.workload, opts.exp),
+                  configKey(opts.workload, opts.exp)}}))
             return 1;
-        }
-        JsonWriter w(os);
-        w.beginObject();
-        w.field("interval", static_cast<std::uint64_t>(
-                                obs.metricsInterval));
-        w.key("runs");
-        w.beginArray();
-        w.beginObject();
-        w.field("hash", configHash(opts.workload, opts.exp));
-        w.field("key", configKey(opts.workload, opts.exp));
-        w.endObject();
-        w.endArray();
-        w.endObject();
-        os << "\n";
         std::cout << "observability bundle in " << opts.observeDir
                   << "\n";
     }
