@@ -22,11 +22,4 @@ ComputeUnit::l1Access(std::uint64_t addr, bool write)
     return l1_.access(addr, write).hit;
 }
 
-void
-ComputeUnit::invalidatePage(std::uint64_t page)
-{
-    tlb_.invalidate(page);
-    l1_.invalidateRange(page * kPageBytes, kPageBytes);
-}
-
 } // namespace mgsec

@@ -43,9 +43,6 @@ class ComputeUnit : public SimObject
      */
     bool l1Access(std::uint64_t addr, bool write);
 
-    /** Migration shootdown support. */
-    void invalidatePage(std::uint64_t page);
-
     Cache &l1() { return l1_; }
     Tlb &l1Tlb() { return tlb_; }
 

@@ -17,6 +17,7 @@ Node::Node(const std::string &name, EventQueue &eq, NodeId id,
       l2_(name + ".l2", eq, params.l2),
       mem_(name + ".mem", eq, params.mem),
       l2_tlb_(name + ".l2tlb", eq, params.l2Tlb),
+      txns_(params.maxOutstanding),
       sends_to_(net.numNodes(), 0), recvs_from_(net.numNodes(), 0)
 {
     if (params_.memProtect.enabled) {
@@ -60,10 +61,9 @@ Node::translateThroughTlbs(std::uint64_t addr)
         return;
     ++iommu_walks_;
     const std::uint64_t txn_id = next_txn_++;
-    Txn txn;
+    Txn &txn = txns_.insert(txn_id);
     txn.issued = now();
     txn.translation = true;
-    txns_.emplace(txn_id, txn);
     ++outstanding_;
 
     auto pkt = makePacket();
@@ -146,6 +146,8 @@ Node::tryIssue()
 void
 Node::issueCurrent()
 {
+    // tryIssue() parks the context while a page fault is in flight.
+    MGSEC_ASSERT(migrations_in_flight_ == 0, "issue during a fault");
     const std::uint64_t page = cur_op_.addr / kPageBytes;
     const NodeId home = pt_.home(page, regionOwner(cur_op_.addr));
 
@@ -157,13 +159,10 @@ Node::issueCurrent()
         // Satisfied from local memory; assumed hidden by the GPU's
         // thread-level parallelism. The CU L1 filters the L2.
         ++local_ops_;
-        if (!cus_.empty()) {
-            ComputeUnit &cu =
-                *cus_[(cur_op_.addr / kBlockBytes) % cus_.size()];
-            if (cu.l1Access(cur_op_.addr, cur_op_.write)) {
-                ++l1_hits_;
-                return;
-            }
+        if (!cus_.empty() &&
+            l1Cu(cur_op_.addr).l1Access(cur_op_.addr, cur_op_.write)) {
+            ++l1_hits_;
+            return;
         }
         if (!l2_.access(cur_op_.addr, cur_op_.write).hit)
             mem_.access(kBlockBytes);
@@ -172,9 +171,7 @@ Node::issueCurrent()
 
     ++remote_ops_;
     const std::uint64_t txn_id = next_txn_++;
-    Txn txn;
-    txn.issued = now();
-    txns_.emplace(txn_id, txn);
+    txns_.insert(txn_id).issued = now();
     ++outstanding_;
 
     auto pkt = makePacket();
@@ -188,9 +185,7 @@ Node::issueCurrent()
     ++sends_to_[home];
     channel_.send(std::move(pkt));
 
-    if (cur_op_.migratable &&
-        migrating_pages_.find(page) == migrating_pages_.end() &&
-        pt_.recordRemoteAccess(page, id_)) {
+    if (cur_op_.migratable && pt_.recordRemoteAccess(page, id_)) {
         startMigration(page, home);
     }
 }
@@ -203,14 +198,12 @@ Node::startMigration(std::uint64_t page, NodeId home)
                   static_cast<unsigned long long>(page), home);
     ++migrations_;
     ++migrations_in_flight_;
-    migrating_pages_.insert(page);
     const std::uint64_t txn_id = next_txn_++;
-    Txn txn;
+    Txn &txn = txns_.insert(txn_id);
     txn.issued = now();
     txn.migration = true;
     txn.page = page;
     txn.blocksLeft = kBlocksPerPage;
-    txns_.emplace(txn_id, txn);
     ++outstanding_;
 
     // The migration request itself: one secured control message.
@@ -224,6 +217,23 @@ Node::startMigration(std::uint64_t page, NodeId home)
     pkt->migration = true;
     ++sends_to_[home];
     channel_.send(std::move(pkt));
+}
+
+void
+Node::shootdown(std::uint64_t page)
+{
+    // Remap: stale translations and cached blocks of the moved page
+    // are shot down locally. Translation round-robins over the CUs,
+    // so any CU TLB may hold the page; each block can only be in the
+    // L1 of its interleave CU.
+    l2_tlb_.invalidate(page);
+    if (cus_.empty())
+        return;
+    for (auto &cu : cus_)
+        cu->l1Tlb().invalidate(page);
+    const std::uint64_t base = page * kPageBytes;
+    for (std::uint64_t a = base; a < base + kPageBytes; a += kBlockBytes)
+        l1Cu(a).l1().invalidate(a);
 }
 
 void
@@ -314,10 +324,10 @@ Node::serveRequest(PacketPtr pkt)
 void
 Node::completeResponse(PacketPtr pkt)
 {
-    auto it = txns_.find(pkt->txnId);
-    MGSEC_ASSERT(it != txns_.end(), "response for unknown txn %llu",
+    Txn *found = txns_.find(pkt->txnId);
+    MGSEC_ASSERT(found != nullptr, "response for unknown txn %llu",
                  static_cast<unsigned long long>(pkt->txnId));
-    Txn &txn = it->second;
+    Txn &txn = *found;
 
     bool resume_after_migration = false;
     if (txn.migration) {
@@ -327,12 +337,7 @@ Node::completeResponse(PacketPtr pkt)
         // Page fully arrived: commit the mapping and pay the
         // driver-side shootdown before further issues.
         pt_.finishMigration(txn.page, id_);
-        migrating_pages_.erase(txn.page);
-        // Remap: stale translations and cached blocks of the moved
-        // page are shot down locally.
-        l2_tlb_.invalidate(txn.page);
-        for (auto &cu : cus_)
-            cu->invalidatePage(txn.page);
+        shootdown(txn.page);
         MGSEC_ASSERT(migrations_in_flight_ > 0, "migration underflow");
         --migrations_in_flight_;
         next_issue_tick_ = std::max(next_issue_tick_, now()) +
@@ -342,7 +347,7 @@ Node::completeResponse(PacketPtr pkt)
 
     if (!txn.translation)
         latency_.sample(static_cast<double>(now() - txn.issued));
-    txns_.erase(it);
+    txns_.erase(txn);
     MGSEC_ASSERT(outstanding_ > 0, "window underflow");
     --outstanding_;
     if (waiting_for_slot_) {

@@ -21,11 +21,10 @@
 
 #include <functional>
 #include <memory>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "gpu/compute_unit.hh"
+#include "gpu/txn_table.hh"
 #include "mem/cache.hh"
 #include "mem/hbm.hh"
 #include "mem/page_table.hh"
@@ -84,6 +83,16 @@ class Node : public SimObject
     ComputeUnit &cu(std::uint32_t i) { return *cus_[i]; }
 
     /**
+     * The one CU whose L1 may hold the block of @p addr: local
+     * accesses are dealt to CUs by block interleave, and nothing
+     * else fills an L1. Requires numCus() > 0.
+     */
+    ComputeUnit &l1Cu(std::uint64_t addr)
+    {
+        return *cus_[(addr / kBlockBytes) % cus_.size()];
+    }
+
+    /**
      * Give this node (a GPU) a workload to drive. May be called
      * again before start() to substitute a different source (e.g. a
      * replayed trace).
@@ -123,28 +132,28 @@ class Node : public SimObject
     {
         return static_cast<std::uint64_t>(migrations_.value());
     }
+    std::uint64_t iommuWalks() const
+    {
+        return static_cast<std::uint64_t>(iommu_walks_.value());
+    }
+    std::uint64_t l1Hits() const
+    {
+        return static_cast<std::uint64_t>(l1_hits_.value());
+    }
     const stats::Distribution &latency() const { return latency_; }
 
   private:
-    struct Txn
-    {
-        Tick issued = 0;
-        bool migration = false;
-        bool translation = false;
-        std::uint64_t page = 0;
-        std::uint32_t blocksLeft = 0;
-    };
-
     void tryIssue();
     void scheduleIssueAt(Tick when);
     void issueCurrent();
     /** CU-side translation; may launch an IOMMU walk message. */
     void translateThroughTlbs(std::uint64_t addr);
     void startMigration(std::uint64_t page, NodeId home);
+    /** Drop a moved page from every TLB and its blocks from the L1s. */
+    void shootdown(std::uint64_t page);
     void handleDeliver(PacketPtr pkt);
     void serveRequest(PacketPtr pkt);
     void completeResponse(PacketPtr pkt);
-    void finishTxn(std::uint64_t txn_id);
     void checkDone();
 
     NodeId id_;
@@ -176,8 +185,7 @@ class Node : public SimObject
     /** Page moves in flight: the context is stalled on a fault. */
     std::uint32_t migrations_in_flight_ = 0;
     std::uint64_t next_txn_ = 1;
-    std::unordered_map<std::uint64_t, Txn> txns_;
-    std::unordered_set<std::uint64_t> migrating_pages_;
+    TxnTable txns_;
 
     std::vector<std::uint64_t> sends_to_;
     std::vector<std::uint64_t> recvs_from_;

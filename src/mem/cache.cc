@@ -34,6 +34,9 @@ Cache::Cache(const std::string &name, EventQueue &eq, CacheParams params)
     block_shift_ = static_cast<std::uint32_t>(
         std::countr_zero(params_.blockSize));
     set_shift_ = static_cast<std::uint32_t>(std::countr_zero(num_sets_));
+    // The flags sit below the tag, so the tag must leave them room.
+    MGSEC_ASSERT(block_shift_ + set_shift_ >= kFlagBits,
+                 "need at least %u block+set index bits", kFlagBits);
     lines_.resize(blocks);
 
     regStat(hits_);
@@ -50,9 +53,9 @@ Cache::setIndex(std::uint64_t addr) const
 }
 
 std::uint64_t
-Cache::tagOf(std::uint64_t addr) const
+Cache::cleanTagWord(std::uint64_t addr) const
 {
-    return addr >> (block_shift_ + set_shift_);
+    return ((addr >> (block_shift_ + set_shift_)) << kFlagBits) | kValid;
 }
 
 std::uint64_t
@@ -66,40 +69,34 @@ Cache::access(std::uint64_t addr, bool write)
 {
     AccessResult res;
     const std::uint32_t set = setIndex(addr);
-    const std::uint64_t tag = tagOf(addr);
+    const std::uint64_t want = cleanTagWord(addr);
     Line *base = &lines_[static_cast<std::size_t>(set) * params_.assoc];
 
-    Line *victim = nullptr;
+    Line *victim = base;
     for (std::uint32_t w = 0; w < params_.assoc; ++w) {
         Line &line = base[w];
-        if (line.valid && line.tag == tag) {
+        if ((line.tagFlags & ~kDirty) == want) {
             line.lruStamp = ++lru_clock_;
-            line.dirty = line.dirty || write;
+            if (write)
+                line.tagFlags |= kDirty;
             ++hits_;
             res.hit = true;
             return res;
         }
-        if (victim == nullptr || !line.valid ||
-            (victim->valid && line.valid &&
-             line.lruStamp < victim->lruStamp)) {
-            if (victim == nullptr || victim->valid)
-                victim = &line;
-        }
+        if (line.lruStamp < victim->lruStamp)
+            victim = &line;
     }
 
     ++misses_;
-    MGSEC_ASSERT(victim != nullptr, "no victim line");
-    if (victim->valid) {
+    if (victim->tagFlags & kValid) {
         ++evictions_;
         res.evicted = true;
-        res.victimAddr = blockAddr(victim->tag, set);
-        res.victimDirty = victim->dirty;
-        if (victim->dirty)
+        res.victimAddr = blockAddr(victim->tagFlags >> kFlagBits, set);
+        res.victimDirty = (victim->tagFlags & kDirty) != 0;
+        if (res.victimDirty)
             ++writebacks_;
     }
-    victim->valid = true;
-    victim->dirty = write;
-    victim->tag = tag;
+    victim->tagFlags = want | (write ? kDirty : 0);
     victim->lruStamp = ++lru_clock_;
     return res;
 }
@@ -108,11 +105,11 @@ bool
 Cache::contains(std::uint64_t addr) const
 {
     const std::uint32_t set = setIndex(addr);
-    const std::uint64_t tag = tagOf(addr);
+    const std::uint64_t want = cleanTagWord(addr);
     const Line *base =
         &lines_[static_cast<std::size_t>(set) * params_.assoc];
     for (std::uint32_t w = 0; w < params_.assoc; ++w) {
-        if (base[w].valid && base[w].tag == tag)
+        if ((base[w].tagFlags & ~kDirty) == want)
             return true;
     }
     return false;
@@ -122,26 +119,15 @@ bool
 Cache::invalidate(std::uint64_t addr)
 {
     const std::uint32_t set = setIndex(addr);
-    const std::uint64_t tag = tagOf(addr);
+    const std::uint64_t want = cleanTagWord(addr);
     Line *base = &lines_[static_cast<std::size_t>(set) * params_.assoc];
     for (std::uint32_t w = 0; w < params_.assoc; ++w) {
-        if (base[w].valid && base[w].tag == tag) {
-            base[w].valid = false;
-            base[w].dirty = false;
+        if ((base[w].tagFlags & ~kDirty) == want) {
+            base[w] = Line{};
             return true;
         }
     }
     return false;
-}
-
-std::uint32_t
-Cache::invalidateRange(std::uint64_t base, Bytes len)
-{
-    std::uint32_t count = 0;
-    for (std::uint64_t a = base; a < base + len; a += params_.blockSize)
-        if (invalidate(a))
-            ++count;
-    return count;
 }
 
 } // namespace mgsec

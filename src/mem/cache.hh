@@ -6,6 +6,12 @@
  * evictions; latency is applied by the callers (the GPU model), which
  * matches how the paper's Table III caches contribute to the remote
  * access path.
+ *
+ * Host layout: a line is 16 bytes, {tag << 2 | dirty | valid,
+ * lruStamp}, in one flat array of sets. An invalid line's stamp is 0
+ * and a filled line's is at least 1, so the victim is simply the
+ * first line with the smallest stamp: the first invalid way if there
+ * is one, else the least recently used.
  */
 
 #ifndef MGSEC_MEM_CACHE_HH
@@ -57,9 +63,6 @@ class Cache : public SimObject
     /** Invalidate one block (e.g., page migrated away). */
     bool invalidate(std::uint64_t addr);
 
-    /** Invalidate every block inside [base, base+len). */
-    std::uint32_t invalidateRange(std::uint64_t base, Bytes len);
-
     const CacheParams &params() const { return params_; }
     std::uint32_t numSets() const { return num_sets_; }
 
@@ -71,18 +74,30 @@ class Cache : public SimObject
     {
         return static_cast<std::uint64_t>(misses_.value());
     }
+    std::uint64_t evictions() const
+    {
+        return static_cast<std::uint64_t>(evictions_.value());
+    }
+    std::uint64_t writebacks() const
+    {
+        return static_cast<std::uint64_t>(writebacks_.value());
+    }
 
   private:
+    static constexpr std::uint64_t kValid = 1;
+    static constexpr std::uint64_t kDirty = 2;
+    static constexpr std::uint32_t kFlagBits = 2;
+
     struct Line
     {
-        bool valid = false;
-        bool dirty = false;
-        std::uint64_t tag = 0;
-        std::uint64_t lruStamp = 0;
+        std::uint64_t tagFlags = 0; ///< tag << kFlagBits | kDirty | kValid
+        std::uint64_t lruStamp = 0; ///< 0 while invalid
     };
+    static_assert(sizeof(Line) == 16);
 
     std::uint32_t setIndex(std::uint64_t addr) const;
-    std::uint64_t tagOf(std::uint64_t addr) const;
+    /** The tag word of a valid, clean line holding @p addr. */
+    std::uint64_t cleanTagWord(std::uint64_t addr) const;
     std::uint64_t blockAddr(std::uint64_t tag, std::uint32_t set) const;
 
     CacheParams params_;

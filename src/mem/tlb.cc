@@ -1,5 +1,8 @@
 #include "mem/tlb.hh"
 
+#include <algorithm>
+#include <bit>
+
 #include "sim/logging.hh"
 
 namespace mgsec
@@ -9,56 +12,139 @@ Tlb::Tlb(const std::string &name, EventQueue &eq, TlbParams params)
     : SimObject(name, eq), params_(params)
 {
     MGSEC_ASSERT(params_.entries > 0, "TLB needs entries");
-    // Sized for a full TLB up front so lookups never rehash mid-run.
-    map_.reserve(params_.entries);
+    slots_.resize(params_.entries);
+    // Load factor at most 1/2 keeps linear-probing runs short.
+    const std::uint64_t buckets = std::bit_ceil(2ull * params_.entries);
+    index_shift_ = static_cast<std::uint32_t>(
+        64 - std::countr_zero(buckets));
+    index_.resize(buckets);
+    flush();
     regStat(hits_);
     regStat(misses_);
     regStat(evictions_);
 }
 
+std::uint32_t
+Tlb::bucketOf(std::uint64_t page) const
+{
+    // Fibonacci hashing: the top bits of page * 2^64/phi.
+    return static_cast<std::uint32_t>(
+        (page * 0x9e3779b97f4a7c15ull) >> index_shift_);
+}
+
+std::uint32_t
+Tlb::probe(std::uint64_t page) const
+{
+    const std::uint32_t mask =
+        static_cast<std::uint32_t>(index_.size() - 1);
+    std::uint32_t pos = bucketOf(page);
+    while (index_[pos] != kNone && slots_[index_[pos]].page != page)
+        pos = (pos + 1) & mask;
+    return pos;
+}
+
+void
+Tlb::eraseIndex(std::uint32_t pos)
+{
+    const std::uint32_t mask =
+        static_cast<std::uint32_t>(index_.size() - 1);
+    std::uint32_t hole = pos;
+    for (std::uint32_t j = (pos + 1) & mask; index_[j] != kNone;
+         j = (j + 1) & mask) {
+        const std::uint32_t home = bucketOf(slots_[index_[j]].page);
+        // The entry may fill the hole only if the hole lies on its
+        // probe path, i.e. between its home bucket and j.
+        if (((j - home) & mask) >= ((j - hole) & mask)) {
+            index_[hole] = index_[j];
+            hole = j;
+        }
+    }
+    index_[hole] = kNone;
+}
+
+void
+Tlb::unlink(std::uint32_t slot)
+{
+    const std::uint32_t p = slots_[slot].prev;
+    const std::uint32_t n = slots_[slot].next;
+    (p == kNone ? head_ : slots_[p].next) = n;
+    (n == kNone ? tail_ : slots_[n].prev) = p;
+}
+
+void
+Tlb::pushFront(std::uint32_t slot)
+{
+    slots_[slot].prev = kNone;
+    slots_[slot].next = head_;
+    (head_ == kNone ? tail_ : slots_[head_].prev) = slot;
+    head_ = slot;
+}
+
 bool
 Tlb::lookup(std::uint64_t page)
 {
-    auto it = map_.find(page);
-    if (it != map_.end()) {
-        lru_.splice(lru_.begin(), lru_, it->second);
+    std::uint32_t pos = probe(page);
+    if (index_[pos] != kNone) {
+        const std::uint32_t slot = index_[pos];
+        if (slot != head_) {
+            unlink(slot);
+            pushFront(slot);
+        }
         ++hits_;
         return true;
     }
     ++misses_;
-    if (lru_.size() >= params_.entries) {
-        const std::uint64_t victim = lru_.back();
-        lru_.pop_back();
-        map_.erase(victim);
+    std::uint32_t slot;
+    if (used_ >= params_.entries) {
+        // The LRU slot is recycled for the new page.
+        slot = tail_;
+        unlink(slot);
+        eraseIndex(probe(slots_[slot].page));
+        pos = probe(page); // the delete may have shifted the run
         ++evictions_;
+    } else {
+        slot = free_;
+        free_ = slots_[slot].next;
+        ++used_;
     }
-    lru_.push_front(page);
-    map_[page] = lru_.begin();
+    slots_[slot].page = page;
+    pushFront(slot);
+    index_[pos] = slot;
     return false;
 }
 
 bool
 Tlb::resident(std::uint64_t page) const
 {
-    return map_.find(page) != map_.end();
+    return index_[probe(page)] != kNone;
 }
 
 bool
 Tlb::invalidate(std::uint64_t page)
 {
-    auto it = map_.find(page);
-    if (it == map_.end())
+    const std::uint32_t pos = probe(page);
+    const std::uint32_t slot = index_[pos];
+    if (slot == kNone)
         return false;
-    lru_.erase(it->second);
-    map_.erase(it);
+    unlink(slot);
+    eraseIndex(pos);
+    slots_[slot].next = free_;
+    free_ = slot;
+    --used_;
     return true;
 }
 
 void
 Tlb::flush()
 {
-    lru_.clear();
-    map_.clear();
+    std::fill(index_.begin(), index_.end(), kNone);
+    head_ = tail_ = kNone;
+    used_ = 0;
+    free_ = kNone;
+    for (std::uint32_t s = params_.entries; s-- > 0;) {
+        slots_[s].next = free_;
+        free_ = s;
+    }
 }
 
 } // namespace mgsec

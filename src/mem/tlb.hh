@@ -7,15 +7,21 @@
  * the IOMMU on the CPU side — which in the secure system is a
  * CPU-GPU message like any other and therefore crosses the secure
  * channel.
+ *
+ * Host layout: the entries live in a fixed slot array sized at
+ * construction. An intrusive doubly linked list threads the used
+ * slots MRU -> LRU (unused slots form a singly linked free list), and
+ * an open-addressed (linear probing) index maps a page to its slot.
+ * Nothing allocates after construction, and the hit / victim /
+ * eviction order is exact LRU.
  */
 
 #ifndef MGSEC_MEM_TLB_HH
 #define MGSEC_MEM_TLB_HH
 
 #include <cstdint>
-#include <list>
 #include <string>
-#include <unordered_map>
+#include <vector>
 
 #include "sim/sim_object.hh"
 #include "sim/types.hh"
@@ -51,10 +57,7 @@ class Tlb : public SimObject
     void flush();
 
     const TlbParams &params() const { return params_; }
-    std::uint32_t occupancy() const
-    {
-        return static_cast<std::uint32_t>(lru_.size());
-    }
+    std::uint32_t occupancy() const { return used_; }
 
     std::uint64_t hits() const
     {
@@ -64,14 +67,42 @@ class Tlb : public SimObject
     {
         return static_cast<std::uint64_t>(misses_.value());
     }
+    std::uint64_t evictions() const
+    {
+        return static_cast<std::uint64_t>(evictions_.value());
+    }
 
   private:
+    static constexpr std::uint32_t kNone = ~0u;
+
+    /** Home bucket of @p page in the index. */
+    std::uint32_t bucketOf(std::uint64_t page) const;
+    /** Index position of @p page, or of the empty bucket ending its
+     *  probe run. */
+    std::uint32_t probe(std::uint64_t page) const;
+    /** Remove the index entry at @p pos (backward-shift delete). */
+    void eraseIndex(std::uint32_t pos);
+    void unlink(std::uint32_t slot);
+    void pushFront(std::uint32_t slot);
+
     TlbParams params_;
 
-    /** MRU at front. */
-    std::list<std::uint64_t> lru_;
-    std::unordered_map<std::uint64_t,
-                       std::list<std::uint64_t>::iterator> map_;
+    struct Slot
+    {
+        std::uint64_t page = 0;
+        std::uint32_t prev = kNone; ///< towards MRU
+        std::uint32_t next = kNone; ///< towards LRU, or next free
+    };
+
+    std::vector<Slot> slots_;
+    std::uint32_t head_ = kNone; ///< MRU
+    std::uint32_t tail_ = kNone; ///< LRU
+    std::uint32_t free_ = kNone; ///< first unused slot
+    std::uint32_t used_ = 0;
+
+    /** page -> slot, kNone = empty; at least twice the entries. */
+    std::vector<std::uint32_t> index_;
+    std::uint32_t index_shift_ = 0; ///< 64 - log2(index_.size())
 
     stats::Scalar hits_{"hits", "TLB hits"};
     stats::Scalar misses_{"misses", "TLB misses"};

@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
+#include <utility>
+#include <vector>
+
 #include "mem/cache.hh"
 #include "mem/hbm.hh"
 #include "mem/page_table.hh"
@@ -99,13 +103,126 @@ TEST(Cache, InvalidateRemovesBlock)
     EXPECT_FALSE(c.invalidate(0x2000));
 }
 
-TEST(Cache, InvalidateRangeCoversPage)
+/**
+ * Reference tag array with separate valid/dirty flags and the
+ * original victim scan (first invalid way, else the oldest stamp),
+ * against which the packed 16-byte lines are checked.
+ */
+class RefCache
 {
-    EventQueue eq;
-    Cache c("c", eq, smallCache(64 * 1024, 16));
-    for (std::uint64_t a = 0; a < 4096; a += 64)
-        c.access(a, false);
-    EXPECT_EQ(c.invalidateRange(0, 4096), 64u);
+  public:
+    RefCache(std::uint32_t sets, std::uint32_t assoc)
+        : sets_(sets), assoc_(assoc), lines_(sets * assoc)
+    {
+    }
+
+    Cache::AccessResult access(std::uint64_t addr, bool write)
+    {
+        Cache::AccessResult res;
+        const std::uint64_t block = addr / 64;
+        const std::uint32_t set = static_cast<std::uint32_t>(block % sets_);
+        const std::uint64_t tag = block / sets_;
+        Line *base = &lines_[set * assoc_];
+        Line *victim = nullptr;
+        for (std::uint32_t w = 0; w < assoc_; ++w) {
+            Line &line = base[w];
+            if (line.valid && line.tag == tag) {
+                line.stamp = ++clock_;
+                line.dirty = line.dirty || write;
+                ++hits;
+                res.hit = true;
+                return res;
+            }
+            if (victim == nullptr || !line.valid ||
+                (victim->valid && line.stamp < victim->stamp)) {
+                if (victim == nullptr || victim->valid)
+                    victim = &line;
+            }
+        }
+        ++misses;
+        if (victim->valid) {
+            ++evictions;
+            res.evicted = true;
+            res.victimAddr = (victim->tag * sets_ + set) * 64;
+            res.victimDirty = victim->dirty;
+            writebacks += victim->dirty;
+        }
+        *victim = Line{true, write, tag, ++clock_};
+        return res;
+    }
+
+    bool invalidate(std::uint64_t addr)
+    {
+        Line *line = find(addr);
+        if (line == nullptr)
+            return false;
+        line->valid = line->dirty = false;
+        return true;
+    }
+
+    bool contains(std::uint64_t addr) { return find(addr) != nullptr; }
+
+    std::uint64_t hits = 0, misses = 0, evictions = 0, writebacks = 0;
+
+  private:
+    struct Line
+    {
+        bool valid = false;
+        bool dirty = false;
+        std::uint64_t tag = 0;
+        std::uint64_t stamp = 0;
+    };
+
+    Line *find(std::uint64_t addr)
+    {
+        const std::uint64_t block = addr / 64;
+        Line *base = &lines_[(block % sets_) * assoc_];
+        for (std::uint32_t w = 0; w < assoc_; ++w)
+            if (base[w].valid && base[w].tag == block / sets_)
+                return &base[w];
+        return nullptr;
+    }
+
+    std::uint32_t sets_, assoc_;
+    std::vector<Line> lines_;
+    std::uint64_t clock_ = 0;
+};
+
+TEST(Cache, MatchesReferenceLruModel)
+{
+    // Invalidations leave holes that the victim scan must prefer,
+    // and addresses wrap the sets several times, so every branch of
+    // the scan (hole, oldest, dirty victim) is exercised.
+    for (const auto &[size, assoc] :
+         {std::pair<Bytes, std::uint32_t>{64, 1}, {512, 1}, {1024, 2},
+          {4096, 4}, {16 * 1024, 4}, {64 * 1024, 16}}) {
+        EventQueue eq;
+        Cache c("c", eq, smallCache(size, assoc));
+        RefCache ref(c.numSets(), assoc);
+        std::mt19937_64 rng(size + assoc);
+        const std::uint64_t span = 4 * size;
+        for (int step = 0; step < 20000; ++step) {
+            const std::uint64_t addr = rng() % span;
+            const unsigned kind = static_cast<unsigned>(rng() % 8);
+            if (kind == 0) {
+                ASSERT_EQ(c.invalidate(addr), ref.invalidate(addr));
+            } else {
+                const bool write = kind < 3;
+                const auto got = c.access(addr, write);
+                const auto want = ref.access(addr, write);
+                ASSERT_EQ(got.hit, want.hit) << "step " << step;
+                ASSERT_EQ(got.evicted, want.evicted) << "step " << step;
+                ASSERT_EQ(got.victimAddr, want.victimAddr);
+                ASSERT_EQ(got.victimDirty, want.victimDirty);
+            }
+            ASSERT_EQ(c.contains(addr), ref.contains(addr))
+                << "step " << step;
+        }
+        EXPECT_EQ(c.hits(), ref.hits);
+        EXPECT_EQ(c.misses(), ref.misses);
+        EXPECT_EQ(c.evictions(), ref.evictions);
+        EXPECT_EQ(c.writebacks(), ref.writebacks);
+    }
 }
 
 TEST(Cache, ContainsHasNoSideEffects)

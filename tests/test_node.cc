@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "core/experiment.hh"
 #include "core/system.hh"
@@ -229,3 +230,70 @@ TEST(NodeModel, TransactionConservation)
     EXPECT_TRUE(r.completed);
     EXPECT_GT(r.remoteOps, 0u);
 }
+
+/**
+ * Migration shootdown at node level. GPU 1 reads every block of a
+ * page of its own region (filling its CU L1s through the block
+ * interleave and its TLBs through round-robin translation); GPU 2
+ * then pulls the page away, leaving those copies stale; finally GPU 1
+ * touches the page again. When that touch pulls the page back, the
+ * commit must leave no block of it in any CU L1 and no translation
+ * in any CU TLB or the L2 TLB. The control run (no pull back) shows
+ * the copies were there to shoot down.
+ */
+class MigrationShootdown : public ::testing::TestWithParam<std::uint32_t>
+{};
+
+TEST_P(MigrationShootdown, ClearsThePageFromEveryL1AndTlb)
+{
+    const std::uint32_t num_cus = GetParam();
+    for (const bool pull_back : {false, true}) {
+        SystemConfig sc = smallSystem();
+        sc.pageTable.migrationThreshold = 1;
+        sc.gpu.numCus = num_cus;
+        MultiGpuSystem sys(sc, makeProfile("mm", 0.01));
+        const std::uint64_t base = regionBase(1);
+        const std::uint64_t page = base / kPageBytes;
+        std::vector<RemoteOp> ops;
+        for (std::uint32_t b = 0; b < kBlocksPerPage; ++b)
+            ops.push_back(makeOp(1, 1, base + b * kBlockBytes));
+        ops.push_back(makeOp(20000, 2, base, false, pull_back));
+        sys.replaceWorkload(1, opsSource(ops));
+        sys.replaceWorkload(2,
+                            opsSource({makeOp(5000, 1, base, false, true)}));
+        const RunResult r = sys.run();
+        ASSERT_TRUE(r.completed);
+        ASSERT_EQ(r.migrations, pull_back ? 2u : 1u);
+        ASSERT_EQ(sys.pageTable().homeOf(page), pull_back ? 1u : 2u);
+
+        Node &gpu = sys.node(1);
+        ASSERT_EQ(gpu.numCus(), num_cus);
+        std::uint32_t blocks_held = 0, in_home_cu = 0;
+        for (std::uint32_t b = 0; b < kBlocksPerPage; ++b) {
+            const std::uint64_t addr = base + b * kBlockBytes;
+            for (std::uint32_t c = 0; c < num_cus; ++c)
+                blocks_held += gpu.cu(c).l1().contains(addr);
+            in_home_cu += gpu.l1Cu(addr).l1().contains(addr);
+        }
+        std::uint32_t translations = gpu.l2Tlb().resident(page);
+        for (std::uint32_t c = 0; c < num_cus; ++c)
+            translations += gpu.cu(c).l1Tlb().resident(page);
+
+        if (pull_back) {
+            EXPECT_EQ(blocks_held, 0u);
+            EXPECT_EQ(translations, 0u);
+        } else {
+            // Each block sits once, in its interleave CU; all 65
+            // translations of the page round-robined over the CUs.
+            EXPECT_EQ(blocks_held, kBlocksPerPage);
+            EXPECT_EQ(in_home_cu, kBlocksPerPage);
+            EXPECT_EQ(translations, num_cus + 1);
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    CuCounts, MigrationShootdown, ::testing::Values(64u, 48u, 1u),
+    [](const ::testing::TestParamInfo<std::uint32_t> &info) {
+        return "cus" + std::to_string(info.param);
+    });
