@@ -347,25 +347,28 @@ benchEventQueue(bool quick)
         EventQueue *eq;
         std::uint64_t *fired;
         std::uint64_t total;
-        std::uint64_t delta;
 
         void
         operator()() const
         {
             ++*fired;
             if (*fired + 1024 <= total) {
-                Self next = *this;
-                eq->scheduleIn(static_cast<Cycles>(delta), next);
+                // Deltas of 1-13 ticks spread events over the wheel;
+                // every 100th lands past its horizon, in the far heap,
+                // and migrates back as time advances (simulated runs
+                // schedule about 0.1% that far ahead; docs/PERF.md).
+                const std::uint64_t n = *fired;
+                const std::uint64_t delta =
+                    n % 100 == 0 ? EventQueue::kWheelTicks + n % 7 * 97
+                                 : n % 13 + 1;
+                eq->scheduleIn(static_cast<Cycles>(delta), *this);
             }
         }
     };
 
     const auto t0 = Clock::now();
-    for (std::uint64_t i = 0; i < kPopulation; ++i) {
-        // Mixed deltas exercise real heap reordering, not FIFO.
-        eq.schedule(i % 7 + 1,
-                    Self{&eq, &fired, kTotal, i % 13 + 1});
-    }
+    for (std::uint64_t i = 0; i < kPopulation; ++i)
+        eq.schedule(i % 7 + 1, Self{&eq, &fired, kTotal});
     eq.run();
     const double secs = secondsSince(t0);
 

@@ -7,31 +7,46 @@
  * in scheduling (FIFO) order, which every higher-level component
  * relies on for in-order link delivery and deterministic replays.
  *
- * The queue is split in two so the heap never moves a callback:
+ * Events are almost never scheduled far ahead: in the benchmark
+ * workloads at most 0.27% land 2048 or more ticks after now(). The
+ * queue is therefore a timing wheel backed by a far heap, with every
+ * callback in a slab that neither structure moves:
  *
- *  - a binary min-heap of 24-byte trivially-copyable keys
- *    (when, pri << 63 | seq, slot), so each sift step copies three
- *    words instead of relocating a callback through its ops table;
- *  - a slab of (seq, callback) slots with a free list, indexed by the
- *    key's slot. A slot is reused as soon as its event runs or is
- *    cancelled.
+ *  - a slab of (seq, callback) slots with a free list. A slot is
+ *    reused as soon as its event runs or is cancelled;
+ *  - the wheel: kWheelTicks buckets, one per tick of
+ *    [now(), now() + kWheelTicks), each holding one FIFO list per
+ *    EventPri. A list links 16-byte (seq, slot, next) nodes from a
+ *    pool of their own, and a bitmap of occupied buckets finds the
+ *    next tick with countr_zero, one 64-bit word at a time;
+ *  - the far heap: a binary min-heap of 24-byte keys
+ *    (when, pri << 63 | seq, slot) for events at or past the wheel's
+ *    horizon.
+ *
+ * Whenever now() advances, and before the event there runs, every far
+ * key now inside the horizon moves into the wheel in heap order. All
+ * far keys for a tick are scheduled before any direct insert into it
+ * (one is only possible once the tick is within the horizon), so each
+ * (tick, pri) list stays FIFO in seq and events run in exactly
+ * (when, pri, seq) order.
  *
  * An event is live while its slot still carries its seq. cancel()
- * frees the slot at once and leaves the stale key in the heap, where
- * it is skipped when it surfaces; seqs are never reused, so a key or
+ * frees the slot at once and leaves the stale node or key, which is
+ * skipped when it surfaces; seqs are never reused, so a node, key or
  * EventId that outlived its slot can never match the slot's next
  * tenant. There is no separate pending or cancelled set.
  *
  * Steady-state schedule()/runOne() perform no heap allocation:
  * callbacks are InplaceCallbacks (an oversized capture is a compile
- * error, not a malloc), freed slots are recycled, and reserve()
- * pre-sizes the heap and slab from a caller-supplied event ceiling
- * so neither grows mid-run.
+ * error, not a malloc), freed slots and nodes are recycled, the wheel
+ * is a fixed array, and reserve() pre-sizes the slab, node pool and
+ * far heap from a caller-supplied event ceiling so none grows mid-run.
  */
 
 #ifndef MGSEC_SIM_EVENT_QUEUE_HH
 #define MGSEC_SIM_EVENT_QUEUE_HH
 
+#include <array>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -93,6 +108,13 @@ class EventQueue
      */
     using Callback = InplaceCallback<48>;
 
+    /**
+     * Ticks the wheel spans; an event this far ahead or further
+     * waits in the far heap. At 2048 that is at most 0.27% of the
+     * benchmark workloads' events, at 1024 up to 7.4% (docs/PERF.md).
+     */
+    static constexpr std::size_t kWheelTicks = 2048;
+
     EventQueue() = default;
     EventQueue(const EventQueue &) = delete;
     EventQueue &operator=(const EventQueue &) = delete;
@@ -101,10 +123,11 @@ class EventQueue
     Tick now() const { return now_; }
 
     /**
-     * Pre-size the heap and slab for @p expected_pending
-     * simultaneously-live events so steady-state scheduling never
-     * reallocates. A hint smaller than the real peak only costs the
-     * usual amortized growth; it never affects results.
+     * Pre-size the slab and node pool for @p expected_pending
+     * simultaneously-live events, and the far heap for a quarter of
+     * them, so steady-state scheduling never reallocates. A hint
+     * smaller than the real peak only costs the usual amortized
+     * growth; it never affects results.
      */
     void reserve(std::size_t expected_pending);
 
@@ -161,8 +184,8 @@ class EventQueue
 
     /**
      * Tick of the earliest live event, or MaxTick when the queue is
-     * drained. Pops lazily-cancelled leftovers off the heap top on
-     * the way (never a live event), so the amortized cost matches
+     * drained. Drops lazily-cancelled leftovers ahead of it on the
+     * way (never a live event), so the amortized cost matches
      * runOne()'s. The parallel kernel uses this to skip idle barrier
      * windows.
      */
@@ -206,7 +229,7 @@ class EventQueue
     void setProfiler(Profiler *prof) { profiler_ = prof; }
 
   private:
-    /** Heap key; the callback stays put in slots_[slot]. */
+    /** Far-heap key; the callback stays put in slots_[slot]. */
     struct Key
     {
         Tick when;
@@ -232,29 +255,78 @@ class EventQueue
         Callback cb;
     };
 
+    static constexpr std::uint32_t kNil = UINT32_MAX;
+
+    /** A wheel-list link; next threads the free list when unused. */
+    struct Node
+    {
+        std::uint64_t seq;
+        std::uint32_t slot;
+        std::uint32_t next;
+    };
+
+    /** FIFO of node indices; empty while head is kNil. */
+    struct List
+    {
+        std::uint32_t head = kNil;
+        std::uint32_t tail = kNil;
+    };
+
+    /** One wheel tick: a list per EventPri, kPriWire first. */
+    using Bucket = std::array<List, 2>;
+
+    static constexpr std::size_t kWheelMask = kWheelTicks - 1;
+    static constexpr std::size_t kWords = kWheelTicks / 64;
+    static_assert((kWheelTicks & kWheelMask) == 0 && kWords > 0,
+                  "the wheel spans a power of two of at least 64 ticks");
     static constexpr std::uint64_t kSeqMask = ~std::uint64_t{0} >> 1;
 
-    /** True when @p k's event was neither run nor cancelled. */
+    /** True when the event (@p seq, @p slot) neither ran nor was cancelled. */
+    bool
+    live(std::uint64_t seq, std::uint32_t slot) const
+    {
+        return slots_[slot].seq == seq;
+    }
     bool
     live(const Key &k) const
     {
-        return slots_[k.slot].seq == (k.order & kSeqMask);
+        return live(k.order & kSeqMask, k.slot);
     }
 
-    /** Drop the heap's least key. */
-    void popTop();
+    /** Append (@p seq, @p slot) to the @p pri list of @p when's tick. */
+    void push(Tick when, EventPri pri, std::uint64_t seq,
+              std::uint32_t slot);
+    /** Unlink @p l's head node and return it to the pool. */
+    void popHead(List &l);
+    /** Drop @p l's stale head nodes; true if a live one remains. */
+    bool liveHead(List &l);
+    /** First occupied bucket at or after now()'s, or kWheelTicks. */
+    std::size_t nextBucket() const;
+    /** Clear bucket @p b's bit once both its lists are empty. */
+    void clearOccupied(std::size_t b);
+    /** Drop the far heap's least key. */
+    void popFar();
+    /** Move every far key inside the horizon into the wheel. */
+    void migrate();
     /**
      * Empty slot @p i onto the free list and hand back its callback,
      * which the caller runs or discards once the slab may grow again.
      */
     Callback release(std::uint32_t i);
-    /** Advance time to @p k (already popped) and run its callback. */
-    void execute(const Key &k);
+    /**
+     * Advance time to @p when, the tick nextPendingTick() just
+     * returned, and run the first event there.
+     */
+    void executeAt(Tick when);
 
-    /** Min-heap on (when, order), kept with std::push/pop_heap. */
-    std::vector<Key> heap_;
     std::vector<Slot> slots_;
     std::vector<std::uint32_t> free_slots_;
+    std::array<Bucket, kWheelTicks> wheel_{};
+    std::array<std::uint64_t, kWords> occupied_{}; ///< bucket bitmap
+    std::vector<Node> nodes_;
+    std::uint32_t free_node_ = kNil;
+    /** Min-heap on (when, order), kept with std::push/pop_heap. */
+    std::vector<Key> far_;
     Tick now_ = 0;
     DomainId domain_id_ = 0;
     std::uint64_t next_seq_ = 1;

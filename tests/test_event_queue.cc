@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <random>
 #include <set>
@@ -214,6 +215,137 @@ TEST(EventQueue, MatchesMultisetOracleWithPriorities)
         want.push_back(std::get<3>(r));
     eq.run();
     EXPECT_EQ(got, want);
+    EXPECT_TRUE(eq.empty());
+}
+
+TEST(EventQueue, MatchesMultisetOracleAcrossTheHorizon)
+{
+    // Deltas span three wheel turns, so events go both into the wheel
+    // and the far heap, cancels hit both, and run(until) advances in
+    // the kernel's 100- and 160-tick windows, so far keys migrate
+    // while direct inserts land on the same ticks (rounding to
+    // multiples of 8 crowds them together). Every 50 rounds the queue
+    // drains and only far events are scheduled, which nextPendingTick()
+    // must find in the far heap.
+    using Ref = std::tuple<Tick, int, std::uint64_t, int>;
+    constexpr Tick kSpan = 3 * EventQueue::kWheelTicks;
+    std::mt19937 rng(19);
+    EventQueue eq;
+    std::multiset<Ref> ref;
+    std::vector<std::pair<EventId, Ref>> handles;
+    std::vector<int> got;
+    std::vector<int> want;
+    std::uint64_t order = 0;
+    int next_tag = 0;
+    std::uint64_t far = 0;
+    Tick window_end = 0;
+    auto add = [&](Tick delta) {
+        const Tick when = (eq.now() + delta + 7) / 8 * 8;
+        far += when - eq.now() >= EventQueue::kWheelTicks;
+        const EventPri pri = rng() % 3 == 0 ? kPriWire : kPriNormal;
+        const int tag = next_tag++;
+        const EventId id =
+            eq.schedule(when, pri, [&got, tag]() { got.push_back(tag); });
+        const Ref r{when, pri, order++, tag};
+        ref.insert(r);
+        handles.emplace_back(id, r);
+    };
+    auto expectNextTick = [&] {
+        EXPECT_EQ(eq.nextPendingTick(),
+                  ref.empty() ? MaxTick : std::get<0>(*ref.begin()));
+    };
+    auto cancelSome = [&](int n) {
+        for (int i = 0; i < n && !handles.empty(); ++i) {
+            const std::size_t k = rng() % handles.size();
+            const bool was_pending = ref.count(handles[k].second) != 0;
+            EXPECT_EQ(eq.cancel(handles[k].first), was_pending);
+            ref.erase(handles[k].second);
+            handles[k] = handles.back();
+            handles.pop_back();
+        }
+    };
+    for (int round = 1; round <= 600; ++round) {
+        for (int i = 0; i < 12; ++i)
+            add(rng() % 2 == 0 ? rng() % 64 : rng() % kSpan);
+        cancelSome(3);
+        expectNextTick();
+        window_end += round % 2 == 0 ? 100 : 160;
+        while (!ref.empty() && std::get<0>(*ref.begin()) <= window_end) {
+            want.push_back(std::get<3>(*ref.begin()));
+            ref.erase(ref.begin());
+        }
+        eq.run(window_end);
+        ASSERT_EQ(got, want);
+        EXPECT_EQ(eq.pending(), ref.size());
+        if (round % 50 == 0) {
+            for (const Ref &r : ref)
+                want.push_back(std::get<3>(r));
+            ref.clear();
+            handles.clear();
+            eq.run();
+            ASSERT_EQ(got, want);
+            const Tick idle = eq.now();
+            for (int i = 0; i < 6; ++i)
+                add(EventQueue::kWheelTicks + rng() % (2 * kSpan));
+            cancelSome(2);
+            expectNextTick();
+            EXPECT_EQ(eq.now(), idle);
+            window_end = std::max(window_end, idle);
+        }
+    }
+    for (const Ref &r : ref)
+        want.push_back(std::get<3>(r));
+    eq.run();
+    EXPECT_EQ(got, want);
+    EXPECT_TRUE(eq.empty());
+    EXPECT_EQ(eq.nextPendingTick(), MaxTick);
+    // Both paths carried a real share of the events.
+    EXPECT_GT(far, order / 4);
+    EXPECT_LT(far, order * 3 / 4);
+}
+
+TEST(EventQueue, FarEventRunsBeforeLaterNearEventOnItsTick)
+{
+    // Events for tick W are scheduled at tick 0 (delta W: the far
+    // heap) and again at tick 1 (delta W - 1: straight into the
+    // wheel). Per priority the far ones carry the smaller seq, so
+    // they must run first: far wire, near wire, far normal, near
+    // normal.
+    constexpr Tick kW = EventQueue::kWheelTicks;
+    EventQueue eq;
+    std::vector<int> order;
+    auto rec = [&order](int v) {
+        return [&order, v]() { order.push_back(v); };
+    };
+    eq.schedule(kW, kPriNormal, rec(3));
+    eq.schedule(kW, kPriWire, rec(1));
+    eq.schedule(1, [&]() {
+        eq.schedule(kW, kPriNormal, rec(4));
+        eq.schedule(kW, kPriWire, rec(2));
+    });
+    EXPECT_EQ(eq.nextPendingTick(), 1u);
+    eq.run();
+    EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4}));
+    EXPECT_EQ(eq.now(), kW);
+}
+
+TEST(EventQueue, LoneEventIsFoundAtEveryWheelOffset)
+{
+    // One pending event at a time, at every delta across the wheel
+    // and just past it, from a bucket that moves with now(): the scan
+    // must wrap through the words below now()'s bucket, and a lone
+    // far event must be found in the far heap.
+    constexpr Tick kW = EventQueue::kWheelTicks;
+    EventQueue eq;
+    eq.schedule(37, []() {});
+    eq.run();
+    for (Tick delta = 0; delta <= kW + 64; ++delta) {
+        const Tick when = eq.now() + delta;
+        eq.schedule(when, []() {});
+        ASSERT_EQ(eq.nextPendingTick(), when) << "delta " << delta;
+        ASSERT_TRUE(eq.runOne());
+        ASSERT_EQ(eq.now(), when);
+    }
     EXPECT_TRUE(eq.empty());
 }
 

@@ -1,10 +1,12 @@
 /**
  * @file
- * The memory model's host structures allocate nothing after
- * construction: TLB lookups and shootdowns, cache accesses and
- * invalidations, and the node's transaction table once it covers
- * the issue window. This binary replaces the global operator new
- * with a counting one, so it is its own test executable.
+ * The memory model's host structures and the event queue allocate
+ * nothing after construction: TLB lookups and shootdowns, cache
+ * accesses and invalidations, the node's transaction table once it
+ * covers the issue window, and event scheduling, execution and
+ * cancellation once the queue is reserved and warm. This binary
+ * replaces the global operator new with a counting one, so it is its
+ * own test executable.
  */
 
 #include <gtest/gtest.h>
@@ -12,6 +14,7 @@
 #include <cstdlib>
 #include <new>
 #include <random>
+#include <vector>
 
 #include "gpu/txn_table.hh"
 #include "mem/cache.hh"
@@ -141,4 +144,51 @@ TEST(MemAlloc, TxnTableStopsAllocatingOnceItCoversTheWindow)
     EXPECT_EQ(table.size(), kWindow);
     for (const std::uint64_t id : live)
         EXPECT_NE(table.find(id), nullptr);
+}
+
+TEST(MemAlloc, EventQueueStepsAllocateNothing)
+{
+    // A constant population churns: each step schedules one event and
+    // then runs one or cancels a random earlier one. About 1% of the
+    // schedules land past the wheel, in the far heap.
+    constexpr std::size_t kPopulation = 512;
+    EventQueue eq;
+    eq.reserve(4 * kPopulation);
+    std::mt19937_64 rng(19);
+    std::vector<EventId> ids(kPopulation);
+    std::uint64_t far_sched = 0;
+    std::uint64_t far_ran = 0;
+    auto schedule = [&](std::size_t k) {
+        const bool far = rng() % 100 == 0;
+        const Tick delta =
+            far ? EventQueue::kWheelTicks +
+                      rng() % (2 * EventQueue::kWheelTicks)
+                : rng() % 32 + 1;
+        far_sched += far;
+        ids[k] = eq.schedule(eq.now() + delta, [&far_ran, far]() {
+            far_ran += far;
+        });
+    };
+    auto step = [&] {
+        const std::size_t k = rng() % kPopulation;
+        const EventId victim = ids[k];
+        schedule(k);
+        if (rng() % 8 != 0 || !eq.cancel(victim)) {
+            ASSERT_TRUE(eq.runOne());
+        }
+    };
+    for (std::size_t k = 0; k < kPopulation; ++k)
+        schedule(k);
+    for (int i = 0; i < 20000; ++i)
+        step();
+    const std::uint64_t far_before = far_sched;
+    const std::uint64_t ran_before = far_ran;
+    const std::uint64_t before = g_news;
+    for (int i = 0; i < kOps; ++i)
+        step();
+    EXPECT_EQ(g_news - before, 0u);
+    EXPECT_EQ(eq.pending(), kPopulation);
+    EXPECT_GT(far_sched - far_before, kOps / 200u);
+    EXPECT_LT(far_sched - far_before, kOps / 50u);
+    EXPECT_GT(far_ran, ran_before);
 }

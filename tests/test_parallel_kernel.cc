@@ -4,8 +4,9 @@
  * mechanics (lookahead horizons, same-window chains, crossing
  * accounting), byte equality of the published artifacts across
  * worker counts (schemes x batching x workloads, every fabric at 4,
- * 16 and 64 GPUs), run-to-run determinism, attribution conservation
- * on multi-worker runs, and verdict equality on the verify testbed.
+ * 16 and 64 GPUs), event order pinned to recorded absolute values on
+ * every fabric, run-to-run determinism, attribution conservation on
+ * multi-worker runs, and verdict equality on the verify testbed.
  */
 
 #include <gtest/gtest.h>
@@ -192,6 +193,7 @@ struct Artifacts
     RunResult result;
     std::string json;
     std::string stats;
+    std::uint64_t events = 0; ///< executed across every domain
 };
 
 Artifacts
@@ -205,6 +207,7 @@ runArtifacts(const std::string &wl, const ExperimentConfig &cfg)
                        makeProfile(wl, scale, cfg.numGpus));
     Artifacts a;
     a.result = sys.run();
+    a.events = sys.executedEvents();
     a.json = resultToJson(a.result);
     std::ostringstream stats;
     sys.dumpStatsJson(stats);
@@ -343,6 +346,79 @@ TEST(ParallelKernel, ObservedArtifactsAreThreadCountInvariant)
     }
     EXPECT_EQ(outs[0], outs[1]);
     EXPECT_EQ(outs[0], outs[2]);
+}
+
+namespace
+{
+
+/** One pinned run of Ours (Dynamic + batching) at scale 0.1. */
+struct PinnedOrder
+{
+    TopologyKind kind;
+    std::uint32_t gpus;
+    const char *app;
+    std::uint64_t events;
+    Tick cycles;
+    Bytes wireBytes;
+    std::uint64_t statsHash; ///< FNV-1a 64 of the stats JSON
+};
+
+/**
+ * Recorded from the binary-heap event queue. The tests above compare
+ * worker counts with each other, so a change to the event order that
+ * hits every worker count alike passes them; these absolute values
+ * do not move unless the simulation itself changes.
+ */
+const PinnedOrder kPinnedOrder[] = {
+    {TopologyKind::P2p, 4, "mm", 46190, 45688, 755594,
+     5492231993163766240ull},
+    {TopologyKind::P2p, 4, "fir", 16584, 105059, 229824,
+     8598463597207116792ull},
+    {TopologyKind::NvSwitch, 16, "mm", 48755, 12970, 787455,
+     5154639019004616384ull},
+    {TopologyKind::NvSwitch, 16, "fir", 14744, 17673, 194211,
+     16271777659886134396ull},
+    {TopologyKind::Hier, 8, "mm", 48989, 34013, 795846,
+     1695170661908886077ull},
+    {TopologyKind::Hier, 8, "fir", 15377, 36312, 208436,
+     9861115585751880552ull},
+};
+
+std::uint64_t
+fnv1a(const std::string &s)
+{
+    std::uint64_t h = 14695981039346656037ull;
+    for (const unsigned char c : s) {
+        h ^= c;
+        h *= 1099511628211ull;
+    }
+    return h;
+}
+
+} // anonymous namespace
+
+TEST(ParallelKernel, EventOrderMatchesThePinnedReference)
+{
+    for (const PinnedOrder &pin : kPinnedOrder) {
+        for (const std::uint32_t threads : {1u, 4u}) {
+            SCOPED_TRACE(std::string(topologyKindName(pin.kind)) + " " +
+                         std::to_string(pin.gpus) + " GPUs, " + pin.app +
+                         ", " + std::to_string(threads) + " worker(s)");
+            ExperimentConfig cfg =
+                quickConfig(OtpScheme::Dynamic, true, threads);
+            cfg.scale = 0.1;
+            cfg.numGpus = pin.gpus;
+            cfg.topology.kind = pin.kind;
+            if (pin.kind == TopologyKind::Hier)
+                cfg.topology.gpusPerNode = 4;
+            const Artifacts a = runArtifacts(pin.app, cfg);
+            ASSERT_TRUE(a.result.completed);
+            EXPECT_EQ(a.events, pin.events);
+            EXPECT_EQ(a.result.cycles, pin.cycles);
+            EXPECT_EQ(a.result.totalBytes, pin.wireBytes);
+            EXPECT_EQ(fnv1a(a.stats), pin.statsHash);
+        }
+    }
 }
 
 TEST(ParallelKernel, ParallelRunsAreDeterministic)
