@@ -292,11 +292,12 @@ benchCryptoTiers(bool quick)
         std::vector<std::uint8_t> ks_p(4096), ks_s(4096);
         setCryptoImpl(CryptoImpl::Portable);
         AesGcm(session_key).keystreamTo(iv, ks_p.data(), ks_p.size());
-        Ghash ghp{GhashKey(h)};
+        const GhashKey key(h);
+        Ghash ghp(key);
         ghp.updateBytes(buf.data(), 4096 + 24);
         setCryptoImpl(CryptoImpl::Simd);
         AesGcm(session_key).keystreamTo(iv, ks_s.data(), ks_s.size());
-        Ghash ghs{GhashKey(h)};
+        Ghash ghs(key);
         ghs.updateBytes(buf.data(), 4096 + 24);
         if (ks_p != ks_s || ghp.digest() != ghs.digest()) {
             std::cerr << "FATAL: SIMD tier disagrees with portable\n";

@@ -10,6 +10,7 @@
 #include <iostream>
 #include <sstream>
 
+#include "secure/batching.hh"
 #include "sim/debug.hh"
 #include "sim/logging.hh"
 
@@ -149,7 +150,8 @@ RunOptions::set(const std::string &key, const std::string &value)
     } else if (key == "batching") {
         ok = parseBool(value, exp.batching);
     } else if (key == "batch-size") {
-        if ((ok = parseNumber(value, 1ULL, 1ULL << 20, u)))
+        if ((ok = parseNumber(value, 0ULL + kMinBatchSize,
+                              0ULL + kMaxBatchSize, u)))
             exp.batchSize = static_cast<std::uint32_t>(u);
     } else if (key == "otp-mult") {
         if ((ok = parseNumber(value, 1ULL, 1ULL << 20, u)))
@@ -358,7 +360,8 @@ RunOptions::usage(std::ostream &os)
           "  --scheme S             unsecure|private|shared|cached|"
           "dynamic\n"
           "  --batching B           metadata batching on/off\n"
-          "  --batch-size N         batch length (default 16)\n"
+          "  --batch-size N         batch length, 2..255 (the 1-byte "
+          "length field; default 16)\n"
           "  --otp-mult N           OTP Nx quota (default 4)\n"
           "  --aes-latency C        AES-GCM latency in cycles\n"
           "  --scale F              workload size multiplier\n"

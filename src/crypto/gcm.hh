@@ -73,8 +73,6 @@ class AesGcm
                      std::size_t cipher_len) const;
 
     const Block &hashKey() const { return h_; }
-    /** Precomputed GHASH tables for H (shared with PadFactory). */
-    const GhashKey &hashTables() const { return hkey_; }
 
   private:
     Block counterBlock(const Iv96 &iv, std::uint32_t ctr) const;

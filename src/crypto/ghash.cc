@@ -121,11 +121,11 @@ GhashKey::mul(const U128 &x) const
 }
 
 void
-Ghash::absorbBlocks(const std::uint8_t *data, std::size_t nblocks)
+Ghash::updateBlocks(const std::uint8_t *data, std::size_t nblocks)
 {
 #ifdef MGSEC_HAVE_SIMD
-    if (key_.simdReady() && simdActive()) {
-        clmul::ghashBlocks(key_.powers(), y_.hi, y_.lo, data,
+    if (key_->simdReady() && simdActive()) {
+        clmul::ghashBlocks(key_->powers(), y_.hi, y_.lo, data,
                            nblocks);
         return;
     }
@@ -133,21 +133,16 @@ Ghash::absorbBlocks(const std::uint8_t *data, std::size_t nblocks)
     while (nblocks-- > 0) {
         y_.hi ^= load64be(data);
         y_.lo ^= load64be(data + 8);
-        y_ = key_.mul(y_);
+        y_ = key_->mul(y_);
         data += 16;
     }
 }
 
 void
-Ghash::update(const Block &b)
-{
-    absorbBlocks(b.data(), 1);
-}
-
-void
 Ghash::updateBytes(const std::uint8_t *data, std::size_t len)
 {
-    absorbBlocks(data, len / 16);
+    if (len >= 16)
+        updateBlocks(data, len / 16);
     if (len % 16 != 0) {
         Block b;
         b.fill(0);

@@ -25,6 +25,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <optional>
 
 #include "crypto/aes.hh"
 #include "crypto/clmul.hh"
@@ -131,17 +132,35 @@ class GhashKey
  * Incremental GHASH with hash subkey H. Feed whole 16-byte blocks;
  * shorter trailing data must be zero-padded by the caller (as GCM
  * itself specifies).
+ *
+ * A hash refers to its key tables rather than copying them (256 B of
+ * Shoup table plus 64 B of clmul powers), so a per-message hash over
+ * a long-lived GhashKey costs nothing to set up. Only the one-shot
+ * Ghash(const Block &) constructor builds and owns a key.
  */
 class Ghash
 {
   public:
-    /** Builds the key tables on the spot (one-shot uses). */
-    explicit Ghash(const Block &h) : key_(h) {}
-    /** Reuses tables precomputed by a long-lived owner. */
-    explicit Ghash(const GhashKey &key) : key_(key) {}
+    /** Builds and owns the key tables on the spot (one-shot uses). */
+    explicit Ghash(const Block &h) : owned_(std::in_place, h),
+                                     key_(&*owned_) {}
+    /** Refers to tables of a long-lived owner, which must outlive
+     *  this hash. */
+    explicit Ghash(const GhashKey &key) : key_(&key) {}
+    /** A temporary key would dangle: name it, or pass H instead. */
+    explicit Ghash(GhashKey &&) = delete;
+
+    Ghash(const Ghash &) = delete;
+    Ghash &operator=(const Ghash &) = delete;
 
     /** Absorb one block. */
-    void update(const Block &b);
+    void update(const Block &b) { updateBlocks(b.data(), 1); }
+    /**
+     * Absorb @p nblocks whole 16-byte blocks in one pass through the
+     * active multiplication tier (the clmul tier aggregates four
+     * blocks per reduction, so one long run beats many short ones).
+     */
+    void updateBlocks(const std::uint8_t *data, std::size_t nblocks);
     /** Absorb a byte string, zero-padding the final partial block. */
     void updateBytes(const std::uint8_t *data, std::size_t len);
     /** Current state as a block (does not reset). */
@@ -149,10 +168,8 @@ class Ghash
     void reset() { y_ = U128{}; }
 
   private:
-    /** Fold whole blocks through the active multiplication tier. */
-    void absorbBlocks(const std::uint8_t *data, std::size_t nblocks);
-
-    GhashKey key_;
+    std::optional<GhashKey> owned_;
+    const GhashKey *key_;
     U128 y_{};
 };
 

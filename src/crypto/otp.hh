@@ -18,9 +18,11 @@
 #define MGSEC_CRYPTO_OTP_HH
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
+#include <vector>
 
-#include "crypto/gcm.hh"
+#include "crypto/ghash.hh"
 #include "sim/types.hh"
 
 namespace mgsec::crypto
@@ -43,6 +45,11 @@ using BlockPayload = std::array<std::uint8_t, 64>;
  * Derives pads and MACs from a session key shared at boot.
  * Stateless with respect to counters: callers (the pad tables) own
  * counter sequencing.
+ *
+ * Every call pays only for the primitive blocks it uses: derive() is
+ * one five-block AES call, authPad() one block, mac() one five-block
+ * GHASH pass and batchMac() one pass over its zero-padded members.
+ * The crypto tier is still chosen per call.
  */
 class PadFactory
 {
@@ -53,6 +60,14 @@ class PadFactory
     MessagePad derive(NodeId sender, NodeId receiver,
                       std::uint64_t ctr) const;
 
+    /**
+     * The authentication pad alone: derive(...).authPad, for a fifth
+     * of the AES work. Messages without a payload and batch masks
+     * use only these 16 bytes.
+     */
+    Block authPad(NodeId sender, NodeId receiver,
+                  std::uint64_t ctr) const;
+
     /** XOR a payload with a pad (encrypt == decrypt). */
     static BlockPayload crypt(const BlockPayload &data,
                               const MessagePad &pad);
@@ -60,7 +75,15 @@ class PadFactory
     /** MsgMAC over a ciphertext with the pad's auth component. */
     MsgMac mac(const BlockPayload &cipher, NodeId sender,
                NodeId receiver, std::uint64_t ctr,
-               const MessagePad &pad) const;
+               const MessagePad &pad) const
+    {
+        return mac(cipher, sender, receiver, ctr, pad.authPad);
+    }
+
+    /** mac() given the authentication pad alone (see authPad()). */
+    MsgMac mac(const BlockPayload &cipher, NodeId sender,
+               NodeId receiver, std::uint64_t ctr,
+               const Block &auth_pad) const;
 
     /**
      * Batched MsgMAC per the paper's Eq. 5: GHASH over the
@@ -68,13 +91,19 @@ class PadFactory
      * batch's first message.
      */
     MsgMac batchMac(const std::vector<MsgMac> &macs,
-                    const MessagePad &first_pad) const;
+                    const MessagePad &first_pad) const
+    {
+        return batchMac(macs.data(), macs.size(), first_pad.authPad);
+    }
+
+    /** batchMac() over @p n MACs given the mask's auth pad alone. */
+    MsgMac batchMac(const MsgMac *macs, std::size_t n,
+                    const Block &auth_pad) const;
 
   private:
-    Iv96 seedIv(NodeId sender, NodeId receiver, std::uint64_t ctr,
-                std::uint8_t domain) const;
-
-    AesGcm gcm_;
+    Aes128 aes_;
+    /** GHASH tables for H = E_K(0^128), shared by every MAC. */
+    GhashKey hkey_;
 };
 
 } // namespace mgsec::crypto

@@ -70,25 +70,31 @@ std::uint64_t
 Network::replayCaptured(
     const std::function<EventQueue &(NodeId)> &queue_of)
 {
-    // Concatenate the writer lanes in lane order, then stable sort
-    // by (send tick, src, dst): the replay order is (sendTick, src,
-    // dst, lane, push order) — a pure function of simulation state,
-    // identical for every thread count and run. In the system proper
-    // each (src, dst) pair has exactly one writer lane, so this is
-    // exactly (sendTick, src, dst, push order).
+    // Concatenate the writer lanes in lane order, then sort by (send
+    // tick, src, dst, position in the concatenation): the replay
+    // order is (sendTick, src, dst, lane, push order) — a pure
+    // function of simulation state, identical for every thread count
+    // and run. In the system proper each (src, dst) pair has exactly
+    // one writer lane, so this is exactly (sendTick, src, dst, push
+    // order). The position key makes an in-place sort stable;
+    // std::stable_sort would allocate a buffer every window.
     for (auto &lane : lanes_) {
-        for (CapturedSend &c : lane)
+        for (CapturedSend &c : lane) {
+            c.seq = window_.size();
             window_.push_back(std::move(c));
+        }
         lane.clear();
     }
-    std::stable_sort(window_.begin(), window_.end(),
-                     [](const CapturedSend &a, const CapturedSend &b) {
-                         if (a.sendTick != b.sendTick)
-                             return a.sendTick < b.sendTick;
-                         if (a.pkt->src != b.pkt->src)
-                             return a.pkt->src < b.pkt->src;
-                         return a.pkt->dst < b.pkt->dst;
-                     });
+    std::sort(window_.begin(), window_.end(),
+              [](const CapturedSend &a, const CapturedSend &b) {
+                  if (a.sendTick != b.sendTick)
+                      return a.sendTick < b.sendTick;
+                  if (a.pkt->src != b.pkt->src)
+                      return a.pkt->src < b.pkt->src;
+                  if (a.pkt->dst != b.pkt->dst)
+                      return a.pkt->dst < b.pkt->dst;
+                  return a.seq < b.seq;
+              });
     const std::uint64_t n = window_.size();
     for (CapturedSend &c : window_) {
         EventQueue &dst_eq = queue_of(c.pkt->dst);

@@ -208,6 +208,8 @@ class Network : public SimObject
     {
         PacketPtr pkt;
         Tick sendTick;
+        /** Position in the concatenated window (replay tie-break). */
+        std::size_t seq = 0;
     };
 
     std::uint32_t num_nodes_;

@@ -17,7 +17,8 @@ BatchAssembler::BatchAssembler(const std::string &name, EventQueue &eq,
       idle_timeout_(idle_timeout), flush_(std::move(flush)),
       open_(num_nodes)
 {
-    MGSEC_ASSERT(batch_size_ >= 2 && batch_size_ <= 255,
+    MGSEC_ASSERT(batch_size_ >= kMinBatchSize &&
+                     batch_size_ <= kMaxBatchSize,
                  "batch size %u out of range", batch_size_);
     regStat(opened_);
     regStat(closed_full_);
@@ -114,27 +115,24 @@ std::uint32_t
 MsgMacStorage::occupancy(NodeId src) const
 {
     std::uint32_t n = 0;
-    for (const auto &[id, p] : pending_[src])
-        n += p.received;
+    pending_.forEach(src, [&n](const Pending &p) { n += p.received; });
     return n;
 }
 
 void
 MsgMacStorage::maybeComplete(NodeId src, std::uint64_t batch_id)
 {
-    auto it = pending_[src].find(batch_id);
-    if (it == pending_[src].end())
-        return;
-    const Pending &p = it->second;
-    if (!p.trailer || p.expected == 0 || p.received < p.expected)
+    const Pending *p = pending_.find(src, batch_id);
+    if (p == nullptr || !p->trailer || p->expected == 0 ||
+        p->received < p->expected)
         return;
     if (LatencyAttribution *attr = eventq().attribution()) {
         // How long the first member's MAC sat parked before its
         // batch verdict (a trailer-only batch has no member yet).
-        if (p.firstTick != 0)
-            attr->recordBatchClose(now() - p.firstTick);
+        if (p->firstTick != 0)
+            attr->recordBatchClose(now() - p->firstTick);
     }
-    pending_[src].erase(it);
+    pending_.close(src, batch_id);
     ++complete_count_;
     if (complete_)
         complete_(src, batch_id);
@@ -144,7 +142,7 @@ void
 MsgMacStorage::onData(NodeId src, std::uint64_t batch_id,
                       std::uint8_t declared_len, bool has_trailer)
 {
-    Pending &p = pending_[src][batch_id];
+    Pending &p = pending_.open(src, batch_id);
     if (p.received == 0)
         p.firstTick = now();
     ++p.received;
@@ -168,7 +166,7 @@ void
 MsgMacStorage::onTrailer(NodeId src, std::uint64_t batch_id,
                          std::uint8_t count)
 {
-    Pending &p = pending_[src][batch_id];
+    Pending &p = pending_.open(src, batch_id);
     p.trailer = true;
     p.expected = count;
     maybeComplete(src, batch_id);

@@ -19,7 +19,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <unordered_map>
 #include <vector>
 
 #include "sim/sim_object.hh"
@@ -27,6 +26,92 @@
 
 namespace mgsec
 {
+
+/**
+ * Batch length bounds. The first message of a batch declares its
+ * length in a 1-byte field, so no batch holds more than 255
+ * messages; a batch of one would be per-message MACs with extra
+ * steps. Every parser of a batch size checks against these.
+ */
+inline constexpr std::uint32_t kMinBatchSize = 2;
+inline constexpr std::uint32_t kMaxBatchSize = 255;
+
+/**
+ * Per-peer records keyed by batch id, for the few batches each peer
+ * has in flight at a time. Closing a record only frees its slot, and
+ * opening one reuses a free slot first, so once the slots cover the
+ * peak in flight nothing is allocated (T::reset() must keep whatever
+ * capacity the record holds). Lookup scans one peer's slots.
+ */
+template <typename T>
+class BatchSlots
+{
+  public:
+    explicit BatchSlots(std::size_t peers) : slots_(peers) {}
+
+    /** The open record of (@p peer, @p id), or null. */
+    T *
+    find(NodeId peer, std::uint64_t id)
+    {
+        for (Slot &s : slots_[peer])
+            if (s.live && s.id == id)
+                return &s.rec;
+        return nullptr;
+    }
+
+    /** The record of (@p peer, @p id), opened reset if absent. */
+    T &
+    open(NodeId peer, std::uint64_t id)
+    {
+        if (T *rec = find(peer, id))
+            return *rec;
+        std::vector<Slot> &v = slots_[peer];
+        for (Slot &s : v) {
+            if (!s.live) {
+                s.id = id;
+                s.live = true;
+                return s.rec;
+            }
+        }
+        v.push_back(Slot{id, true, T{}});
+        return v.back().rec;
+    }
+
+    /** Close the record of (@p peer, @p id), if open. */
+    void
+    close(NodeId peer, std::uint64_t id)
+    {
+        for (Slot &s : slots_[peer]) {
+            if (s.live && s.id == id) {
+                s.live = false;
+                s.rec.reset();
+                return;
+            }
+        }
+    }
+
+    /** Call @p f on every open record of @p peer. */
+    template <typename F>
+    void
+    forEach(NodeId peer, F &&f) const
+    {
+        for (const Slot &s : slots_[peer])
+            if (s.live)
+                f(s.rec);
+    }
+
+    std::size_t peers() const { return slots_.size(); }
+
+  private:
+    struct Slot
+    {
+        std::uint64_t id;
+        bool live;
+        T rec;
+    };
+
+    std::vector<std::vector<Slot>> slots_;
+};
 
 /** What a packet must carry for the batch protocol. */
 struct BatchTag
@@ -145,7 +230,7 @@ class MsgMacStorage : public SimObject
     occupancyTotal() const
     {
         std::uint32_t n = 0;
-        for (NodeId src = 0; src < pending_.size(); ++src)
+        for (NodeId src = 0; src < pending_.peers(); ++src)
             n += occupancy(src);
         return n;
     }
@@ -168,14 +253,16 @@ class MsgMacStorage : public SimObject
         bool trailer = false;
         /** First member's arrival (batchClose attribution). */
         Tick firstTick = 0;
+
+        void reset() { *this = Pending{}; }
     };
 
     void maybeComplete(NodeId src, std::uint64_t batch_id);
 
     std::uint32_t per_peer_cap_;
     CompleteFn complete_;
-    /** pending_[src][batchId]. */
-    std::vector<std::unordered_map<std::uint64_t, Pending>> pending_;
+    /** Batches in flight, per source. */
+    BatchSlots<Pending> pending_;
 
     stats::Scalar overflow_{"macStorageOverflow",
                             "MAC storage capacity exceeded"};

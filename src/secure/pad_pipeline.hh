@@ -19,9 +19,9 @@
 #define MGSEC_SECURE_PAD_PIPELINE_HH
 
 #include <cstdint>
-#include <deque>
 
 #include "secure/otp_types.hh"
+#include "sim/ring_queue.hh"
 #include "sim/types.hh"
 
 namespace mgsec
@@ -107,7 +107,7 @@ class PadPipeline
     std::uint32_t quota_ = 0;
     std::uint64_t front_ctr_ = 0;
     /** ready_[k] = ready tick of the pad for counter front_ctr_+k. */
-    std::deque<Tick> ready_;
+    RingQueue<Tick> ready_;
     /** Serialization point for quota-0 on-demand generation. */
     Tick ondemand_free_ = 0;
     /** Generations discarded unconsumed (resize shrink, resync). */

@@ -349,8 +349,8 @@ CachedPadTable::acquireRecv(NodeId src, std::uint64_t ctr,
         // pipeline restarts.
         const Tick ready = now() + latency_;
         if (!ps.ready.empty() && ps.frontCtr == ctr) {
-            for (auto &t : ps.ready)
-                t = ready + latency_;
+            for (std::size_t i = 0; i < ps.ready.size(); ++i)
+                ps.ready[i] = ready + latency_;
             claimFrom(ps, now());
         } else if (ps.ready.empty() && grabEntry(key)) {
             ps.frontCtr = ctr + 1;
@@ -376,8 +376,8 @@ CachedPadTable::acquireRecv(NodeId src, std::uint64_t ctr,
 
     if (!ps.ready.empty()) {
         // Counter jump: every staged pad restarts at the new stream.
-        for (auto &r : ps.ready)
-            r = now() + latency_;
+        for (std::size_t i = 0; i < ps.ready.size(); ++i)
+            ps.ready[i] = now() + latency_;
         ps.frontCtr = ctr;
         ps.nextGenCtr = ctr + static_cast<std::uint64_t>(
                                   ps.ready.size());

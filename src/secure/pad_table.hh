@@ -24,6 +24,7 @@
 
 #include "secure/otp_types.hh"
 #include "secure/pad_pipeline.hh"
+#include "sim/ring_queue.hh"
 #include "sim/sim_object.hh"
 
 namespace mgsec
@@ -245,7 +246,7 @@ class CachedPadTable : public PadTable
     {
         /** Ready ticks of the pads staged for this pair, counter
          *  order; size == entries owned. */
-        std::deque<Tick> ready;
+        RingQueue<Tick> ready;
         /** Counter of the front staged pad. */
         std::uint64_t frontCtr = 0;
         /** Last time this pair won a new entry (rate limit). */

@@ -10,10 +10,11 @@
 #ifndef MGSEC_SECURE_REPLAY_WINDOW_HH
 #define MGSEC_SECURE_REPLAY_WINDOW_HH
 
+#include <algorithm>
 #include <cstdint>
-#include <deque>
 #include <vector>
 
+#include "sim/ring_queue.hh"
 #include "sim/types.hh"
 
 namespace mgsec
@@ -76,7 +77,7 @@ class ReplayWindow
     std::uint32_t capacity() const { return capacity_; }
 
   private:
-    std::vector<std::deque<std::uint64_t>> pending_;
+    std::vector<RingQueue<std::uint64_t>> pending_;
     std::uint32_t capacity_;
     std::size_t peak_ = 0;
     std::uint64_t overflows_ = 0;

@@ -1,6 +1,9 @@
 #include "secure/secure_channel.hh"
 
 #include <algorithm>
+#include <array>
+#include <bit>
+#include <cstring>
 
 #include "sim/debug.hh"
 
@@ -16,7 +19,7 @@ SecureChannel::SecureChannel(const std::string &name, EventQueue &eq,
                              Network &net, NodeId self,
                              const SecurityConfig &cfg)
     : SimObject(name, eq), net_(net), self_(self), cfg_(cfg),
-      replay_(net.numNodes(), 16384),
+      replay_(net.numNodes(), 16384), recv_batches_(net.numNodes()),
       pending_acks_(net.numNodes()), ack_timers_(net.numNodes()),
       last_departure_(net.numNodes(), 0),
       chaff_armed_(net.numNodes(), 0),
@@ -66,9 +69,15 @@ SecureChannel::SecureChannel(const std::string &name, EventQueue &eq,
                 });
         }
     }
-    if (cfg_.secured() && cfg_.functionalCrypto)
+    if (cfg_.secured() && cfg_.functionalCrypto) {
         factory_ = std::make_unique<crypto::PadFactory>(
             cfg_.sessionKey);
+        if (cfg_.batching) {
+            send_batches_.resize(net_.numNodes());
+            for (SendBatch &sb : send_batches_)
+                sb.macs.reserve(cfg_.batchSize);
+        }
+    }
     last_recv_ctr_.assign(net_.numNodes(), 0);
     has_recv_.assign(net_.numNodes(), 0);
     verified_recv_ctr_.assign(net_.numNodes(), 0);
@@ -417,22 +426,59 @@ SecureChannel::chaffTick(NodeId dst, Tick slot_time)
 crypto::BlockPayload
 SecureChannel::synthesize(NodeId src, NodeId dst, std::uint64_t ctr)
 {
+    // Byte i is byte i % 8 of ctr (little-endian) ^ (src * 131) ^
+    // (dst * 193) ^ (i * 7), all truncated to 8 bits; built here a
+    // little-endian word of eight bytes at a time.
+    static constexpr auto kIndexBytes = [] {
+        std::array<std::uint64_t, 8> w{};
+        for (std::size_t i = 0; i < 64; ++i)
+            w[i / 8] |= static_cast<std::uint64_t>((i * 7) & 0xff)
+                        << (8 * (i % 8));
+        return w;
+    }();
+    const std::uint64_t ids = 0x0101010101010101ULL *
+                              ((src * 131 ^ dst * 193) & 0xff);
     crypto::BlockPayload p;
-    for (std::size_t i = 0; i < p.size(); ++i) {
-        p[i] = static_cast<std::uint8_t>(
-            (ctr >> ((i % 8) * 8)) ^ (src * 131) ^ (dst * 193) ^
-            (i * 7));
+    for (std::size_t w = 0; w < kIndexBytes.size(); ++w) {
+        std::uint64_t v = ctr ^ ids ^ kIndexBytes[w];
+        if constexpr (std::endian::native == std::endian::big)
+            v = __builtin_bswap64(v);
+        std::memcpy(p.data() + 8 * w, &v, 8);
     }
     return p;
 }
 
-crypto::MessagePad
+crypto::Block
 SecureChannel::batchMaskPad(NodeId sender, NodeId receiver,
                             std::uint64_t batch_id) const
 {
     // Both endpoints can derive this from the batch id alone.
-    return factory_->derive(sender, receiver,
-                            0x8000000000000000ULL | batch_id);
+    return factory_->authPad(sender, receiver,
+                             0x8000000000000000ULL | batch_id);
+}
+
+crypto::MsgMac
+SecureChannel::headerMac(NodeId src, NodeId dst, std::uint64_t ctr)
+{
+    crypto::Block auth;
+    {
+        ProfSpan gen(eventq().profiler(), eventq().domainId(),
+                     kProfPadGen);
+        auth = factory_->authPad(src, dst, ctr);
+    }
+    return factory_->mac(crypto::BlockPayload{}, src, dst, ctr, auth);
+}
+
+crypto::MsgMac
+SecureChannel::sealSendBatch(NodeId dst)
+{
+    SendBatch &sb = send_batches_[dst];
+    const crypto::MsgMac mac =
+        factory_->batchMac(sb.macs.data(), sb.macs.size(),
+                           batchMaskPad(self_, dst, sb.id));
+    sb.id = 0;
+    sb.macs.clear();
+    return mac;
 }
 
 void
@@ -440,31 +486,33 @@ SecureChannel::applyFunctionalSend(Packet &pkt)
 {
     ProfSpan seal(eventq().profiler(), eventq().domainId(),
                   kProfCryptoSeal);
-    crypto::MessagePad pad;
-    {
-        ProfSpan gen(eventq().profiler(), eventq().domainId(),
-                     kProfPadGen);
-        pad = factory_->derive(self_, pkt.dst, pkt.msgCtr);
-    }
     auto fp = makeFunctionalPayload();
-    crypto::BlockPayload cipher{};
+    crypto::MsgMac msg_mac;
     if (pkt.payloadBytes >= kBlockBytes) {
-        const crypto::BlockPayload pt =
-            synthesize(self_, pkt.dst, pkt.msgCtr);
-        cipher = crypto::PadFactory::crypt(pt, pad);
-        fp->cipher = cipher;
+        crypto::MessagePad pad;
+        {
+            ProfSpan gen(eventq().profiler(), eventq().domainId(),
+                         kProfPadGen);
+            pad = factory_->derive(self_, pkt.dst, pkt.msgCtr);
+        }
+        fp->cipher = crypto::PadFactory::crypt(
+            synthesize(self_, pkt.dst, pkt.msgCtr), pad);
         fp->hasCipher = true;
+        msg_mac =
+            factory_->mac(fp->cipher, self_, pkt.dst, pkt.msgCtr, pad);
+    } else {
+        msg_mac = headerMac(self_, pkt.dst, pkt.msgCtr);
     }
-    const crypto::MsgMac msg_mac =
-        factory_->mac(cipher, self_, pkt.dst, pkt.msgCtr, pad);
     if (pkt.batchId != 0) {
-        auto &macs = batch_macs_out_[pkt.batchId];
-        macs.push_back(msg_mac);
+        SendBatch &sb = send_batches_[pkt.dst];
+        if (sb.id != pkt.batchId) {
+            sb.id = pkt.batchId;
+            sb.macs.clear();
+        }
+        sb.macs.push_back(msg_mac);
         if (pkt.batchLast && pkt.hasMac) {
-            fp->mac = factory_->batchMac(
-                macs, batchMaskPad(self_, pkt.dst, pkt.batchId));
+            fp->mac = sealSendBatch(pkt.dst);
             fp->hasMac = true;
-            batch_macs_out_.erase(pkt.batchId);
         }
     } else if (pkt.hasMac) {
         fp->mac = msg_mac;
@@ -486,25 +534,24 @@ bool
 SecureChannel::finishFunctionalBatch(NodeId src,
                                      std::uint64_t batch_id)
 {
-    const auto key = std::make_pair(src, batch_id);
-    auto it = recv_batches_.find(key);
-    if (it == recv_batches_.end())
+    RecvBatch *rb = recv_batches_.find(src, batch_id);
+    if (rb == nullptr)
         return false;
-    RecvBatch &rb = it->second;
-    if (!rb.haveTrailer)
+    if (!rb->haveTrailer)
         return false;
     ProfSpan open(eventq().profiler(), eventq().domainId(),
                   kProfCryptoOpen);
     const crypto::MsgMac expect = factory_->batchMac(
-        rb.macs, batchMaskPad(src, self_, batch_id));
-    const bool ok = expect == rb.trailer;
+        rb->macs.data(), rb->macs.size(),
+        batchMaskPad(src, self_, batch_id));
+    const bool ok = expect == rb->trailer;
     if (ok) {
         ++mac_verified_;
-        advanceVerified(src, rb.maxCtr);
+        advanceVerified(src, rb->maxCtr);
     } else {
         ++mac_failed_;
     }
-    recv_batches_.erase(it);
+    recv_batches_.close(src, batch_id);
     return ok;
 }
 
@@ -513,27 +560,26 @@ SecureChannel::verifyFunctionalRecv(const Packet &pkt)
 {
     ProfSpan open(eventq().profiler(), eventq().domainId(),
                   kProfCryptoOpen);
-    crypto::MessagePad pad;
-    {
-        ProfSpan gen(eventq().profiler(), eventq().domainId(),
-                     kProfPadGen);
-        pad = factory_->derive(pkt.src, self_, pkt.msgCtr);
-    }
-    crypto::BlockPayload cipher{};
+    crypto::MsgMac msg_mac;
     if (pkt.func && pkt.func->hasCipher) {
-        cipher = pkt.func->cipher;
-        const crypto::BlockPayload plain =
-            crypto::PadFactory::crypt(cipher, pad);
-        if (plain == synthesize(pkt.src, self_, pkt.msgCtr))
+        const crypto::BlockPayload &cipher = pkt.func->cipher;
+        crypto::MessagePad pad;
+        {
+            ProfSpan gen(eventq().profiler(), eventq().domainId(),
+                         kProfPadGen);
+            pad = factory_->derive(pkt.src, self_, pkt.msgCtr);
+        }
+        if (crypto::PadFactory::crypt(cipher, pad) ==
+            synthesize(pkt.src, self_, pkt.msgCtr))
             ++decrypt_ok_;
         else
             ++decrypt_bad_;
+        msg_mac = factory_->mac(cipher, pkt.src, self_, pkt.msgCtr, pad);
+    } else {
+        msg_mac = headerMac(pkt.src, self_, pkt.msgCtr);
     }
-    const crypto::MsgMac msg_mac =
-        factory_->mac(cipher, pkt.src, self_, pkt.msgCtr, pad);
     if (pkt.batchId != 0) {
-        RecvBatch &rb =
-            recv_batches_[std::make_pair(pkt.src, pkt.batchId)];
+        RecvBatch &rb = recv_batches_.open(pkt.src, pkt.batchId);
         rb.macs.push_back(msg_mac);
         rb.maxCtr = std::max(rb.maxCtr, pkt.msgCtr);
         if (pkt.batchLast && pkt.func && pkt.func->hasMac) {
@@ -641,18 +687,13 @@ SecureChannel::sendBatchTrailer(NodeId dst, std::uint64_t batch_id,
     pkt->batchId = batch_id;
     pkt->batchLen = count;
     pkt->hasMac = true;
-    if (factory_) {
-        auto it = batch_macs_out_.find(batch_id);
-        if (it != batch_macs_out_.end()) {
-            auto fp = makeFunctionalPayload();
-            ProfSpan seal(eventq().profiler(), eventq().domainId(),
-                          kProfCryptoSeal);
-            fp->mac = factory_->batchMac(
-                it->second, batchMaskPad(self_, dst, batch_id));
-            fp->hasMac = true;
-            pkt->func = std::move(fp);
-            batch_macs_out_.erase(it);
-        }
+    if (factory_ && send_batches_[dst].id == batch_id) {
+        auto fp = makeFunctionalPayload();
+        ProfSpan seal(eventq().profiler(), eventq().domainId(),
+                      kProfCryptoSeal);
+        fp->mac = sealSendBatch(dst);
+        fp->hasMac = true;
+        pkt->func = std::move(fp);
     }
     if (cfg_.countMetadataBytes) {
         pkt->headerBytes = cfg_.ackHeaderBytes;
@@ -706,8 +747,7 @@ SecureChannel::handleArrival(PacketPtr pkt)
         return;
       case PacketType::BatchMac:
         if (factory_ && pkt->func && pkt->func->hasMac) {
-            RecvBatch &rb = recv_batches_[std::make_pair(
-                pkt->src, pkt->batchId)];
+            RecvBatch &rb = recv_batches_.open(pkt->src, pkt->batchId);
             rb.trailer = pkt->func->mac;
             rb.haveTrailer = true;
         }

@@ -22,9 +22,7 @@
 #ifndef MGSEC_SECURE_SECURE_CHANNEL_HH
 #define MGSEC_SECURE_SECURE_CHANNEL_HH
 
-#include <deque>
 #include <functional>
-#include <map>
 #include <memory>
 #include <vector>
 
@@ -34,6 +32,7 @@
 #include "secure/pad_table.hh"
 #include "secure/replay_window.hh"
 #include "secure/security_config.hh"
+#include "sim/ring_queue.hh"
 #include "sim/sim_object.hh"
 
 namespace mgsec
@@ -125,9 +124,14 @@ class SecureChannel : public SimObject
     /** Deterministic plaintext both endpoints can reconstruct. */
     static crypto::BlockPayload synthesize(NodeId src, NodeId dst,
                                            std::uint64_t ctr);
-    /** Pad masking a batch's MAC, derivable from the batch id. */
-    crypto::MessagePad batchMaskPad(NodeId sender, NodeId receiver,
-                                    std::uint64_t batch_id) const;
+    /** Auth pad masking a batch's MAC, derivable from the batch id. */
+    crypto::Block batchMaskPad(NodeId sender, NodeId receiver,
+                               std::uint64_t batch_id) const;
+    /** MsgMAC of a message without a payload (zeros + header),
+     *  which needs only the auth pad. */
+    crypto::MsgMac headerMac(NodeId src, NodeId dst, std::uint64_t ctr);
+    /** Batched MAC of the batch open toward @p dst; closes it. */
+    crypto::MsgMac sealSendBatch(NodeId dst);
     void applyFunctionalSend(Packet &pkt);
     /**
      * Per-message receive crypto. Returns false only when this
@@ -209,17 +213,35 @@ class SecureChannel : public SimObject
 
     /** Functional-crypto state (null unless enabled). */
     std::unique_ptr<crypto::PadFactory> factory_;
-    std::map<std::uint64_t, std::vector<crypto::MsgMac>>
-        batch_macs_out_;
+    /**
+     * Member MACs of the batch open toward each destination (the
+     * assembler keeps at most one open per destination). Cleared,
+     * never freed, when the batch closes.
+     */
+    struct SendBatch
+    {
+        std::uint64_t id = 0; ///< 0 while no batch is open
+        std::vector<crypto::MsgMac> macs;
+    };
+    std::vector<SendBatch> send_batches_;
     struct RecvBatch
     {
         std::vector<crypto::MsgMac> macs;
         crypto::MsgMac trailer{};
         bool haveTrailer = false;
         std::uint64_t maxCtr = 0; ///< highest member counter seen
+
+        void
+        reset()
+        {
+            macs.clear();
+            haveTrailer = false;
+            maxCtr = 0;
+        }
     };
-    std::map<std::pair<NodeId, std::uint64_t>, RecvBatch>
-        recv_batches_;
+    /** Batches awaiting their verdict, per source; members and
+     *  trailer may arrive in any order. */
+    BatchSlots<RecvBatch> recv_batches_;
 
     /** Pending ACK records per peer plus their flush timers. */
     std::vector<std::vector<AckRecord>> pending_acks_;
@@ -239,7 +261,7 @@ class SecureChannel : public SimObject
      * workload's idle-to-burst transitions. Pushed only while chaff
      * is enabled; pruned by chaffTick as slots pass.
      */
-    std::vector<std::deque<Tick>> chaff_claims_;
+    std::vector<RingQueue<Tick>> chaff_claims_;
     /**
      * Latest real (non-chaff) shaped activity at this node — its own
      * departures and every genuine arrival. Chaff stays armed while

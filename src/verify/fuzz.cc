@@ -7,6 +7,7 @@
 #include <cstdlib>
 #include <set>
 
+#include "secure/batching.hh"
 #include "sim/logging.hh"
 
 namespace mgsec::verify
@@ -335,7 +336,8 @@ decodeRepro(const std::string &text, TestbedConfig &out)
                 return false;
             out.batching = v != 0;
         } else if (key == "bsz") {
-            if (!parseU64(val, v) || v < 2)
+            if (!parseU64(val, v) || v < kMinBatchSize ||
+                v > kMaxBatchSize)
                 return false;
             out.batchSize = static_cast<std::uint32_t>(v);
         } else if (key == "msgs") {

@@ -442,13 +442,15 @@ TEST(CryptoCross, GhashMatchesPortableAndBitSerialOracle)
             Block dp, ds;
             {
                 ScopedImpl scope(CryptoImpl::Portable);
-                Ghash gh{GhashKey(h)};
+                const GhashKey key(h);
+                Ghash gh(key);
                 gh.updateBytes(data, len);
                 dp = gh.digest();
             }
             {
                 ScopedImpl scope(CryptoImpl::Simd);
-                Ghash gh{GhashKey(h)};
+                const GhashKey key(h);
+                Ghash gh(key);
                 gh.updateBytes(data, len);
                 ds = gh.digest();
             }

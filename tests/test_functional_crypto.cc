@@ -9,6 +9,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "core/experiment.hh"
@@ -264,4 +266,96 @@ TEST(FunctionalCrypto, MismatchedSessionKeysFailEverything)
     EXPECT_EQ(ch[2]->macsVerified(), 0u);
     EXPECT_EQ(ch[2]->macsFailed(), 5u);
     EXPECT_EQ(ch[2]->decryptsOk(), 0u);
+}
+
+namespace
+{
+
+/** One channel's functional-crypto outcome in a pinned run. */
+struct ChannelPin
+{
+    std::uint64_t macsVerified;
+    std::uint64_t decryptsOk;
+    std::uint64_t ctrGaps;
+};
+
+struct FunctionalRunPin
+{
+    const char *app;
+    bool ours; ///< Dynamic + batching; otherwise Private
+    std::uint64_t statsHash; ///< FNV-1a 64 of the stats JSON
+    ChannelPin nodes[5];     ///< CPU, then the four GPUs
+};
+
+/**
+ * Recorded from the two-call pad derivation, per-block GHASH and
+ * map-held batch MACs that preceded the fused functional path. Every
+ * MAC verifies and every payload decrypts in these runs, so a change
+ * that only moved bytes around must reproduce the counts exactly;
+ * the stats hash covers every other counter of the run.
+ */
+const FunctionalRunPin kFunctionalRuns[] = {
+    {"mm", false, 7677758134043006962ull,
+     {{2193, 277, 0}, {7264, 5043, 0}, {7007, 4839, 0},
+      {7423, 5498, 0}, {7176, 5106, 0}}},
+    {"mm", true, 16925773209125829297ull,
+     {{262, 277, 0}, {567, 5043, 0}, {562, 4839, 0}, {602, 5498, 0},
+      {568, 5106, 0}}},
+    {"spmv", false, 1279103318217642055ull,
+     {{1750, 53, 0}, {8738, 4849, 0}, {8997, 4470, 0},
+      {8343, 4562, 0}, {7910, 4687, 0}}},
+    {"spmv", true, 13930598431873705291ull,
+     {{191, 53, 0}, {597, 4849, 0}, {622, 4470, 0}, {573, 4562, 0},
+      {544, 4687, 0}}},
+};
+
+std::uint64_t
+fnv1a(const std::string &s)
+{
+    std::uint64_t h = 14695981039346656037ull;
+    for (const unsigned char c : s) {
+        h ^= c;
+        h *= 1099511628211ull;
+    }
+    return h;
+}
+
+} // anonymous namespace
+
+TEST(FunctionalCrypto, SystemRunsMatchThePinnedReference)
+{
+    for (const FunctionalRunPin &pin : kFunctionalRuns) {
+        for (const std::uint32_t threads : {1u, 2u}) {
+            SCOPED_TRACE(std::string(pin.app) +
+                         (pin.ours ? " Ours, " : " Private, ") +
+                         std::to_string(threads) + " worker(s)");
+            ExperimentConfig e;
+            e.numGpus = 4;
+            e.scheme = pin.ours ? OtpScheme::Dynamic : OtpScheme::Private;
+            e.batching = pin.ours;
+            e.scale = 0.3;
+            e.simThreads = threads;
+            SystemConfig sc = makeSystemConfig(e);
+            sc.security.functionalCrypto = true;
+            // Strong scaling at the 4-GPU baseline leaves the size.
+            MultiGpuSystem sys(sc, makeProfile(pin.app, e.scale,
+                                               e.numGpus));
+            ASSERT_TRUE(sys.run().completed);
+            ASSERT_EQ(sys.numNodes(), std::size(pin.nodes));
+            for (NodeId n = 0; n < sys.numNodes(); ++n) {
+                const SecureChannel &ch = sys.node(n).channel();
+                EXPECT_EQ(ch.macsVerified(), pin.nodes[n].macsVerified)
+                    << "node " << n;
+                EXPECT_EQ(ch.macsFailed(), 0u) << "node " << n;
+                EXPECT_EQ(ch.decryptsOk(), pin.nodes[n].decryptsOk)
+                    << "node " << n;
+                EXPECT_EQ(ch.decryptsBad(), 0u) << "node " << n;
+                EXPECT_EQ(ch.ctrGaps(), pin.nodes[n].ctrGaps)
+                    << "node " << n;
+            }
+            std::ostringstream stats;
+            sys.dumpStatsJson(stats);
+            EXPECT_EQ(fnv1a(stats.str()), pin.statsHash);
+        }
+    }
 }

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "secure/batching.hh"
 #include "verify/fuzz.hh"
 
 namespace mgsec::verify
@@ -81,6 +82,25 @@ TEST(Repro, RejectsMalformedStrings)
     EXPECT_FALSE(decodeRepro("v1;script=NoSuchAttack@1/0", out));
     EXPECT_FALSE(decodeRepro("v1;script=Replay", out));
     EXPECT_FALSE(decodeRepro("v1;req=101", out));
+}
+
+TEST(Repro, BatchSizeMustFitTheLengthByte)
+{
+    // A batch declares its length in one byte, and the assembler
+    // asserts on any size outside [2, 255]: the repro parser must
+    // refuse those sizes rather than hand them to a run that aborts.
+    const std::string prefix =
+        "v1;seed=1;nodes=3;scheme=dynamic;batch=1;msgs=50;req=50;"
+        "gap=10;bsz=";
+    TestbedConfig out;
+    for (const char *bad : {"0", "1", "256", "300"})
+        EXPECT_FALSE(decodeRepro(prefix + bad, out)) << bad;
+    ASSERT_TRUE(decodeRepro(prefix + "255", out));
+    EXPECT_EQ(out.batchSize, kMaxBatchSize);
+    EXPECT_FALSE(runCase(out).failed);
+    ASSERT_TRUE(decodeRepro(prefix + "2", out));
+    EXPECT_EQ(out.batchSize, kMinBatchSize);
+    EXPECT_FALSE(runCase(out).failed);
 }
 
 TEST(Generator, SameSeedSameCases)

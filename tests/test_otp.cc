@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <string>
+#include <vector>
 
 #include "crypto/otp.hh"
 
@@ -35,7 +37,123 @@ pattern(std::uint8_t seed)
     return p;
 }
 
+template <std::size_t N>
+std::string
+hex(const std::array<std::uint8_t, N> &bytes)
+{
+    static const char kDigits[] = "0123456789abcdef";
+    std::string s;
+    for (const std::uint8_t b : bytes) {
+        s += kDigits[b >> 4];
+        s += kDigits[b & 0xf];
+    }
+    return s;
+}
+
+/** Known answers for (sender, receiver, ctr) under testKey(). */
+struct PadAnswer
+{
+    NodeId sender;
+    NodeId receiver;
+    std::uint64_t ctr;
+    const char *encPad;
+    const char *authPad;
+    const char *mac;     ///< over the cipherPattern() payload
+    const char *zeroMac; ///< over an all-zero payload
+};
+
+/**
+ * Recorded from the two-call keystream derivation and the
+ * block-at-a-time GHASH that preceded the fused paths. The ids of
+ * the second row fill all 12 bits of each id field; the third row's
+ * counter is a batch-mask counter (top bit set).
+ */
+const PadAnswer kPadAnswers[] = {
+    {1, 2, 100,
+     "e321c9fc1ced9ee02c957a6494a5eae3342db3a043cb56101aafd24ec39ddf5e"
+     "536f3b3890da12607c9c09b22fafdce9ed950525d26b00be9d4a3893b4d9d60d",
+     "8811e1bd924d94ca4ce5b6f2c462e119", "fe8ae3832420d2f8",
+     "1645e6b1277a2045"},
+    {0xabc, 0x5de, 0x0123456789abcdefULL,
+     "ac495f88800f3d34c05eda3181c06d822189eb16ad98622ee29e22d990c44247"
+     "86a17f2c90e8eb20cb4a4862e83448614663acd2bdfcc153bd462ef6c56464a5",
+     "5634065d1b1d790fa2ff9b95c7393c7a", "8189aa27ae9f858f",
+     "6946af15adc57732"},
+    {3, 0, 0x8000000000000007ULL,
+     "2df1ac54dd3437450846eeea30b6640609435b497f2dfd7ea857ca6574fc27e8"
+     "2efa3732c3c30671097066e1a5efcd5b69999f8e5a7fe0d3c1ffd1d783302613",
+     "bd9a35318902f224d109b8e0f92a6470", "4d679ffee498a8ed",
+     "a5a89acce7c25a50"},
+};
+
+BlockPayload
+cipherPattern()
+{
+    BlockPayload ct;
+    for (std::size_t i = 0; i < ct.size(); ++i)
+        ct[i] = static_cast<std::uint8_t>(0x11 + i * 5);
+    return ct;
+}
+
 } // anonymous namespace
+
+TEST(PadFactoryKnownAnswer, DerivedPadsMatchTheRecordedBytes)
+{
+    PadFactory f(testKey());
+    for (const PadAnswer &a : kPadAnswers) {
+        SCOPED_TRACE(a.ctr);
+        const MessagePad pad = f.derive(a.sender, a.receiver, a.ctr);
+        EXPECT_EQ(hex(pad.encPad), a.encPad);
+        EXPECT_EQ(hex(pad.authPad), a.authPad);
+        EXPECT_EQ(f.authPad(a.sender, a.receiver, a.ctr), pad.authPad);
+        EXPECT_EQ(hex(f.mac(cipherPattern(), a.sender, a.receiver,
+                            a.ctr, pad)),
+                  a.mac);
+        EXPECT_EQ(hex(f.mac(BlockPayload{}, a.sender, a.receiver,
+                            a.ctr, pad.authPad)),
+                  a.zeroMac);
+    }
+}
+
+TEST(PadFactoryKnownAnswer, AuthPadAloneEqualsTheDerivedOne)
+{
+    PadFactory f(testKey());
+    for (const NodeId s : {0u, 1u, 7u, 0xfffu})
+        for (const NodeId r : {0u, 2u, 0x800u})
+            for (const std::uint64_t c :
+                 {0ULL, 1ULL, 0xffffffffULL, 0x8000000000000001ULL})
+                EXPECT_EQ(f.authPad(s, r, c), f.derive(s, r, c).authPad)
+                    << s << "->" << r << " ctr " << c;
+}
+
+TEST(PadFactoryKnownAnswer, BatchMacsMatchTheRecordedBytes)
+{
+    // Member i is the MAC of a pattern payload at counter i; the mask
+    // is the pad at the batch-mask counter of the batch length.
+    const std::pair<std::size_t, const char *> kBatches[] = {
+        {1, "e1ef75dd03de1529"},  {13, "1053f81fa2cef270"},
+        {16, "dc3e0d9a55a257eb"}, {17, "58cb1b717324df89"},
+        {40, "cf233d3819758201"},
+    };
+    PadFactory f(testKey());
+    for (const auto &[n, expect] : kBatches) {
+        std::vector<MsgMac> macs;
+        for (std::uint64_t c = 0; c < n; ++c) {
+            const MessagePad p = f.derive(1, 2, c);
+            BlockPayload pt;
+            for (std::size_t i = 0; i < pt.size(); ++i)
+                pt[i] = static_cast<std::uint8_t>(c + i * 3);
+            macs.push_back(f.mac(PadFactory::crypt(pt, p), 1, 2, c, p));
+        }
+        const std::uint64_t mask_ctr = 0x8000000000000000ULL | n;
+        EXPECT_EQ(hex(f.batchMac(macs, f.derive(1, 2, mask_ctr))), expect)
+            << n << " members";
+        EXPECT_EQ(hex(f.batchMac(macs.data(), macs.size(),
+                                 f.authPad(1, 2, mask_ctr))),
+                  expect)
+            << n << " members";
+    }
+}
 
 TEST(PadFactory, DerivationIsDeterministic)
 {

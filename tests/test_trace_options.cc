@@ -14,6 +14,7 @@
 #include "core/options.hh"
 #include "core/sweep.hh"
 #include "core/system.hh"
+#include "secure/batching.hh"
 #include "workload/trace_io.hh"
 
 using namespace mgsec;
@@ -132,6 +133,26 @@ TEST(RunOptions, RejectsBadValues)
     RunOptions o;
     EXPECT_FALSE(o.set("scheme", "quantum"));
     EXPECT_FALSE(o.set("batching", "maybe"));
+}
+
+TEST(RunOptions, BatchSizeMustFitTheLengthByte)
+{
+    // A batch declares its length in one byte, and the assembler
+    // asserts on any size outside [2, 255]: the option parser must
+    // report those sizes instead of starting a run that aborts.
+    RunOptions o;
+    for (const char *bad : {"0", "1", "256", "300", "1048576"})
+        EXPECT_FALSE(o.set("batch-size", bad)) << bad;
+    EXPECT_EQ(o.exp.batchSize, 16u);
+    EXPECT_TRUE(o.set("batch-size", "2"));
+    EXPECT_EQ(o.exp.batchSize, kMinBatchSize);
+    EXPECT_TRUE(o.set("batch-size", "255"));
+    EXPECT_EQ(o.exp.batchSize, kMaxBatchSize);
+
+    RunOptions cli;
+    const char *argv[] = {"prog", "--scheme", "dynamic", "--batching",
+                          "true", "--batch-size", "300"};
+    EXPECT_FALSE(cli.parse(7, const_cast<char **>(argv)));
 }
 
 TEST(RunOptions, ObserveDirNamesTheSweepBundle)
