@@ -34,6 +34,7 @@
 
 #include "core/experiment.hh"
 #include "core/json_out.hh"
+#include "core/options.hh"
 #include "core/system.hh"
 #include "crypto/dispatch.hh"
 #include "crypto/gcm.hh"
@@ -69,24 +70,38 @@ Args
 parseArgs(int argc, char **argv)
 {
     Args a;
+    auto usage = [](std::ostream &os) {
+        os << "usage: bench_hotpath [--json FILE] [--scale S] [--quick] "
+              "[--crypto-impl I]\n";
+    };
+    auto die = [&](const std::string &msg) {
+        std::cerr << msg << "\n";
+        usage(std::cerr);
+        std::exit(2);
+    };
     for (int i = 1; i < argc; ++i) {
         const std::string f = argv[i];
-        if (f == "--json" && i + 1 < argc) {
+        if (f == "--help" || f == "-h") {
+            usage(std::cout);
+            std::exit(0);
+        }
+        const bool takes_value =
+            f == "--json" || f == "--scale" || f == "--crypto-impl";
+        if (takes_value && i + 1 == argc)
+            die("missing value for '" + f + "'");
+        if (f == "--json") {
             a.json = argv[++i];
-        } else if (f == "--scale" && i + 1 < argc) {
-            a.scale = std::stod(argv[++i]);
+        } else if (f == "--scale") {
+            if (!parseNumber(argv[++i], 1e-6, 1e6, a.scale))
+                die("bad --scale value '" + std::string(argv[i]) + "'");
         } else if (f == "--quick") {
             a.quick = true;
-        } else if (f == "--crypto-impl" && i + 1 < argc) {
-            if (!parseCryptoImpl(argv[++i], a.cryptoImpl)) {
-                std::cerr << "bad --crypto-impl value '" << argv[i]
-                          << "' (want auto|portable|simd)\n";
-                std::exit(2);
-            }
+        } else if (f == "--crypto-impl") {
+            if (!parseCryptoImpl(argv[++i], a.cryptoImpl))
+                die("bad --crypto-impl value '" + std::string(argv[i]) +
+                    "' (want auto|portable|simd)");
         } else {
-            std::cerr << "usage: bench_hotpath [--json FILE] "
-                         "[--scale S] [--quick] [--crypto-impl I]\n";
-            std::exit(f == "--help" ? 0 : 2);
+            die("unknown flag '" + f + "'");
         }
     }
     return a;

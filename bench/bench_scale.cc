@@ -12,22 +12,24 @@
 #include <fstream>
 #include <iostream>
 
-#include "bench/common.hh"
+#include "core/experiment.hh"
+#include "core/report.hh"
+#include "core/sweep.hh"
 #include "sim/json_writer.hh"
 
 using namespace mgsec;
-using namespace mgsec::bench;
 
 int
 main(int argc, char **argv)
 {
-    BenchArgs args;
+    SweepArgs args;
     args.acceptJson = true;
     args.acceptTopology = true;
     args.acceptWorkloads = true;
     args.parseArgs(argc, argv);
-    banner("Scale-out — secure schemes at 8/16/64 GPUs",
-           "extends Fig. 24/25 to 64 GPUs and switch fabrics");
+    std::cout << "=== Scale-out — secure schemes at 8/16/64 GPUs\n"
+              << "    reproduces: extends Fig. 24/25 to 64 GPUs and "
+                 "switch fabrics\n\n";
 
     const std::vector<std::uint32_t> gpu_counts = {8, 16, 64};
     struct Handles
@@ -65,9 +67,9 @@ main(int argc, char **argv)
         Table t({"workload", "Private", "Cached", "Ours"});
         std::vector<double> cp, cc, co;
         for (std::size_t w = 0; w < names.size(); ++w) {
-            const Norm &np = sweep.normalized(handles[g][w].priv);
-            const Norm &nc = sweep.normalized(handles[g][w].cached);
-            const Norm &no = sweep.normalized(handles[g][w].ours);
+            const NormResult &np = sweep.normalized(handles[g][w].priv);
+            const NormResult &nc = sweep.normalized(handles[g][w].cached);
+            const NormResult &no = sweep.normalized(handles[g][w].ours);
             t.addRow({names[w], fmtDouble(np.time),
                       fmtDouble(nc.time), fmtDouble(no.time)});
             cp.push_back(np.time);

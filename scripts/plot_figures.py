@@ -1,13 +1,14 @@
 #!/usr/bin/env python3
-"""Plot the paper's figures from recorded bench output.
+"""Plot the paper's figures from recorded mgsec_figures output.
 
-Reads the text tables produced by the bench binaries (either a file
-captured with `for b in build/bench/*; do $b; done > bench_output.txt`
-or individual bench outputs) and renders matplotlib bar charts that
-mirror the paper's figures.
+Reads the text tables that `mgsec_figures` prints, either for every
+figure (`--figure all`, one "### NAME" section per figure) or for one
+figure, and renders matplotlib bar charts that mirror the paper's
+figures.
 
 Usage:
-    python3 scripts/plot_figures.py bench_output.txt -o plots/
+    ./build/tools/mgsec_figures --figure all > figures.txt
+    python3 scripts/plot_figures.py figures.txt -o plots/
 
 matplotlib is optional at build time — this script is the only thing
 that needs it.
@@ -20,36 +21,44 @@ import sys
 
 
 def parse_sections(path):
-    """Split a combined bench capture into {bench_name: lines}."""
+    """Split a capture into {figure name: lines}."""
+    with open(path) as f:
+        lines = [l.rstrip("\n") for l in f]
     sections = {}
     current = None
-    with open(path) as f:
-        for line in f:
-            m = re.match(r"#+\s*(bench_\w+)", line)
-            if m:
-                current = m.group(1)
-                sections[current] = []
-            elif current:
-                sections[current].append(line.rstrip("\n"))
-    if not sections:
-        # A single bench's output: key it by its banner.
-        with open(path) as f:
-            lines = [l.rstrip("\n") for l in f]
-        sections["bench"] = lines
+    for line in lines:
+        m = re.match(r"###\s+(\w+)$", line)
+        if m:
+            current = m.group(1)
+            sections[current] = []
+        elif current:
+            sections[current].append(line)
+    if not sections and lines:
+        # One figure's output: name it by its banner.
+        for name, (banner, _, _) in FIGS.items():
+            if lines[0].startswith(banner):
+                sections[name] = lines
     return sections
 
 
 def parse_table(lines):
-    """Parse an aligned-column table into (headers, rows)."""
+    """Parse an aligned-column table into (headers, rows).
+
+    Columns are at least two spaces apart, so a cell may hold one
+    space ("10 cyc", "T (cycles)").
+    """
+    def split(line):
+        return re.split(r"\s{2,}", line.strip())
+
     headers = None
     rows = []
     for i, line in enumerate(lines):
         if set(line.strip()) == {"-"} and i > 0:
-            headers = lines[i - 1].split()
+            headers = split(lines[i - 1])
             for row_line in lines[i + 1:]:
                 if not row_line.strip():
                     break
-                cells = row_line.split()
+                cells = split(row_line)
                 if len(cells) >= 2:
                     rows.append(cells)
             break
@@ -88,24 +97,22 @@ def plot_grouped_bars(headers, rows, title, ylabel, out_path, plt):
 
 
 FIGS = {
-    "bench_fig8_otp_entries": ("Fig. 8 — Private vs OTP entries",
-                               "normalized time"),
-    "bench_fig9_prior_schemes": ("Fig. 9 — prior schemes",
-                                 "normalized time"),
-    "bench_fig12_traffic": ("Fig. 12 — traffic ratio",
-                            "normalized traffic"),
-    "bench_fig21_main": ("Fig. 21 — main comparison",
-                         "normalized time"),
-    "bench_fig23_traffic_ours": ("Fig. 23 — traffic w/ batching",
-                                 "normalized traffic"),
-    "bench_fig26_aes_latency": ("Fig. 26 — AES latency",
-                                "normalized time"),
+    "fig8": ("=== Fig. 8 ", "Fig. 8 — Private vs OTP entries",
+             "normalized time"),
+    "fig9": ("=== Fig. 9 ", "Fig. 9 — prior schemes", "normalized time"),
+    "fig12": ("=== Fig. 12 ", "Fig. 12 — traffic ratio",
+              "normalized traffic"),
+    "fig21": ("=== Fig. 21 ", "Fig. 21 — main comparison",
+              "normalized time"),
+    "fig23": ("=== Fig. 23 ", "Fig. 23 — traffic w/ batching",
+              "normalized traffic"),
+    "fig26": ("=== Fig. 26 ", "Fig. 26 — AES latency", "normalized time"),
 }
 
 
 def main():
     ap = argparse.ArgumentParser()
-    ap.add_argument("input", help="captured bench output")
+    ap.add_argument("input", help="captured mgsec_figures output")
     ap.add_argument("-o", "--outdir", default="plots")
     args = ap.parse_args()
 
@@ -119,7 +126,7 @@ def main():
     os.makedirs(args.outdir, exist_ok=True)
     sections = parse_sections(args.input)
     made = 0
-    for name, (title, ylabel) in FIGS.items():
+    for name, (_, title, ylabel) in FIGS.items():
         if name not in sections:
             continue
         headers, rows = parse_table(sections[name])

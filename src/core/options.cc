@@ -320,33 +320,33 @@ RunOptions::loadFile(const std::string &path)
     return true;
 }
 
-bool
+RunOptions::ParseStatus
 RunOptions::parse(int argc, char **argv)
 {
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
         if (arg == "--help" || arg == "-h") {
             usage(std::cout);
-            return false;
+            return ParseStatus::Help;
         }
         if (arg.rfind("--", 0) != 0) {
             std::cerr << "unexpected argument '" << arg << "'\n";
-            return false;
+            return ParseStatus::Error;
         }
         arg = arg.substr(2);
         if (i + 1 >= argc) {
             std::cerr << "missing value for '--" << arg << "'\n";
-            return false;
+            return ParseStatus::Error;
         }
         const std::string value = argv[++i];
         if (arg == "config") {
             if (!loadFile(value))
-                return false;
+                return ParseStatus::Error;
         } else if (!set(arg, value)) {
-            return false;
+            return ParseStatus::Error;
         }
     }
-    return true;
+    return ParseStatus::Ok;
 }
 
 void

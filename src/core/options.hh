@@ -80,11 +80,16 @@ struct RunOptions
     /** Load `key = value` lines. @retval false on any bad line. */
     bool loadFile(const std::string &path);
 
-    /**
-     * Parse argv.
-     * @retval false on error or after printing --help.
-     */
-    bool parse(int argc, char **argv);
+    /** What parse() found on the command line. */
+    enum class ParseStatus
+    {
+        Ok,
+        Help, ///< --help: usage is printed to stdout
+        Error ///< reported to stderr
+    };
+
+    /** Parse argv. */
+    ParseStatus parse(int argc, char **argv);
 
     static void usage(std::ostream &os);
 };

@@ -678,6 +678,7 @@ MultiGpuSystem::run()
         r.remoteOps += n->remoteOps();
         r.localOps += n->localOps();
         r.standaloneAcks += n->channel().standaloneAcks();
+        r.packetsSent += n->channel().packetsSent();
         lat_sum += n->latency().sum();
         lat_n += n->latency().count();
     }

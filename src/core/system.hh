@@ -160,6 +160,8 @@ struct RunResult
     std::uint64_t localOps = 0;
     std::uint64_t migrations = 0;
     std::uint64_t standaloneAcks = 0;
+    /** Data packets the channels sent (each carries a MsgCTR). */
+    std::uint64_t packetsSent = 0;
     double avgRemoteLatency = 0.0;
 
     /** Non-overlapping per-pair accumulation times (Fig. 15/16). */

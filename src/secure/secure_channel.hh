@@ -83,6 +83,11 @@ class SecureChannel : public SimObject
         return static_cast<std::uint64_t>(standalone_acks_.value());
     }
 
+    std::uint64_t packetsSent() const
+    {
+        return static_cast<std::uint64_t>(packets_sent_.value());
+    }
+
     /** Stale (<= last seen) counters observed from any peer. */
     std::uint64_t replaySuspects() const
     {

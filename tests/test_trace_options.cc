@@ -152,7 +152,8 @@ TEST(RunOptions, BatchSizeMustFitTheLengthByte)
     RunOptions cli;
     const char *argv[] = {"prog", "--scheme", "dynamic", "--batching",
                           "true", "--batch-size", "300"};
-    EXPECT_FALSE(cli.parse(7, const_cast<char **>(argv)));
+    EXPECT_EQ(cli.parse(7, const_cast<char **>(argv)),
+              RunOptions::ParseStatus::Error);
 }
 
 TEST(RunOptions, ObserveDirNamesTheSweepBundle)
@@ -217,17 +218,30 @@ TEST(RunOptions, ParseArgv)
     RunOptions o;
     const char *argv[] = {"prog", "--workload", "pr", "--scheme",
                           "cached", "--seed", "9"};
-    EXPECT_TRUE(o.parse(7, const_cast<char **>(argv)));
+    EXPECT_EQ(o.parse(7, const_cast<char **>(argv)),
+              RunOptions::ParseStatus::Ok);
     EXPECT_EQ(o.workload, "pr");
     EXPECT_EQ(o.exp.scheme, OtpScheme::Cached);
     EXPECT_EQ(o.exp.seed, 9u);
+}
+
+TEST(RunOptions, ParseTellsHelpFromError)
+{
+    RunOptions o;
+    const char *help[] = {"prog", "--seed", "3", "--help"};
+    EXPECT_EQ(o.parse(4, const_cast<char **>(help)),
+              RunOptions::ParseStatus::Help);
+    const char *bad[] = {"prog", "--frob", "1"};
+    EXPECT_EQ(o.parse(3, const_cast<char **>(bad)),
+              RunOptions::ParseStatus::Error);
 }
 
 TEST(RunOptions, ParseRejectsDanglingFlag)
 {
     RunOptions o;
     const char *argv[] = {"prog", "--workload"};
-    EXPECT_FALSE(o.parse(2, const_cast<char **>(argv)));
+    EXPECT_EQ(o.parse(2, const_cast<char **>(argv)),
+              RunOptions::ParseStatus::Error);
 }
 
 TEST(RunOptions, ConfigFileRoundTrip)

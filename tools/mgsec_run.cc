@@ -24,11 +24,19 @@ using namespace mgsec;
 int
 main(int argc, char **argv)
 {
+    // Exit 0 on --help, 2 on a usage error, 1 when the run fails.
     RunOptions opts;
-    if (!opts.parse(argc, argv))
-        return 1;
+    switch (opts.parse(argc, argv)) {
+      case RunOptions::ParseStatus::Help:
+        return 0;
+      case RunOptions::ParseStatus::Error:
+        RunOptions::usage(std::cerr);
+        return 2;
+      case RunOptions::ParseStatus::Ok:
+        break;
+    }
     if (!opts.finalizeObservability())
-        return 1;
+        return 2;
 
     const double scale = opts.exp.strongScaling
         ? opts.exp.scale * kScalingBaselineGpus / opts.exp.numGpus
