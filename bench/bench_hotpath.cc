@@ -34,7 +34,6 @@
 
 #include "core/experiment.hh"
 #include "core/json_out.hh"
-#include "core/options.hh"
 #include "core/system.hh"
 #include "crypto/dispatch.hh"
 #include "crypto/gcm.hh"
@@ -42,6 +41,7 @@
 #include "crypto/otp.hh"
 #include "net/packet_pool.hh"
 #include "sim/event_queue.hh"
+#include "sim/knob.hh"
 #include "sim/logging.hh"
 #include "workload/profile.hh"
 
@@ -69,41 +69,30 @@ struct Args
 Args
 parseArgs(int argc, char **argv)
 {
+    static const std::vector<Knob<Args>> rows = {
+        text<&Args::json>("json", "also write the results as JSON"),
+        number<&Args::scale>("scale", nullptr, 1e-6, 1e6,
+                             "workload size multiplier"),
+        choice<&Args::cryptoImpl>("crypto-impl", nullptr, kCryptoImplNames,
+                                  "host crypto tier"),
+    };
     Args a;
-    auto usage = [](std::ostream &os) {
-        os << "usage: bench_hotpath [--json FILE] [--scale S] [--quick] "
-              "[--crypto-impl I]\n";
+    const auto usage = [](std::ostream &os) {
+        os << "usage: bench_hotpath [--FLAG VALUE]... [--quick]\n";
+        printKnobHelp(os, rows, Args{});
     };
-    auto die = [&](const std::string &msg) {
-        std::cerr << msg << "\n";
+    const ParseStatus st = walkArgs(
+        argc, argv, usage,
+        [&](const std::string &name, const std::string &value) {
+            if (name == "quick")
+                return a.quick = true, ParseStatus::Ok;
+            return setKnob(rows, a, name, value);
+        },
+        {"--quick"});
+    if (st == ParseStatus::Error)
         usage(std::cerr);
-        std::exit(2);
-    };
-    for (int i = 1; i < argc; ++i) {
-        const std::string f = argv[i];
-        if (f == "--help" || f == "-h") {
-            usage(std::cout);
-            std::exit(0);
-        }
-        const bool takes_value =
-            f == "--json" || f == "--scale" || f == "--crypto-impl";
-        if (takes_value && i + 1 == argc)
-            die("missing value for '" + f + "'");
-        if (f == "--json") {
-            a.json = argv[++i];
-        } else if (f == "--scale") {
-            if (!parseNumber(argv[++i], 1e-6, 1e6, a.scale))
-                die("bad --scale value '" + std::string(argv[i]) + "'");
-        } else if (f == "--quick") {
-            a.quick = true;
-        } else if (f == "--crypto-impl") {
-            if (!parseCryptoImpl(argv[++i], a.cryptoImpl))
-                die("bad --crypto-impl value '" + std::string(argv[i]) +
-                    "' (want auto|portable|simd)");
-        } else {
-            die("unknown flag '" + f + "'");
-        }
-    }
+    if (st != ParseStatus::Ok)
+        std::exit(st == ParseStatus::Help ? 0 : 2);
     return a;
 }
 

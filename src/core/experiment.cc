@@ -45,36 +45,6 @@ makeSystemConfig(const ExperimentConfig &cfg)
 }
 
 std::string
-configKey(const std::string &workload, const ExperimentConfig &cfg)
-{
-    return strformat(
-        "%s|gpus=%u|scheme=%s|batch=%d/%u|otp=%ux|aes=%llu|meta=%d|"
-        "scale=%g|seed=%llu|comm=%llu|dyn=%llu/%g/%g/%u/%u|memprot=%d|"
-        "strong=%d|padstall=%u|shape=%s/%llu/%llu/%llu/%u|"
-        "topo=%s/%u/%llu/%g/%u/%llu/%g",
-        workload.c_str(), cfg.numGpus, otpSchemeName(cfg.scheme),
-        cfg.batching ? 1 : 0, cfg.batchSize, cfg.otpMult,
-        static_cast<unsigned long long>(cfg.aesLatency),
-        cfg.countMetadataBytes ? 1 : 0, cfg.scale,
-        static_cast<unsigned long long>(cfg.seed),
-        static_cast<unsigned long long>(cfg.commSampleInterval),
-        static_cast<unsigned long long>(cfg.dynParams.interval),
-        cfg.dynParams.alpha, cfg.dynParams.beta,
-        cfg.dynParams.confidenceDir, cfg.dynParams.confidencePeer,
-        cfg.hostMemProtect, cfg.strongScaling ? 1 : 0,
-        cfg.debugPadStallPct, shapingPolicyName(cfg.shaping),
-        static_cast<unsigned long long>(cfg.shapeInterval),
-        static_cast<unsigned long long>(cfg.shapePadTo),
-        static_cast<unsigned long long>(cfg.shapeJitter),
-        cfg.shapeChaffSlots, topologyKindName(cfg.topology.kind),
-        cfg.topology.switchRadix,
-        static_cast<unsigned long long>(cfg.topology.switchLatency),
-        cfg.topology.switchBytesPerCycle, cfg.topology.gpusPerNode,
-        static_cast<unsigned long long>(cfg.topology.interLatency),
-        cfg.topology.interBytesPerCycle);
-}
-
-std::string
 configHash(const std::string &workload, const ExperimentConfig &cfg)
 {
     const std::string key = configKey(workload, cfg);

@@ -15,7 +15,11 @@
 namespace mgsec
 {
 
-/** The knobs the paper's figures sweep. */
+/**
+ * The knobs the paper's figures sweep. Each field is a row of
+ * experimentKnobs() (core/knobs.hh), which also says whether it is
+ * part of configKey(); the initializers here are the defaults.
+ */
 struct ExperimentConfig
 {
     std::uint32_t numGpus = 4;
@@ -62,29 +66,20 @@ struct ExperimentConfig
     /**
      * Hidden debug knob (SecurityConfig::debugPadStallPct): inflate
      * exposed send-pad waits by this percentage so CI can prove the
-     * mgsec_report regression gate trips. Part of configKey.
+     * mgsec_report regression gate trips.
      */
     std::uint32_t debugPadStallPct = 0;
 
-    /**
-     * Crypto tier for the functional plane (auto/portable/simd).
-     * Host-side speed knob with bit-identical outputs, so it is NOT
-     * part of configKey — results must not depend on it.
-     */
+    /** Host crypto tier; every result is bit-identical for each. */
     crypto::CryptoImpl cryptoImpl = crypto::CryptoImpl::Auto;
 
     /**
-     * Worker threads of the event kernel (SystemConfig::simThreads):
-     * 0 = auto (MGSEC_SIM_THREADS env, else 1). A host-side speed
-     * knob like cryptoImpl — every result is byte-identical for
-     * every thread count — so it is NOT part of configKey.
+     * Event-kernel worker threads (SystemConfig::simThreads): 0 =
+     * MGSEC_SIM_THREADS, else 1. Results are thread-count invariant.
      */
     std::uint32_t simThreads = 0;
 
-    /**
-     * Observability sinks for this run (file paths; all empty =
-     * disabled). Never part of a config's identity hash.
-     */
+    /** Observability sinks (file paths; all empty = disabled). */
     ObserveConfig observe{};
 };
 
@@ -94,10 +89,10 @@ SystemConfig makeSystemConfig(const ExperimentConfig &cfg);
 /**
  * Stable textual identity of one (workload, config) run: every knob
  * that can change simulated results, none that never can (observe
- * paths, cryptoImpl, simThreads). One fixed format:
- * the shaping and fabric knobs are always present, even when the
- * policy is off or the fabric is p2p. Used to tag per-job
- * observability files.
+ * paths, cryptoImpl, simThreads). One fixed format, generated from
+ * experimentKnobs() (core/knobs.hh): the shaping and fabric knobs
+ * are always present, even when the policy is off or the fabric is
+ * p2p. Used to tag per-job observability files.
  */
 std::string configKey(const std::string &workload,
                       const ExperimentConfig &cfg);

@@ -5,7 +5,8 @@
  *
  * Options are `--key value` pairs on the command line or `key =
  * value` lines in a config file (`--config FILE`; '#' comments).
- * Command-line settings override file settings.
+ * Command-line settings override file settings. Both parse through
+ * the same knob rows: experimentKnobs() plus RunOptions' own.
  */
 
 #ifndef MGSEC_CORE_OPTIONS_HH
@@ -14,45 +15,20 @@
 #include <iosfwd>
 #include <string>
 
-#include "core/experiment.hh"
+#include "core/knobs.hh"
 
 namespace mgsec
 {
 
-/** Parse a scheme name ("private", "Dynamic", ...). */
-bool parseScheme(const std::string &text, OtpScheme &out);
-
-/** Parse a shaping-policy name ("none", "constant-rate", ...). */
-bool parseShaping(const std::string &text, ShapingPolicy &out);
-
-/**
- * @name Strict numeric parsing
- * The entire string must convert (no trailing junk, no empty string)
- * and the value must lie in [lo, hi]; @p out is untouched on failure.
- * Shared by the bench/tool argument parsers and RunOptions.
- */
-/// @{
-bool parseNumber(const std::string &text, double lo, double hi,
-                 double &out);
-bool parseNumber(const std::string &text, long long lo, long long hi,
-                 long long &out);
-bool parseNumber(const std::string &text, unsigned long long lo,
-                 unsigned long long hi, unsigned long long &out);
-/// @}
-
+/** mgsec_run's options: each field below is a row in options.cc. */
 struct RunOptions
 {
     ExperimentConfig exp;
     std::string workload = "mm";
-    /** Also run the unsecure baseline and print normalized numbers. */
     bool baseline = true;
-    /** Dump per-component statistics to this file ("-" = stdout). */
     std::string statsOut;
-    /** Write the RunResult as JSON to this file ("-" = stdout). */
     std::string jsonOut;
-    /** Record each GPU's op stream to <prefix>.gpu<N>.trace. */
     std::string traceRecord;
-    /** Replay GPU 1's stream from this trace file. */
     std::string tracePlay;
     /**
      * Bundle every observability sink into one directory using the
@@ -71,24 +47,16 @@ struct RunOptions
      */
     bool finalizeObservability();
 
-    /**
-     * Apply one key=value setting.
-     * @retval false the key is unknown (error reported to stderr).
-     */
-    bool set(const std::string &key, const std::string &value);
+    /** What parse(), set() and loadFile() found. */
+    using ParseStatus = mgsec::ParseStatus;
 
-    /** Load `key = value` lines. @retval false on any bad line. */
-    bool loadFile(const std::string &path);
+    /** Apply one key=value setting. */
+    ParseStatus set(const std::string &key, const std::string &value);
 
-    /** What parse() found on the command line. */
-    enum class ParseStatus
-    {
-        Ok,
-        Help, ///< --help: usage is printed to stdout
-        Error ///< reported to stderr
-    };
+    /** Load `key = value` lines, stopping at the first non-Ok one. */
+    ParseStatus loadFile(const std::string &path);
 
-    /** Parse argv. */
+    /** Parse argv, then check that the GPUs fit the fabric. */
     ParseStatus parse(int argc, char **argv);
 
     static void usage(std::ostream &os);

@@ -1,9 +1,7 @@
 #include "core/sweep.hh"
 
 #include <chrono>
-#include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -12,7 +10,7 @@
 #include <utility>
 
 #include "core/job_pool.hh"
-#include "core/options.hh"
+#include "core/knobs.hh"
 #include "sim/debug.hh"
 #include "sim/json_writer.hh"
 #include "sim/logging.hh"
@@ -21,51 +19,110 @@
 namespace mgsec
 {
 
+namespace
+{
+
+/** The experiment row --@p name, on the SweepArgs field S for E. */
+template <auto S, auto E>
+Knob<SweepArgs>
+shared(const char *name)
+{
+    const Knob<ExperimentConfig> &e = *findKnob(experimentKnobs(), name);
+    const auto view = [](const SweepArgs &a) {
+        ExperimentConfig v;
+        v.*E = a.*S;
+        return v;
+    };
+    Knob<SweepArgs> k{e.name, nullptr, e.meta, e.help, e.values};
+    k.parse = [&e, view](SweepArgs &a, const std::string &text) {
+        ExperimentConfig v = view(a);
+        return e.parse(v, text) && (a.*S = v.*E, true);
+    };
+    k.print = [&e, view](const SweepArgs &a) { return e.print(view(a)); };
+    return k;
+}
+
+/** A comma-separated list field, parsed and printed item by item. */
+template <auto M, typename Parse, typename Print>
+Knob<SweepArgs>
+listOf(const char *name, const char *meta, const char *help,
+       std::string values, Parse parse, Print print)
+{
+    using V = typename KnobField<M>::value_type;
+    return bind<M>(
+        name, nullptr, meta, help, std::move(values),
+        [parse](const std::string &text, std::vector<V> &out) {
+            std::vector<V> vs;
+            for (const std::string &tok : splitList(text, ',')) {
+                if (!parse(tok, vs.emplace_back()))
+                    return false;
+            }
+            return out = std::move(vs), true;
+        },
+        [print](const std::vector<V> &vs) {
+            std::string text;
+            for (const V &v : vs)
+                text.append(text.empty() ? "" : ",").append(print(v));
+            return text;
+        });
+}
+
+/** The flags @p a takes; its accept* fields gate the optional ones. */
+std::vector<Knob<SweepArgs>>
+sweepKnobs(const SweepArgs &a)
+{
+    using S = SweepArgs;
+    using E = ExperimentConfig;
+    std::vector<Knob<S>> rows = {
+        shared<&S::scale, &E::scale>("scale"),
+        number<&S::seeds>("seeds", nullptr, 1, 10000,
+                          "seeds averaged per configuration"),
+        number<&S::jobs>("jobs", nullptr, 1, 1024,
+                         "parallel simulation jobs (default: all "
+                         "hardware threads)")};
+    if (a.acceptGpus)
+        rows.push_back(shared<&S::gpus, &E::numGpus>("gpus"));
+    if (a.acceptJson)
+        rows.push_back(
+            text<&S::jsonOut>("json", "also write the results as JSON"));
+    if (a.acceptObserve)
+        rows.push_back(text<&S::observeDir>(
+            "observe",
+            "write per-job METRICS_/TRACE_/STATS_/HIST_/WIRE_/"
+            "PROF_<hash>.json files, an OBSERVE_INDEX.json and a "
+            "PROGRESS.jsonl heartbeat into DIR",
+            "DIR"));
+    if (a.acceptShape)
+        rows.push_back(listOf<&S::shapes>(
+            "shape", "P[,P...]",
+            "shaping policies to sweep (extra policies add rows to the "
+            "matrix)",
+            findKnob(experimentKnobs(), "shape")->values,
+            [](const std::string &t, ShapingPolicy &p) {
+                return parseIn(kShapingPolicyNames, t, p);
+            },
+            shapingPolicyName));
+    if (a.acceptWorkloads)
+        rows.push_back(listOf<&S::workloads>(
+            "workloads", "W[,W...]",
+            "restrict the matrix to these workloads (default all)", "",
+            parseWorkload, [](const std::string &w) { return w; }));
+    if (a.acceptTopology)
+        rows.push_back(shared<&S::topology, &E::topology>("topology"));
+    rows.push_back(shared<&S::cryptoImpl, &E::cryptoImpl>("crypto-impl"));
+    rows.push_back(shared<&S::simThreads, &E::simThreads>("sim-threads"));
+    return rows;
+}
+
+} // anonymous namespace
+
 void
 SweepArgs::printUsage(std::ostream &os, const char *argv0) const
 {
-    os << "usage: " << argv0 << " [--scale S] [--seeds N] [--jobs N]";
-    if (acceptGpus)
-        os << " [--gpus N]";
-    if (acceptJson)
-        os << " [--json FILE]";
-    os << "\n"
-       << "  --scale S  workload size multiplier (default " << scale
-       << ")\n"
-       << "  --seeds N  seeds averaged per configuration (default "
-       << seeds << ")\n"
-       << "  --jobs N   parallel simulation jobs (default: all "
-       << "hardware threads)\n";
-    if (acceptGpus)
-        os << "  --gpus N   GPUs in the simulated system (default "
-           << gpus << ")\n";
-    if (acceptJson)
-        os << "  --json F   also write the results as JSON to F\n";
-    if (acceptObserve)
-        os << "  --observe DIR  write per-job METRICS_/TRACE_/STATS_/"
-           << "HIST_/WIRE_/PROF_ JSON files\n"
-           << "             (tagged by config hash) plus an "
-           << "OBSERVE_INDEX.json and an\n"
-           << "             append-only PROGRESS.jsonl heartbeat "
-           << "into DIR\n";
-    if (acceptShape)
-        os << "  --shape P[,P...]  shaping policies to sweep: none|"
-           << "constant-rate|batch-jitter\n"
-           << "             (default none; extra policies add rows "
-           << "to the matrix)\n";
-    if (acceptWorkloads)
-        os << "  --workloads W[,W...]  restrict the matrix to these "
-           << "workloads (default all)\n";
-    if (acceptTopology)
-        os << "  --topology T  fabric for every run: p2p|nvswitch|"
-           << "hier (default p2p)\n";
-    os << "  --crypto-impl I  host crypto tier auto|portable|simd "
-       << "(bit-identical results)\n"
-       << "  --sim-threads N  event-kernel worker threads per run "
-       << "(bit-identical results; default MGSEC_SIM_THREADS or "
-       << "1)\n"
-       << "  --debug FLAGS  enable trace flags ('help' lists "
-       << "them)\n";
+    os << "usage: " << argv0 << " [--FLAG VALUE]...\n";
+    printKnobHelp(os, sweepKnobs(*this), *this);
+    os << knobHelpLine("debug", "FLAGS",
+                       "enable trace flags ('help' lists them)", "", "");
 }
 
 void
@@ -74,146 +131,23 @@ SweepArgs::parseArgs(int argc, char **argv)
     // Honor MGSEC_DEBUG in every bench/tool; Sweep::run() drops to
     // one worker when any flag is on so traces stay readable.
     debug::enableFromEnv();
-    auto die = [&](const char *fmt, const char *what) {
-        std::fprintf(stderr, fmt, what);
-        std::fputc('\n', stderr);
+    const std::vector<Knob<SweepArgs>> rows = sweepKnobs(*this);
+    const ParseStatus st = walkArgs(
+        argc, argv, [&](std::ostream &os) { printUsage(os, argv[0]); },
+        [&](const std::string &name, const std::string &v) {
+            return name == "debug" ? setDebugFlags(v)
+                                   : setKnob(rows, *this, name, v);
+        });
+    if (st == ParseStatus::Help)
+        std::exit(0);
+    const std::string fabric =
+        st == ParseStatus::Ok ? checkFabric(gpus + 1, topology) : "";
+    if (st == ParseStatus::Error || !fabric.empty()) {
+        std::cerr << fabric << (fabric.empty() ? "" : "\n");
         printUsage(std::cerr, argv[0]);
         std::exit(2);
-    };
-    auto value = [&](int &i) -> const char * {
-        if (i + 1 >= argc)
-            die("missing value for '%s'", argv[i]);
-        return argv[++i];
-    };
-    for (int i = 1; i < argc; ++i) {
-        const char *arg = argv[i];
-        if (std::strcmp(arg, "--help") == 0 ||
-            std::strcmp(arg, "-h") == 0) {
-            printUsage(std::cout, argv[0]);
-            std::exit(0);
-        } else if (std::strcmp(arg, "--scale") == 0) {
-            if (!parseNumber(value(i), 1e-6, 1e6, scale))
-                die("bad --scale value '%s'", argv[i]);
-        } else if (std::strcmp(arg, "--seeds") == 0) {
-            long long v = 0;
-            if (!parseNumber(value(i), 1LL, 10000LL, v))
-                die("bad --seeds value '%s'", argv[i]);
-            seeds = static_cast<int>(v);
-        } else if (std::strcmp(arg, "--jobs") == 0) {
-            unsigned long long v = 0;
-            if (!parseNumber(value(i), 1ULL, 1024ULL, v))
-                die("bad --jobs value '%s'", argv[i]);
-            jobs = static_cast<unsigned>(v);
-        } else if (acceptGpus && std::strcmp(arg, "--gpus") == 0) {
-            unsigned long long v = 0;
-            if (!parseNumber(value(i), 1ULL, 256ULL, v))
-                die("bad --gpus value '%s'", argv[i]);
-            gpus = static_cast<std::uint32_t>(v);
-        } else if (acceptJson && std::strcmp(arg, "--json") == 0) {
-            jsonOut = value(i);
-        } else if (acceptObserve &&
-                   std::strcmp(arg, "--observe") == 0) {
-            observeDir = value(i);
-        } else if (acceptShape && std::strcmp(arg, "--shape") == 0) {
-            shapes.clear();
-            std::string list = value(i);
-            std::size_t pos = 0;
-            while (pos <= list.size()) {
-                const std::size_t comma = list.find(',', pos);
-                const std::string tok = list.substr(
-                    pos, comma == std::string::npos ? std::string::npos
-                                                    : comma - pos);
-                ShapingPolicy p = ShapingPolicy::None;
-                if (!parseShaping(tok, p))
-                    die("bad --shape value '%s'", tok.c_str());
-                shapes.push_back(p);
-                if (comma == std::string::npos)
-                    break;
-                pos = comma + 1;
-            }
-            if (shapes.empty())
-                die("bad --shape value '%s'", argv[i]);
-        } else if (acceptWorkloads &&
-                   std::strcmp(arg, "--workloads") == 0) {
-            workloads.clear();
-            std::string list = value(i);
-            std::size_t pos = 0;
-            while (pos <= list.size()) {
-                const std::size_t comma = list.find(',', pos);
-                const std::string tok = list.substr(
-                    pos, comma == std::string::npos ? std::string::npos
-                                                    : comma - pos);
-                const auto &names = workloadNames();
-                bool known = false;
-                for (const auto &n : names)
-                    known = known || n == tok;
-                if (!known)
-                    die("unknown workload '%s'", tok.c_str());
-                workloads.push_back(tok);
-                if (comma == std::string::npos)
-                    break;
-                pos = comma + 1;
-            }
-            if (workloads.empty())
-                die("bad --workloads value '%s'", argv[i]);
-        } else if (acceptTopology &&
-                   std::strcmp(arg, "--topology") == 0) {
-            if (!parseTopologyKind(value(i), topology.kind))
-                die("bad --topology value '%s'", argv[i]);
-        } else if (std::strcmp(arg, "--crypto-impl") == 0) {
-            if (!crypto::parseCryptoImpl(value(i), cryptoImpl))
-                die("bad --crypto-impl value '%s'", argv[i]);
-        } else if (std::strcmp(arg, "--sim-threads") == 0) {
-            unsigned long long v = 0;
-            if (!parseNumber(value(i), 1ULL, 256ULL, v))
-                die("bad --sim-threads value '%s'", argv[i]);
-            simThreads = static_cast<std::uint32_t>(v);
-        } else if (std::strcmp(arg, "--debug") == 0) {
-            const char *flags = value(i);
-            if (std::strcmp(flags, "help") == 0) {
-                debug::listFlags(std::cout);
-                std::exit(0);
-            }
-            if (!debug::DebugFlag::enableByName(flags))
-                die("bad --debug value '%s'", argv[i]);
-        } else {
-            die("unknown flag '%s'", arg);
-        }
     }
 }
-
-namespace
-{
-
-/**
- * The unsecure configuration a normalized run measures against.
- * Every knob that acts only on a secured() run returns to its
- * default, so configKey() of the result — the baseline memo key and
- * the tag of its observability files — is shared by every secure
- * variant that normalizes against the same unsecure run.
- */
-ExperimentConfig
-baselineConfig(ExperimentConfig cfg)
-{
-    const ExperimentConfig def;
-    cfg.scheme = OtpScheme::Unsecure;
-    cfg.batching = false;
-    cfg.countMetadataBytes = true;
-    cfg.hostMemProtect = -1; // auto: disabled for Unsecure
-    cfg.otpMult = def.otpMult;
-    cfg.aesLatency = def.aesLatency;
-    cfg.batchSize = def.batchSize;
-    cfg.dynParams = def.dynParams;
-    cfg.debugPadStallPct = def.debugPadStallPct;
-    cfg.shaping = def.shaping;
-    cfg.shapeInterval = def.shapeInterval;
-    cfg.shapePadTo = def.shapePadTo;
-    cfg.shapeJitter = def.shapeJitter;
-    cfg.shapeChaffSlots = def.shapeChaffSlots;
-    return cfg;
-}
-
-} // anonymous namespace
 
 Sweep::Sweep(const SweepArgs &args)
     : Sweep(args.scale, args.seeds, args.jobs)

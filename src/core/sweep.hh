@@ -57,26 +57,14 @@ struct SweepArgs
     std::vector<std::string> workloads;
 
     /**
-     * Fabric for every queued run (--topology, parsed only when
-     * acceptTopology; switch/fabric knobs keep their defaults).
-     * Benches apply it to the configs they queue; the default p2p
-     * keeps the historical matrix byte-identical.
+     * Knobs every queued run takes, parsed by their experimentKnobs()
+     * rows: --topology (when acceptTopology) sets only the fabric
+     * kind; --crypto-impl and --sim-threads (0 = MGSEC_SIM_THREADS,
+     * else 1; unlike --jobs, it speeds up one large run) never change
+     * results.
      */
     TopologyConfig topology{};
-
-    /**
-     * Host crypto tier for every queued run (--crypto-impl). Speed
-     * knob only; any setting produces bit-identical sweep output.
-     */
     crypto::CryptoImpl cryptoImpl = crypto::CryptoImpl::Auto;
-
-    /**
-     * Event-kernel worker threads per queued run (--sim-threads).
-     * 0 = auto (MGSEC_SIM_THREADS, else 1). Speeds up a single
-     * large simulation, where --jobs only helps across independent
-     * runs; results are thread-count invariant (see
-     * ExperimentConfig::simThreads).
-     */
     std::uint32_t simThreads = 0;
 
     bool acceptGpus = false;
@@ -89,7 +77,8 @@ struct SweepArgs
     /**
      * Parse argv into *this (current members are the defaults).
      * Prints usage and exits on --help (status 0) or on any unknown
-     * flag, missing value, or out-of-range value (status 2).
+     * flag, missing value, out-of-range value or GPU count the
+     * fabric cannot hold (status 2).
      */
     void parseArgs(int argc, char **argv);
 

@@ -5,6 +5,7 @@
 #include <fstream>
 #include <ostream>
 
+#include "core/knobs.hh"
 #include "net/packet_pool.hh"
 #include "sim/debug.hh"
 #include "sim/json_writer.hh"
@@ -30,14 +31,13 @@ resolveSimThreads(std::uint32_t cfg_threads, std::uint32_t num_domains)
     std::uint64_t t = cfg_threads;
     if (t == 0) {
         t = 1;
+        // Read through --sim-threads' own row, range and all.
+        ExperimentConfig e;
         if (const char *env = std::getenv("MGSEC_SIM_THREADS")) {
-            char *end = nullptr;
-            const unsigned long v = std::strtoul(env, &end, 10);
-            if (end != env && *end == '\0' && v >= 1 && v <= 256) {
-                t = v;
-            } else {
+            if (findKnob(experimentKnobs(), "sim-threads")->parse(e, env))
+                t = e.simThreads;
+            else
                 warn("ignoring invalid MGSEC_SIM_THREADS='%s'", env);
-            }
         }
     }
     if (t > 1) {

@@ -1,6 +1,5 @@
 #include "crypto/dispatch.hh"
 
-#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
@@ -137,36 +136,6 @@ bool
 simdActive()
 {
     return activeCryptoImpl() == CryptoImpl::Simd;
-}
-
-bool
-parseCryptoImpl(const std::string &text, CryptoImpl &out)
-{
-    std::string t = text;
-    std::transform(t.begin(), t.end(), t.begin(), ::tolower);
-    if (t == "auto")
-        out = CryptoImpl::Auto;
-    else if (t == "portable")
-        out = CryptoImpl::Portable;
-    else if (t == "simd")
-        out = CryptoImpl::Simd;
-    else
-        return false;
-    return true;
-}
-
-const char *
-cryptoImplName(CryptoImpl impl)
-{
-    switch (impl) {
-      case CryptoImpl::Auto:
-        return "auto";
-      case CryptoImpl::Portable:
-        return "portable";
-      case CryptoImpl::Simd:
-        return "simd";
-    }
-    return "?";
 }
 
 } // namespace mgsec::crypto

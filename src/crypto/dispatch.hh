@@ -26,6 +26,8 @@
 
 #include <string>
 
+#include "sim/knob.hh"
+
 namespace mgsec::crypto
 {
 
@@ -72,11 +74,24 @@ CryptoImpl activeCryptoImpl();
 /** activeCryptoImpl() == Simd. */
 bool simdActive();
 
+inline constexpr EnumName<CryptoImpl> kCryptoImplNames[] = {
+    {CryptoImpl::Auto, "auto"},
+    {CryptoImpl::Portable, "portable"},
+    {CryptoImpl::Simd, "simd"}};
+
 /** Parse "auto" / "portable" / "simd" (case-insensitive). */
-bool parseCryptoImpl(const std::string &text, CryptoImpl &out);
+inline bool
+parseCryptoImpl(const std::string &text, CryptoImpl &out)
+{
+    return parseIn(kCryptoImplNames, text, out);
+}
 
 /** Stable lowercase name of @p impl. */
-const char *cryptoImplName(CryptoImpl impl);
+inline const char *
+cryptoImplName(CryptoImpl impl)
+{
+    return nameIn(kCryptoImplNames, impl);
+}
 
 } // namespace mgsec::crypto
 

@@ -5,19 +5,20 @@
 namespace mgsec
 {
 
-bool
-parseTopologyKind(const std::string &text, TopologyKind &out)
+std::string
+checkFabric(std::uint32_t num_nodes, const TopologyConfig &cfg)
 {
-    if (text == "p2p") {
-        out = TopologyKind::P2p;
-    } else if (text == "nvswitch") {
-        out = TopologyKind::NvSwitch;
-    } else if (text == "hier") {
-        out = TopologyKind::Hier;
-    } else {
-        return false;
-    }
-    return true;
+    if (num_nodes < 2)
+        return "need a CPU and at least one GPU";
+    if (cfg.kind == TopologyKind::NvSwitch &&
+        num_nodes - 1 > cfg.switchRadix)
+        return strformat("%u GPUs exceed switch radix %u",
+                         num_nodes - 1, cfg.switchRadix);
+    if (cfg.kind == TopologyKind::Hier &&
+        cfg.gpusPerNode > cfg.switchRadix)
+        return strformat("%u GPUs per node exceed switch radix %u",
+                         cfg.gpusPerNode, cfg.switchRadix);
+    return "";
 }
 
 Topology::Topology(const TopologyConfig &cfg, std::uint32_t num_nodes,

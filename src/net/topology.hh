@@ -49,6 +49,7 @@
 
 #include "net/serializer.hh"
 #include "sim/latency_attr.hh"
+#include "sim/knob.hh"
 #include "sim/types.hh"
 
 namespace mgsec
@@ -68,22 +69,16 @@ enum class TopologyKind : std::uint8_t
     Hier = 2,     ///< per-node crossbars + inter-node trunk links
 };
 
+inline constexpr EnumName<TopologyKind> kTopologyKindNames[] = {
+    {TopologyKind::P2p, "p2p"},
+    {TopologyKind::NvSwitch, "nvswitch"},
+    {TopologyKind::Hier, "hier"}};
+
 inline const char *
 topologyKindName(TopologyKind k)
 {
-    switch (k) {
-      case TopologyKind::P2p:
-        return "p2p";
-      case TopologyKind::NvSwitch:
-        return "nvswitch";
-      case TopologyKind::Hier:
-        return "hier";
-    }
-    return "?";
+    return nameIn(kTopologyKindNames, k);
 }
-
-/** Parse a topology name ("p2p", "nvswitch", "hier"). */
-bool parseTopologyKind(const std::string &text, TopologyKind &out);
 
 /** Fabric selection + the knobs of the non-p2p fabrics. */
 struct TopologyConfig
@@ -189,6 +184,12 @@ class Topology
     std::vector<Serializer> pcie_down_;
     std::vector<Serializer> pcie_up_;
 };
+
+/**
+ * Why @p num_nodes nodes (node 0 plus the GPUs) do not fit @p cfg, or
+ * "". Parsers call it; the topology constructors assert the same.
+ */
+std::string checkFabric(std::uint32_t num_nodes, const TopologyConfig &cfg);
 
 /** Build the fabric @p cfg selects. */
 std::unique_ptr<Topology> makeTopology(const TopologyConfig &cfg,

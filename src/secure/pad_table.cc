@@ -605,24 +605,6 @@ DynamicPadTable::adjust()
 
 // ---------------------------------------------------------------- factory
 
-const char *
-otpSchemeName(OtpScheme s)
-{
-    switch (s) {
-      case OtpScheme::Unsecure:
-        return "Unsecure";
-      case OtpScheme::Private:
-        return "Private";
-      case OtpScheme::Shared:
-        return "Shared";
-      case OtpScheme::Cached:
-        return "Cached";
-      case OtpScheme::Dynamic:
-        return "Dynamic";
-    }
-    return "?";
-}
-
 std::unique_ptr<PadTable>
 makePadTable(OtpScheme scheme, const std::string &name, EventQueue &eq,
              NodeId self, std::uint32_t num_nodes,

@@ -24,6 +24,7 @@
 
 #include "secure/otp_types.hh"
 #include "secure/pad_pipeline.hh"
+#include "sim/knob.hh"
 #include "sim/ring_queue.hh"
 #include "sim/sim_object.hh"
 
@@ -379,7 +380,24 @@ enum class OtpScheme : std::uint8_t
     Dynamic,
 };
 
-const char *otpSchemeName(OtpScheme s);
+/** "none" is an alias of Unsecure. */
+inline constexpr EnumName<OtpScheme> kOtpSchemeNames[] = {
+    {OtpScheme::Unsecure, "Unsecure"}, {OtpScheme::Unsecure, "none"},
+    {OtpScheme::Private, "Private"},   {OtpScheme::Shared, "Shared"},
+    {OtpScheme::Cached, "Cached"},     {OtpScheme::Dynamic, "Dynamic"}};
+
+inline const char *
+otpSchemeName(OtpScheme s)
+{
+    return nameIn(kOtpSchemeNames, s);
+}
+
+/** Parse a scheme name ("private", "Dynamic", ...). */
+inline bool
+parseScheme(const std::string &text, OtpScheme &out)
+{
+    return parseIn(kOtpSchemeNames, text, out);
+}
 
 /** Factory building the right table for a scheme (not Unsecure). */
 std::unique_ptr<PadTable>

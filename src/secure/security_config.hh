@@ -9,6 +9,7 @@
 
 #include <array>
 #include <cstdint>
+#include <string>
 
 #include "crypto/dispatch.hh"
 #include "secure/pad_table.hh"
@@ -46,17 +47,19 @@ enum class ShapingPolicy : std::uint8_t
     BatchJitter = 2,
 };
 
+/** "off", "constant" and "jitter" are aliases. */
+inline constexpr EnumName<ShapingPolicy> kShapingPolicyNames[] = {
+    {ShapingPolicy::None, "none"},
+    {ShapingPolicy::ConstantRate, "constant-rate"},
+    {ShapingPolicy::BatchJitter, "batch-jitter"},
+    {ShapingPolicy::None, "off"},
+    {ShapingPolicy::ConstantRate, "constant"},
+    {ShapingPolicy::BatchJitter, "jitter"}};
+
 inline const char *
 shapingPolicyName(ShapingPolicy p)
 {
-    switch (p) {
-      case ShapingPolicy::ConstantRate:
-        return "constant-rate";
-      case ShapingPolicy::BatchJitter:
-        return "batch-jitter";
-      default:
-        return "none";
-    }
+    return nameIn(kShapingPolicyNames, p);
 }
 
 struct SecurityConfig

@@ -1,7 +1,6 @@
 #include "verify/fuzz.hh"
 
 #include <algorithm>
-#include <cctype>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -16,105 +15,47 @@ namespace mgsec::verify
 namespace
 {
 
-std::string
-lowered(std::string s)
-{
-    std::transform(s.begin(), s.end(), s.begin(), [](unsigned char c) {
-        return static_cast<char>(std::tolower(c));
-    });
-    return s;
-}
-
-bool
-parseU64(const std::string &text, std::uint64_t &out)
-{
-    if (text.empty() || text.find('-') != std::string::npos)
-        return false;
-    errno = 0;
-    char *end = nullptr;
-    const unsigned long long v = std::strtoull(text.c_str(), &end, 10);
-    if (errno != 0 || end != text.c_str() + text.size())
-        return false;
-    out = v;
-    return true;
-}
-
-bool
-parseSchemeName(const std::string &text, OtpScheme &out)
-{
-    static constexpr OtpScheme kSchemes[] = {
-        OtpScheme::Unsecure, OtpScheme::Private, OtpScheme::Shared,
-        OtpScheme::Cached, OtpScheme::Dynamic};
-    const std::string t = lowered(text);
-    for (OtpScheme s : kSchemes) {
-        if (t == lowered(otpSchemeName(s))) {
-            out = s;
-            return true;
-        }
-    }
-    return false;
-}
-
-bool
-parseBugName(const std::string &text, SeededBug &out)
-{
-    static constexpr SeededBug kBugs[] = {
-        SeededBug::None, SeededBug::CounterSkip, SeededBug::StaleCipher};
-    const std::string t = lowered(text);
-    for (SeededBug b : kBugs) {
-        if (t == lowered(seededBugName(b))) {
-            out = b;
-            return true;
-        }
-    }
-    return false;
-}
-
-std::vector<std::string>
-split(const std::string &text, char sep)
-{
-    std::vector<std::string> out;
-    std::size_t start = 0;
-    while (start <= text.size()) {
-        const std::size_t end = text.find(sep, start);
-        if (end == std::string::npos) {
-            out.push_back(text.substr(start));
-            break;
-        }
-        out.push_back(text.substr(start, end - start));
-        start = end + 1;
-    }
-    return out;
-}
-
 bool
 parseScript(const std::string &text, std::vector<AttackStep> &out)
 {
-    out.clear();
-    if (text.empty())
+    if (text.empty()) {
+        out.clear();
         return true;
-    for (const std::string &tok : split(text, ',')) {
+    }
+    std::vector<AttackStep> steps;
+    for (const std::string &tok : splitList(text, ',')) {
         const std::size_t at = tok.find('@');
         if (at == std::string::npos)
             return false;
         AttackStep step;
         if (!parseAttackClass(tok.substr(0, at), step.cls))
             return false;
-        std::string rest = tok.substr(at + 1);
-        const std::size_t slash = rest.find('/');
-        std::uint64_t nth = 0;
-        if (slash == std::string::npos) {
-            if (!parseU64(rest, nth))
-                return false;
-        } else {
-            if (!parseU64(rest.substr(0, slash), nth) ||
-                !parseU64(rest.substr(slash + 1), step.param))
-                return false;
-        }
+        const std::vector<std::string> nums =
+            splitList(tok.substr(at + 1), '/');
+        unsigned long long nth = 0, param = 0;
+        if (nums.size() > 2 ||
+            !parseNumber(nums[0], 0ULL, 0ULL + UINT32_MAX, nth) ||
+            (nums.size() == 2 &&
+             !parseNumber(nums[1], 0ULL, 0ULL + UINT64_MAX, param)))
+            return false;
         step.nth = static_cast<std::uint32_t>(nth);
-        out.push_back(step);
+        step.param = param;
+        steps.push_back(step);
     }
+    out = std::move(steps);
     return true;
+}
+
+std::string
+printScript(const std::vector<AttackStep> &script)
+{
+    std::string out;
+    for (const AttackStep &s : script) {
+        out += strformat("%s%s@%u/%llu", out.empty() ? "" : ",",
+                         attackClassName(s.cls), s.nth,
+                         static_cast<unsigned long long>(s.param));
+    }
+    return out;
 }
 
 /** Index of a secured scheme in the coverage space. */
@@ -279,97 +220,62 @@ mutateCase(Rng &rng, const TestbedConfig &base)
 
 } // anonymous namespace
 
+const std::vector<Knob<TestbedConfig>> &
+reproKnobs()
+{
+    using T = TestbedConfig;
+    static const std::vector<Knob<T>> rows = {
+        number<&T::seed>("seed", nullptr, 0, UINT64_MAX, "traffic seed"),
+        number<&T::numNodes>("nodes", nullptr, 2, 256,
+                             "nodes, node 0 included"),
+        choice<&T::scheme>("scheme", nullptr, kOtpSchemeNames,
+                           "protection scheme"),
+        flag<&T::batching>("batch", nullptr, "metadata batching"),
+        number<&T::batchSize>("bsz", nullptr, kMinBatchSize,
+                              kMaxBatchSize, "batch length"),
+        number<&T::messages>("msgs", nullptr, 1, UINT32_MAX,
+                             "data messages sent"),
+        number<&T::requestPercent>("req", nullptr, 0, 100,
+                                   "percent sent as read requests"),
+        number<&T::gap>("gap", nullptr, 1, UINT64_MAX,
+                        "mean inter-send gap in cycles"),
+        choice<&T::bug>("bug", nullptr, kSeededBugNames, "seeded bug"),
+        number<&T::bugTrigger>("trigger", nullptr, 0, UINT32_MAX,
+                               "eligible packet that triggers the bug"),
+        choice<&T::topology, &TopologyConfig::kind>(
+            "topo", nullptr, kTopologyKindNames, "fabric"),
+        bind<&T::script>("script", nullptr, "STEPS",
+                         "CLASS@NTH/PARAM attack steps", "", parseScript,
+                         printScript),
+    };
+    return rows;
+}
+
 std::string
 encodeRepro(const TestbedConfig &cfg)
 {
-    std::string script;
-    for (const AttackStep &s : cfg.script) {
-        if (!script.empty())
-            script += ',';
-        script += strformat("%s@%u/%llu", attackClassName(s.cls),
-                            s.nth,
-                            static_cast<unsigned long long>(s.param));
-    }
-    // topo= appears only off the default so historical repro strings
-    // stay stable (and old repros keep decoding).
-    std::string topo;
-    if (cfg.topology.kind != TopologyKind::P2p)
-        topo = strformat(";topo=%s",
-                         topologyKindName(cfg.topology.kind));
-    return strformat(
-        "v1;seed=%llu;nodes=%u;scheme=%s;batch=%u;bsz=%u;msgs=%u;"
-        "req=%u;gap=%llu;bug=%s;trigger=%u%s;script=%s",
-        static_cast<unsigned long long>(cfg.seed), cfg.numNodes,
-        otpSchemeName(cfg.scheme), cfg.batching ? 1 : 0,
-        cfg.batchSize, cfg.messages, cfg.requestPercent,
-        static_cast<unsigned long long>(cfg.gap),
-        seededBugName(cfg.bug), cfg.bugTrigger, topo.c_str(),
-        script.c_str());
+    std::string out = "v1";
+    for (const Knob<TestbedConfig> &k : reproKnobs())
+        out += ';' + std::string(k.name) + '=' + k.print(cfg);
+    return out;
 }
 
 bool
 decodeRepro(const std::string &text, TestbedConfig &out)
 {
-    const std::vector<std::string> parts = split(text, ';');
-    if (parts.empty() || parts[0] != "v1")
+    const std::vector<std::string> parts = splitList(text, ';');
+    if (parts[0] != "v1")
         return false;
     for (std::size_t i = 1; i < parts.size(); ++i) {
         const std::size_t eq = parts[i].find('=');
-        if (eq == std::string::npos)
+        const Knob<TestbedConfig> *k =
+            eq == std::string::npos
+                ? nullptr
+                : findKnob(reproKnobs(), parts[i].substr(0, eq));
+        if (!k || !k->parse(out, parts[i].substr(eq + 1)))
             return false;
-        const std::string key = parts[i].substr(0, eq);
-        const std::string val = parts[i].substr(eq + 1);
-        std::uint64_t v = 0;
-        if (key == "seed") {
-            if (!parseU64(val, v))
-                return false;
-            out.seed = v;
-        } else if (key == "nodes") {
-            if (!parseU64(val, v) || v < 2)
-                return false;
-            out.numNodes = static_cast<std::uint32_t>(v);
-        } else if (key == "scheme") {
-            if (!parseSchemeName(val, out.scheme))
-                return false;
-        } else if (key == "batch") {
-            if (!parseU64(val, v) || v > 1)
-                return false;
-            out.batching = v != 0;
-        } else if (key == "bsz") {
-            if (!parseU64(val, v) || v < kMinBatchSize ||
-                v > kMaxBatchSize)
-                return false;
-            out.batchSize = static_cast<std::uint32_t>(v);
-        } else if (key == "msgs") {
-            if (!parseU64(val, v) || v == 0)
-                return false;
-            out.messages = static_cast<std::uint32_t>(v);
-        } else if (key == "req") {
-            if (!parseU64(val, v) || v > 100)
-                return false;
-            out.requestPercent = static_cast<std::uint32_t>(v);
-        } else if (key == "gap") {
-            if (!parseU64(val, v) || v == 0)
-                return false;
-            out.gap = static_cast<Cycles>(v);
-        } else if (key == "bug") {
-            if (!parseBugName(val, out.bug))
-                return false;
-        } else if (key == "trigger") {
-            if (!parseU64(val, v))
-                return false;
-            out.bugTrigger = static_cast<std::uint32_t>(v);
-        } else if (key == "topo") {
-            if (!parseTopologyKind(val, out.topology.kind))
-                return false;
-        } else if (key == "script") {
-            if (!parseScript(val, out.script))
-                return false;
-        } else {
-            return false;
-        }
     }
-    return true;
+    return checkFabric(out.numNodes, out.topology).empty();
 }
 
 CaseOutcome

@@ -24,17 +24,29 @@
 #include <string>
 #include <vector>
 
+#include "sim/knob.hh"
 #include "verify/testbed.hh"
 #include "verify/verify_types.hh"
 
 namespace mgsec::verify
 {
 
+/**
+ * The repro grammar: one row per key of "v1;key=value;...", printed
+ * in this order. CampaignConfig::simThreads is deliberately absent
+ * (results are thread-count invariant).
+ */
+const std::vector<Knob<TestbedConfig>> &reproKnobs();
+
 /** Render @p cfg as a one-line printable repro string. */
 std::string encodeRepro(const TestbedConfig &cfg);
 
-/** Parse a repro string; returns false (and leaves @p out partially
- *  updated) on malformed input. */
+/**
+ * Parse a repro string. Keys it omits keep @p out's values, and
+ * every key is range-checked as encodeRepro() prints it.
+ * @retval false malformed input, or nodes that do not fit the fabric
+ *         (@p out is then partially updated)
+ */
 bool decodeRepro(const std::string &text, TestbedConfig &out);
 
 struct CaseOutcome

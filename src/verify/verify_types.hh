@@ -12,6 +12,8 @@
 #include <string>
 #include <vector>
 
+#include "sim/knob.hh"
+
 namespace mgsec::verify
 {
 
@@ -38,10 +40,27 @@ enum class AttackClass : std::uint8_t
 };
 constexpr std::size_t kNumAttackClasses = 11;
 
-const char *attackClassName(AttackClass c);
+inline constexpr EnumName<AttackClass> kAttackClassNames[] = {
+    {AttackClass::Replay, "Replay"}, {AttackClass::PayloadFlip, "PayloadFlip"},
+    {AttackClass::MacFlip, "MacFlip"}, {AttackClass::HeaderFlip, "HeaderFlip"},
+    {AttackClass::TrailerCorrupt, "TrailerCorrupt"},
+    {AttackClass::LengthCorrupt, "LengthCorrupt"},
+    {AttackClass::AckDrop, "AckDrop"}, {AttackClass::AckDup, "AckDup"},
+    {AttackClass::AckReorder, "AckReorder"},
+    {AttackClass::Splice, "Splice"},   {AttackClass::DataDrop, "DataDrop"}};
+
+inline const char *
+attackClassName(AttackClass c)
+{
+    return nameIn(kAttackClassNames, c);
+}
 
 /** Parse an attack-class name (repro strings). */
-bool parseAttackClass(const std::string &text, AttackClass &out);
+inline bool
+parseAttackClass(const std::string &text, AttackClass &out)
+{
+    return parseIn(kAttackClassNames, text, out);
+}
 
 /** One scripted attack: hit the nth eligible packet of the class. */
 struct AttackStep
@@ -74,7 +93,19 @@ enum class FindingKind : std::uint8_t
     LostMessage,
 };
 
-const char *findingKindName(FindingKind k);
+inline constexpr EnumName<FindingKind> kFindingKindNames[] = {
+    {FindingKind::Divergence, "Divergence"},
+    {FindingKind::CounterAnomaly, "CounterAnomaly"},
+    {FindingKind::CryptoMismatch, "CryptoMismatch"},
+    {FindingKind::LostVerification, "LostVerification"},
+    {FindingKind::UndetectedAttack, "UndetectedAttack"},
+    {FindingKind::LostMessage, "LostMessage"}};
+
+inline const char *
+findingKindName(FindingKind k)
+{
+    return nameIn(kFindingKindNames, k);
+}
 
 /** One security-property failure. Empty list == healthy run. */
 struct Finding
@@ -108,7 +139,16 @@ enum class SeededBug : std::uint8_t
     StaleCipher,
 };
 
-const char *seededBugName(SeededBug b);
+inline constexpr EnumName<SeededBug> kSeededBugNames[] = {
+    {SeededBug::None, "none"},
+    {SeededBug::CounterSkip, "counterskip"},
+    {SeededBug::StaleCipher, "stalecipher"}};
+
+inline const char *
+seededBugName(SeededBug b)
+{
+    return nameIn(kSeededBugNames, b);
+}
 
 /**
  * Deterministic xorshift64* generator. The standard distributions

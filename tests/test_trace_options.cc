@@ -106,13 +106,13 @@ TEST(RunOptions, DefaultsAreSane)
 TEST(RunOptions, SetKnownKeys)
 {
     RunOptions o;
-    EXPECT_TRUE(o.set("workload", "spmv"));
-    EXPECT_TRUE(o.set("gpus", "8"));
-    EXPECT_TRUE(o.set("scheme", "dynamic"));
-    EXPECT_TRUE(o.set("batching", "on"));
-    EXPECT_TRUE(o.set("otp-mult", "16"));
-    EXPECT_TRUE(o.set("aes-latency", "10"));
-    EXPECT_TRUE(o.set("scale", "0.5"));
+    EXPECT_EQ(o.set("workload", "spmv"), RunOptions::ParseStatus::Ok);
+    EXPECT_EQ(o.set("gpus", "8"), RunOptions::ParseStatus::Ok);
+    EXPECT_EQ(o.set("scheme", "dynamic"), RunOptions::ParseStatus::Ok);
+    EXPECT_EQ(o.set("batching", "on"), RunOptions::ParseStatus::Ok);
+    EXPECT_EQ(o.set("otp-mult", "16"), RunOptions::ParseStatus::Ok);
+    EXPECT_EQ(o.set("aes-latency", "10"), RunOptions::ParseStatus::Ok);
+    EXPECT_EQ(o.set("scale", "0.5"), RunOptions::ParseStatus::Ok);
     EXPECT_EQ(o.workload, "spmv");
     EXPECT_EQ(o.exp.numGpus, 8u);
     EXPECT_EQ(o.exp.scheme, OtpScheme::Dynamic);
@@ -125,14 +125,14 @@ TEST(RunOptions, SetKnownKeys)
 TEST(RunOptions, RejectsUnknownKey)
 {
     RunOptions o;
-    EXPECT_FALSE(o.set("frobnicate", "1"));
+    EXPECT_EQ(o.set("frobnicate", "1"), RunOptions::ParseStatus::Error);
 }
 
 TEST(RunOptions, RejectsBadValues)
 {
     RunOptions o;
-    EXPECT_FALSE(o.set("scheme", "quantum"));
-    EXPECT_FALSE(o.set("batching", "maybe"));
+    EXPECT_EQ(o.set("scheme", "quantum"), RunOptions::ParseStatus::Error);
+    EXPECT_EQ(o.set("batching", "maybe"), RunOptions::ParseStatus::Error);
 }
 
 TEST(RunOptions, BatchSizeMustFitTheLengthByte)
@@ -142,11 +142,12 @@ TEST(RunOptions, BatchSizeMustFitTheLengthByte)
     // report those sizes instead of starting a run that aborts.
     RunOptions o;
     for (const char *bad : {"0", "1", "256", "300", "1048576"})
-        EXPECT_FALSE(o.set("batch-size", bad)) << bad;
+        EXPECT_EQ(o.set("batch-size", bad), RunOptions::ParseStatus::Error)
+            << bad;
     EXPECT_EQ(o.exp.batchSize, 16u);
-    EXPECT_TRUE(o.set("batch-size", "2"));
+    EXPECT_EQ(o.set("batch-size", "2"), RunOptions::ParseStatus::Ok);
     EXPECT_EQ(o.exp.batchSize, kMinBatchSize);
-    EXPECT_TRUE(o.set("batch-size", "255"));
+    EXPECT_EQ(o.set("batch-size", "255"), RunOptions::ParseStatus::Ok);
     EXPECT_EQ(o.exp.batchSize, kMaxBatchSize);
 
     RunOptions cli;
@@ -164,10 +165,11 @@ TEST(RunOptions, ObserveDirNamesTheSweepBundle)
     fs::remove_all(root);
 
     RunOptions o;
-    ASSERT_TRUE(o.set("workload", "fir"));
-    ASSERT_TRUE(o.set("scheme", "dynamic"));
-    ASSERT_TRUE(o.set("scale", "0.05"));
-    ASSERT_TRUE(o.set("observe-dir", (root / "run").string()));
+    ASSERT_EQ(o.set("workload", "fir"), RunOptions::ParseStatus::Ok);
+    ASSERT_EQ(o.set("scheme", "dynamic"), RunOptions::ParseStatus::Ok);
+    ASSERT_EQ(o.set("scale", "0.05"), RunOptions::ParseStatus::Ok);
+    ASSERT_EQ(o.set("observe-dir", (root / "run").string()),
+              RunOptions::ParseStatus::Ok);
     ASSERT_TRUE(o.finalizeObservability());
     const ObserveConfig &obs = o.exp.observe;
     std::set<std::string> run_files;
@@ -206,8 +208,8 @@ TEST(RunOptions, ObserveDirRejectsExplicitSinkPaths)
     for (const char *key : {"metrics-out", "trace-out", "stats-json",
                             "hist-json", "wire-json", "prof-out"}) {
         RunOptions o;
-        ASSERT_TRUE(o.set("observe-dir", dir));
-        ASSERT_TRUE(o.set(key, "explicit.json"));
+        ASSERT_EQ(o.set("observe-dir", dir), RunOptions::ParseStatus::Ok);
+        ASSERT_EQ(o.set(key, "explicit.json"), RunOptions::ParseStatus::Ok);
         EXPECT_FALSE(o.finalizeObservability()) << key;
     }
     EXPECT_FALSE(std::filesystem::exists(dir));
@@ -256,7 +258,7 @@ TEST(RunOptions, ConfigFileRoundTrip)
            << "\n";
     }
     RunOptions o;
-    EXPECT_TRUE(o.loadFile(path));
+    EXPECT_EQ(o.loadFile(path), RunOptions::ParseStatus::Ok);
     EXPECT_EQ(o.workload, "syr2k");
     EXPECT_EQ(o.exp.scheme, OtpScheme::Shared);
     EXPECT_EQ(o.exp.numGpus, 16u);
@@ -271,7 +273,7 @@ TEST(RunOptions, ConfigFileBadLineFails)
         os << "this is not a key value pair\n";
     }
     RunOptions o;
-    EXPECT_FALSE(o.loadFile(path));
+    EXPECT_EQ(o.loadFile(path), RunOptions::ParseStatus::Error);
     std::remove(path.c_str());
 }
 

@@ -26,10 +26,10 @@ main(int argc, char **argv)
     args.acceptJson = true;
     auto usage = [&](std::ostream &os) {
         args.printUsage(os, argv[0]);
-        os << "  --figure NAME  one of all";
+        std::string names = "all";
         for (const Figure &f : figureSpecs())
-            os << "|" << f.name;
-        os << "\n";
+            names += "|" + f.name;
+        os << knobHelpLine("figure", "NAME", "what to run", names, "");
     };
 
     // --figure is ours; every other flag goes to the sweep parser.

@@ -15,36 +15,61 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
+#include <iostream>
 #include <string>
 
+#include "sim/knob.hh"
 #include "verify/fuzz.hh"
 
 namespace
 {
 
+using namespace mgsec;
 using namespace mgsec::verify;
 
-int
-usage(const char *argv0)
+struct FuzzArgs
 {
-    std::fprintf(
-        stderr,
-        "usage: %s [--budget SECONDS] [--seed N] [--max-runs N]\n"
-        "          [--repro STRING] [--inject-bug counterskip|"
-        "stalecipher]\n"
-        "          [--artifact PATH] [--sim-threads N]\n"
-        "          [--topology p2p|nvswitch|hier] [--nodes N]\n"
-        "          [--verbose]\n"
-        "  --sim-threads N   event-kernel worker threads per case\n"
-        "                    (repros replay on one worker)\n"
-        "  --topology T      fabric for every case (default p2p;\n"
-        "                    part of the repro, unlike --sim-threads)\n"
-        "  --nodes N         fix the node count of every case\n"
-        "                    (default: generator's choice, 2..4)\n",
-        argv0);
-    return 2;
+    CampaignConfig cc;
+    std::string repro;
+    std::string artifact;
+};
+
+const std::vector<Knob<FuzzArgs>> &
+fuzzKnobs()
+{
+    using A = FuzzArgs;
+    using C = CampaignConfig;
+    static const std::vector<Knob<A>> rows = {
+        number<&A::cc, &C::budgetSeconds>(
+            "budget", nullptr, 0, 1e9,
+            "wall-clock budget in seconds (0 = 60 unless --max-runs "
+            "is set)"),
+        number<&A::cc, &C::seed>("seed", nullptr, 0, UINT64_MAX,
+                                 "campaign seed"),
+        number<&A::cc, &C::maxRuns>("max-runs", nullptr, 0, UINT32_MAX,
+                                    "cap on generated cases (0 = none)"),
+        text<&A::repro>("repro", "replay one case", "STRING"),
+        choice<&A::cc, &C::injectBug>(
+            "inject-bug", nullptr, kSeededBugNames,
+            "seed this bug into every case (oracle mutation check)"),
+        text<&A::artifact>("artifact",
+                           "also write a failure's repro and findings "
+                           "to PATH",
+                           "PATH"),
+        number<&A::cc, &C::simThreads>(
+            "sim-threads", nullptr, 1, 256,
+            "event-kernel worker threads per case (repros replay on "
+            "one worker)"),
+        choice<&A::cc, &C::topology, &TopologyConfig::kind>(
+            "topology", nullptr, kTopologyKindNames,
+            "fabric for every case (part of the repro, unlike "
+            "--sim-threads)"),
+        number<&A::cc, &C::numNodes>(
+            "nodes", nullptr, 2, 256,
+            "fix the node count of every case (default: the "
+            "generator's choice, 2..4)"),
+    };
+    return rows;
 }
 
 void
@@ -103,86 +128,37 @@ replayRepro(const std::string &repro, const std::string &artifact)
 int
 main(int argc, char **argv)
 {
-    CampaignConfig cc;
-    cc.budgetSeconds = 0;
-    std::string repro;
-    std::string artifact;
+    FuzzArgs args;
+    args.cc.budgetSeconds = 0;
+    const FuzzArgs defaults = args;
+    CampaignConfig &cc = args.cc;
 
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        const auto value = [&]() -> const char * {
-            return i + 1 < argc ? argv[++i] : nullptr;
-        };
-        if (arg == "--budget") {
-            const char *v = value();
-            if (v == nullptr)
-                return usage(argv[0]);
-            cc.budgetSeconds = std::atof(v);
-        } else if (arg == "--seed") {
-            const char *v = value();
-            if (v == nullptr)
-                return usage(argv[0]);
-            cc.seed = std::strtoull(v, nullptr, 10);
-        } else if (arg == "--max-runs") {
-            const char *v = value();
-            if (v == nullptr)
-                return usage(argv[0]);
-            cc.maxRuns = static_cast<std::uint32_t>(
-                std::strtoul(v, nullptr, 10));
-        } else if (arg == "--repro") {
-            const char *v = value();
-            if (v == nullptr)
-                return usage(argv[0]);
-            repro = v;
-        } else if (arg == "--inject-bug") {
-            const char *v = value();
-            if (v == nullptr)
-                return usage(argv[0]);
-            if (std::strcmp(v, "counterskip") == 0) {
-                cc.injectBug = SeededBug::CounterSkip;
-            } else if (std::strcmp(v, "stalecipher") == 0) {
-                cc.injectBug = SeededBug::StaleCipher;
-            } else {
-                return usage(argv[0]);
-            }
-        } else if (arg == "--artifact") {
-            const char *v = value();
-            if (v == nullptr)
-                return usage(argv[0]);
-            artifact = v;
-        } else if (arg == "--sim-threads") {
-            const char *v = value();
-            if (v == nullptr)
-                return usage(argv[0]);
-            const unsigned long t = std::strtoul(v, nullptr, 10);
-            if (t < 1 || t > 256)
-                return usage(argv[0]);
-            cc.simThreads = static_cast<std::uint32_t>(t);
-        } else if (arg == "--topology") {
-            const char *v = value();
-            if (v == nullptr ||
-                !mgsec::parseTopologyKind(v, cc.topology.kind))
-                return usage(argv[0]);
-        } else if (arg == "--nodes") {
-            const char *v = value();
-            if (v == nullptr)
-                return usage(argv[0]);
-            const unsigned long n = std::strtoul(v, nullptr, 10);
-            if (n < 2 || n > 256)
-                return usage(argv[0]);
-            cc.numNodes = static_cast<std::uint32_t>(n);
-        } else if (arg == "--verbose") {
-            cc.verbose = true;
-        } else if (arg == "--help" || arg == "-h") {
-            usage(argv[0]);
-            return 0;
-        } else {
-            return usage(argv[0]);
-        }
+    const auto usage = [&](std::ostream &os) {
+        os << "usage: " << argv[0] << " [--FLAG VALUE]... [--verbose]\n";
+        printKnobHelp(os, fuzzKnobs(), defaults);
+        os << "  --verbose                print a line per case\n";
+    };
+    const ParseStatus st = walkArgs(
+        argc, argv, usage,
+        [&](const std::string &name, const std::string &value) {
+            if (name == "verbose")
+                return cc.verbose = true, ParseStatus::Ok;
+            return setKnob(fuzzKnobs(), args, name, value);
+        },
+        {"--verbose"});
+    const std::string fabric = st == ParseStatus::Ok && cc.numNodes != 0
+                                   ? checkFabric(cc.numNodes, cc.topology)
+                                   : "";
+    if (st == ParseStatus::Error || !fabric.empty()) {
+        std::cerr << fabric << (fabric.empty() ? "" : "\n");
+        usage(std::cerr);
+        return 2;
     }
+    if (st == ParseStatus::Help)
+        return 0;
 
-    if (!repro.empty())
-        return replayRepro(repro, artifact);
+    if (!args.repro.empty())
+        return replayRepro(args.repro, args.artifact);
 
     if (cc.budgetSeconds <= 0 && cc.maxRuns == 0)
         cc.budgetSeconds = 60;
@@ -202,8 +178,8 @@ main(int argc, char **argv)
             std::printf("MUTATION CHECK FAILED: seeded bug '%s' was "
                         "never caught\n",
                         seededBugName(cc.injectBug));
-            if (!artifact.empty())
-                writeArtifact(artifact, "(no failing case)", {});
+            if (!args.artifact.empty())
+                writeArtifact(args.artifact, "(no failing case)", {});
             return 1;
         }
         std::printf("seeded bug '%s' caught; repro: %s\n",
@@ -215,8 +191,8 @@ main(int argc, char **argv)
     if (r.failed) {
         std::printf("FAILURE; shrunk repro: %s\n", r.repro.c_str());
         printFindings(r.findings, stdout);
-        if (!artifact.empty())
-            writeArtifact(artifact, r.repro, r.findings);
+        if (!args.artifact.empty())
+            writeArtifact(args.artifact, r.repro, r.findings);
         return 1;
     }
     std::printf("all cases passed\n");

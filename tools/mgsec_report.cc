@@ -35,6 +35,7 @@
 
 #include "core/compare.hh"
 #include "core/json_in.hh"
+#include "core/knobs.hh"
 #include "sim/json_writer.hh"
 #include "verify/observer_adversary.hh"
 
@@ -316,40 +317,35 @@ struct LeakRun
     std::map<double, std::uint64_t> gapBuckets;
 };
 
+/** "SEGMENT=" of the experiment knob that takes --@p flag. */
+std::string
+keySegment(const char *flag)
+{
+    using namespace mgsec;
+    return std::string(findKnob(experimentKnobs(), flag)->segment) + "=";
+}
+
 /** Split a configKey into workload/seed/shape and the signature. */
 void
 parseConfigKey(const std::string &key, LeakRun &run)
 {
-    std::string signature;
-    std::size_t pos = 0;
-    bool first = true;
-    while (pos <= key.size()) {
-        const std::size_t bar = key.find('|', pos);
-        const std::string seg = key.substr(
-            pos,
-            bar == std::string::npos ? std::string::npos : bar - pos);
-        if (first) {
-            run.workload = seg;
-            first = false;
-        } else if (seg.rfind("seed=", 0) == 0) {
-            run.seed = std::strtoull(seg.c_str() + 5, nullptr, 10);
-        } else if (seg.rfind("shape=", 0) == 0) {
+    static const std::string seed = keySegment("seed");
+    static const std::string shape = keySegment("shape");
+    const std::vector<std::string> segs = mgsec::splitList(key, '|');
+    run.workload = segs[0];
+    for (std::size_t i = 1; i < segs.size(); ++i) {
+        const std::string &seg = segs[i];
+        if (seg.rfind(seed, 0) == 0) {
+            mgsec::parseNumber<std::uint64_t>(seg.substr(seed.size()), 0,
+                                              UINT64_MAX, run.seed);
+        } else if (seg.rfind(shape, 0) == 0) {
             // "constant-rate/64/128/96" -> policy name only
-            const std::string v = seg.substr(6);
-            const std::size_t slash = v.find('/');
-            run.shape = slash == std::string::npos
-                            ? v
-                            : v.substr(0, slash);
+            run.shape = mgsec::splitList(seg.substr(shape.size()), '/')[0];
         } else {
-            if (!signature.empty())
-                signature += "|";
-            signature += seg;
+            run.signature.append(run.signature.empty() ? "" : "|")
+                .append(seg);
         }
-        if (bar == std::string::npos)
-            break;
-        pos = bar + 1;
     }
-    run.signature = signature;
 }
 
 /** Accumulate a histogram object's [lo, count] buckets into @p out. */
@@ -624,10 +620,9 @@ main(int argc, char **argv)
         } else if (arg == "--prof") {
             prof = true;
         } else if (arg == "--threshold") {
-            threshold = std::atof(value());
-            if (!(threshold >= 0.0)) {
+            if (!mgsec::parseNumber(value(), 0.0, 1e9, threshold)) {
                 std::fprintf(stderr, "bad --threshold value\n");
-                return 2;
+                return usage(argv[0], 2);
             }
         } else if (arg == "--out") {
             outPath = value();

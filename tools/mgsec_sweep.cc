@@ -5,9 +5,7 @@
  * protection scheme, plus traffic ratios. This is the "is the model
  * calibrated?" dashboard used while developing the reproduction.
  *
- * Usage: mgsec_sweep [--gpus N] [--scale F] [--seeds N] [--jobs N]
- *                    [--json FILE] [--observe DIR] [--debug FLAGS]
- *                    [--shape P[,P..]] [--workloads W[,W..]]
+ * Flags: mgsec_sweep --help.
  *
  * The matrix runs on the parallel job pool; the unsecure baseline of
  * each (workload, seed) is simulated once and shared by all six
