@@ -1,22 +1,29 @@
 /**
  * @file
- * Self-measuring perf harness for the simulator's hot paths.
+ * Self-measuring perf harness for what the repository benchmark
+ * (benchmark/, one pinned core, traced per-layer ledger) cannot
+ * measure: GHASH bandwidth of the table-driven path against the
+ * bit-serial reference, the portable and SIMD crypto tiers, packet
+ * pool churn against plain allocation, the sharded kernel's speedup
+ * over one worker, and the host profiler's overhead.
  *
- * Unlike the figure benches (which measure the *simulated* system),
- * this driver measures the simulator itself: raw event-queue
- * throughput, packet pool recycling, GHASH bandwidth of the
- * table-driven path against the bit-serial reference, the
- * end-to-end wall-clock of a reference workload, and the cost of
- * each observability sink alone and all together. CI runs it on every
- * push so hot-path regressions show up as numbers, not vibes.
+ * The speedup and profiler comparisons grow their workload until one
+ * run takes at least a second, then alternate configurations run by
+ * run and keep each one's minimum. Each worker count's first run
+ * starts from an empty packet pool, and a run at T workers may
+ * allocate at most the one-worker run's pool objects plus
+ * T x 2 x PacketPool::kBatch; more exits 1, as does a multi-worker
+ * run whose result differs from one worker's. CI asserts the
+ * remaining bounds on the JSON.
  *
  * Usage:
  *   bench_hotpath [--json FILE] [--scale S] [--quick]
  *                 [--crypto-impl I]
  *
  * --json FILE  also emit machine-readable results (BENCH_hotpath.json)
- * --scale S    workload size multiplier for the end-to-end run (0.2)
- * --quick      cut the microbench repetition counts ~8x (smoke runs)
+ * --scale S    starting workload size of the kernel runs, doubled
+ *              until one run takes a second (0.2)
+ * --quick      fewer reps and repetitions (smoke runs)
  * --crypto-impl I  tier for the non-crypto sections (auto|portable|
  *              simd); the cryptoTiers section always measures both
  */
@@ -26,6 +33,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <iostream>
 #include <random>
 #include <string>
@@ -40,7 +48,6 @@
 #include "crypto/ghash.hh"
 #include "crypto/otp.hh"
 #include "net/packet_pool.hh"
-#include "sim/event_queue.hh"
 #include "sim/knob.hh"
 #include "sim/logging.hh"
 #include "workload/profile.hh"
@@ -72,7 +79,7 @@ parseArgs(int argc, char **argv)
     static const std::vector<Knob<Args>> rows = {
         text<&Args::json>("json", "also write the results as JSON"),
         number<&Args::scale>("scale", nullptr, 1e-6, 1e6,
-                             "workload size multiplier"),
+                             "starting workload size of the kernel runs"),
         choice<&Args::cryptoImpl>("crypto-impl", nullptr, kCryptoImplNames,
                                   "host crypto tier"),
     };
@@ -324,66 +331,6 @@ benchCryptoTiers(bool quick)
 }
 
 // --------------------------------------------------------------------
-// Event queue: steady-state schedule/run throughput.
-// --------------------------------------------------------------------
-
-struct EventQueueResult
-{
-    double eventsPerSec = 0.0;
-    std::uint64_t events = 0;
-};
-
-EventQueueResult
-benchEventQueue(bool quick)
-{
-    // Model the simulator's steady state: a fixed population of
-    // in-flight events, each rescheduling itself on execution, so the
-    // queue churns at constant depth exactly like a run at peak
-    // occupancy.
-    const std::uint64_t kPopulation = 1024;
-    const std::uint64_t kTotal = quick ? 2'000'000 : 16'000'000;
-
-    EventQueue eq;
-    eq.reserve(kPopulation);
-    std::uint64_t fired = 0;
-
-    struct Self
-    {
-        EventQueue *eq;
-        std::uint64_t *fired;
-        std::uint64_t total;
-
-        void
-        operator()() const
-        {
-            ++*fired;
-            if (*fired + 1024 <= total) {
-                // Deltas of 1-13 ticks spread events over the wheel;
-                // every 100th lands past its horizon, in the far heap,
-                // and migrates back as time advances (simulated runs
-                // schedule about 0.1% that far ahead; docs/PERF.md).
-                const std::uint64_t n = *fired;
-                const std::uint64_t delta =
-                    n % 100 == 0 ? EventQueue::kWheelTicks + n % 7 * 97
-                                 : n % 13 + 1;
-                eq->scheduleIn(static_cast<Cycles>(delta), *this);
-            }
-        }
-    };
-
-    const auto t0 = Clock::now();
-    for (std::uint64_t i = 0; i < kPopulation; ++i)
-        eq.schedule(i % 7 + 1, Self{&eq, &fired, kTotal});
-    eq.run();
-    const double secs = secondsSince(t0);
-
-    EventQueueResult r;
-    r.events = eq.executed();
-    r.eventsPerSec = static_cast<double>(r.events) / secs;
-    return r;
-}
-
-// --------------------------------------------------------------------
 // Packet pool: acquire/release churn, pooled vs. plain allocation.
 // --------------------------------------------------------------------
 
@@ -442,304 +389,168 @@ benchPacketPool(bool quick)
 }
 
 // --------------------------------------------------------------------
-// End to end: wall-clock of one reference workload.
+// Kernel runs: timed reps and the pool's allocation bound.
 // --------------------------------------------------------------------
 
-struct EndToEndResult
+/** Each timed rep is one run lasting at least this long. */
+constexpr double kMinRepSec = 1.0;
+
+int
+repsFor(bool quick)
 {
-    std::string workload;
-    double wallSec = 0.0;
-    std::uint64_t simCycles = 0;
-    std::uint64_t events = 0;
-    std::uint64_t packets = 0;
-    double cyclesPerSec = 0.0;
-    double eventsPerSec = 0.0;
-    double packetsPerSec = 0.0;
-};
+    return quick ? 3 : 5;
+}
 
-EndToEndResult
-benchEndToEnd(double scale, bool quick)
+using RunHook = std::function<void(MultiGpuSystem &, const RunResult &)>;
+
+/** Wall seconds of one run() of @p cfg; @p hook sees its outcome. */
+double
+timedRun(const ExperimentConfig &cfg, bool profiled,
+         const RunHook &hook = {})
 {
-    // The paper's headline configuration: dynamic scheme + batching.
-    ExperimentConfig cfg;
-    cfg.scheme = OtpScheme::Dynamic;
-    cfg.batching = true;
-    cfg.scale = quick ? scale * 0.5 : scale;
-
-    EndToEndResult r;
-    r.workload = "mm";
-
     const WorkloadProfile profile =
-        makeProfile(r.workload, cfg.scale, cfg.numGpus);
+        makeProfile("mm", cfg.scale, cfg.numGpus);
     MultiGpuSystem sys(makeSystemConfig(cfg), profile);
-
+    if (profiled)
+        sys.enableProfiler();
     const auto t0 = Clock::now();
     const RunResult run = sys.run();
-    r.wallSec = secondsSince(t0);
+    const double wall = secondsSince(t0);
+    if (hook)
+        hook(sys, run);
+    return wall;
+}
 
-    r.simCycles = run.cycles;
-    r.events = sys.executedEvents();
-    r.packets = run.packets;
-    r.cyclesPerSec = static_cast<double>(r.simCycles) / r.wallSec;
-    r.eventsPerSec = static_cast<double>(r.events) / r.wallSec;
-    r.packetsPerSec = static_cast<double>(r.packets) / r.wallSec;
-    return r;
+/**
+ * Double @p cfg's scale until one run takes at least kMinRepSec:
+ * fixed per-run costs and scheduler noise stay far below the
+ * percent-level deltas being gated.
+ */
+void
+growToMinRep(ExperimentConfig &cfg)
+{
+    while (timedRun(cfg, false) < kMinRepSec)
+        cfg.scale *= 2;
+}
+
+/**
+ * Exit 1 unless a run from an empty pool at @p threads workers
+ * allocated at most the one-worker run's pool objects plus each
+ * worker's parked maximum (2 x kBatch).
+ */
+void
+checkFreshBound(const char *what, unsigned threads,
+                const RunResult &one, const RunResult &run)
+{
+    const std::uint64_t slack = threads * 2 * PacketPool::kBatch;
+    if (run.poolFreshPackets <= one.poolFreshPackets + slack &&
+        run.poolFreshPayloads <= one.poolFreshPayloads + slack)
+        return;
+    std::cerr << "FATAL: " << what << " (" << threads
+              << " workers) allocated " << run.poolFreshPackets << "+"
+              << run.poolFreshPayloads << " pool objects; one worker "
+              << one.poolFreshPackets << "+" << one.poolFreshPayloads
+              << ", slack " << slack << "\n";
+    std::exit(1);
 }
 
 // --------------------------------------------------------------------
-// Event kernel: one wide (16-GPU) simulation at 1/2/4 sim threads.
-// Reports events/s and speedup over one worker, and hard-fails if the
-// kernel breaks either hot-path guarantee: the executed events and
-// the published result must be thread-count invariant, and warmed
-// worker pools must run the whole simulation without one fresh
-// allocation.
+// Event kernel: the wide simulation at 1/2/4 workers. Reports
+// events/s and speedup over one worker, and exits 1 unless every
+// worker count executes the same events to the same result within
+// the pool's allocation bound.
 // --------------------------------------------------------------------
 
 struct SimThreadsPoint
 {
     std::uint32_t threads = 0;
-    double wallSec = 0.0;
+    double wallSec = 1e30; ///< minimum over the reps
     std::uint64_t events = 0;
     double eventsPerSec = 0.0;
-    double speedup = 0.0; ///< events/s over the one-worker run
-    std::uint64_t pdesWindows = 0;
-    std::uint64_t domainCrossings = 0;
-    std::uint64_t windowStalls = 0;
-    std::uint64_t poolFreshPackets = 0;
-    std::uint64_t poolFreshPayloads = 0;
+    double speedup = 0.0; ///< over the one-worker run
+    RunResult run;        ///< the first, cold-pool run
 };
 
 struct SimThreadsResult
 {
     std::vector<SimThreadsPoint> points;
     unsigned hwThreads = 0;
+    ExperimentConfig cfg; ///< grown to one-second runs, one worker
+    int reps = 0;
 };
 
 SimThreadsResult
 benchSimThreads(double scale, bool quick)
 {
-    // The case PDES exists for: a single wide simulation, where
-    // --jobs cannot help. 16 GPUs = 17 domains; the problem size
-    // deliberately does NOT shrink with the GPU count here.
-    ExperimentConfig cfg;
-    cfg.numGpus = 16;
-    cfg.scheme = OtpScheme::Dynamic;
-    cfg.batching = true;
-    cfg.strongScaling = false;
-    cfg.scale = quick ? scale * 0.5 : scale;
-
     SimThreadsResult r;
     r.hwThreads = std::thread::hardware_concurrency();
-    std::string serial_json;
-    std::uint64_t serial_events = 0;
+    // The sharded kernel's case: one wide (16-GPU) simulation whose
+    // size does not shrink with the GPU count, where --jobs cannot
+    // help.
+    r.cfg.numGpus = 16;
+    r.cfg.scheme = OtpScheme::Dynamic;
+    r.cfg.batching = true;
+    r.cfg.strongScaling = false;
+    r.cfg.scale = scale;
+    r.cfg.simThreads = 1;
+    growToMinRep(r.cfg);
+    r.reps = repsFor(quick);
     for (const std::uint32_t t : {1u, 2u, 4u}) {
-        cfg.simThreads = t;
-        const WorkloadProfile profile =
-            makeProfile("mm", cfg.scale, cfg.numGpus);
-        MultiGpuSystem sys(makeSystemConfig(cfg), profile);
-        const auto t0 = Clock::now();
-        const RunResult run = sys.run();
-
-        SimThreadsPoint p;
-        p.threads = t;
-        p.wallSec = secondsSince(t0);
-        p.events = sys.executedEvents();
-        p.eventsPerSec = static_cast<double>(p.events) / p.wallSec;
-        p.pdesWindows = run.pdesWindows;
-        p.domainCrossings = run.domainCrossings;
-        p.windowStalls = run.windowStalls;
-        p.poolFreshPackets = run.poolFreshPackets;
-        p.poolFreshPayloads = run.poolFreshPayloads;
-
-        if (t == 1) {
-            serial_json = resultToJson(run);
-            serial_events = p.events;
-        } else {
-            // Thread-count invariance, event for event.
-            if (p.events != serial_events ||
-                resultToJson(run) != serial_json) {
-                std::cerr << "FATAL: " << t << "-thread run diverged "
-                          << "from one worker (" << p.events << " vs "
-                          << serial_events << " events)\n";
-                std::exit(1);
+        r.points.emplace_back();
+        r.points.back().threads = t;
+    }
+    // Worker counts alternate; each keeps its fastest rep. The first
+    // rep of each starts from an empty pool.
+    ExperimentConfig cfg = r.cfg;
+    for (int rep = 0; rep < r.reps; ++rep) {
+        for (SimThreadsPoint &p : r.points) {
+            cfg.simThreads = p.threads;
+            RunHook first;
+            if (rep == 0) {
+                PacketPool::trim();
+                first = [&](MultiGpuSystem &sys, const RunResult &run) {
+                    p.events = sys.executedEvents();
+                    p.run = run;
+                };
             }
-            // Satellite guarantee: per-domain queues and preloaded
-            // worker pools keep the hot path allocation-free.
-            if (run.poolFreshPackets != 0 ||
-                run.poolFreshPayloads != 0) {
-                std::cerr << "FATAL: sharded run (" << t
-                          << " threads) hit the allocator "
-                          << run.poolFreshPackets << "+"
-                          << run.poolFreshPayloads
-                          << " times after preload\n";
-                std::exit(1);
-            }
+            p.wallSec = std::min(p.wallSec, timedRun(cfg, false, first));
         }
-        if (!r.points.empty())
-            p.speedup = p.eventsPerSec / r.points[0].eventsPerSec;
-        else
-            p.speedup = 1.0;
-        r.points.push_back(p);
+    }
+
+    const SimThreadsPoint &one = r.points[0];
+    const std::string serial_json = resultToJson(one.run);
+    for (SimThreadsPoint &p : r.points) {
+        p.eventsPerSec = static_cast<double>(p.events) / p.wallSec;
+        p.speedup = one.wallSec / p.wallSec;
+        if (p.threads == 1)
+            continue;
+        if (p.events != one.events ||
+            resultToJson(p.run) != serial_json) {
+            std::cerr << "FATAL: " << p.threads << "-worker run "
+                      << "diverged from one worker (" << p.events
+                      << " vs " << one.events << " events)\n";
+            std::exit(1);
+        }
+        checkFreshBound("sharded run", p.threads, one.run, p.run);
     }
     return r;
 }
 
 // --------------------------------------------------------------------
-// Observability: the price of each sink. A 16-GPU nvswitch run (big
-// enough that sinks-off takes ~0.2 s even under --quick) is timed
-// with sinks off, then trace, metrics, attribution and the wire
-// observer each alone, then all four on; configurations alternate
-// and each keeps its minimum over the reps. The small reference run
-// (4-GPU mm, trace + attribution + metrics) supplies the simulated
-// counts BENCH_baseline.json pins. Last, a proof that compiled-in-
-// but-disabled hooks stay allocation-free.
-// --------------------------------------------------------------------
-
-enum SinkMask : unsigned
-{
-    kSinkTrace = 1,
-    kSinkMetrics = 2,
-    kSinkAttr = 4,
-    kSinkWire = 8,
-    kSinkAll = 15,
-};
-
-/** One row of the per-sink ledger. */
-struct SinkCost
-{
-    const char *name;
-    unsigned sinks;
-    double wallSec = 1e30; ///< minimum over the reps
-    double pct = 0.0;      ///< over the sinks-off minimum
-};
-
-struct ObserveResult
-{
-    // Reference run (counts pinned by BENCH_baseline.json).
-    double wallSecOff = 0.0;
-    double wallSecOn = 0.0;
-    double overheadPct = 0.0;
-    std::uint64_t traceEvents = 0;
-    std::uint64_t metricSamples = 0;
-    std::uint64_t attrFolds = 0;
-    std::uint64_t freshAfterTrace = 0;
-
-    // Per-sink ledger; sinks[0] is sinks off, the last all on.
-    std::uint32_t ledgerGpus = 0;
-    double ledgerScale = 0.0;
-    int ledgerReps = 0;
-    std::vector<SinkCost> sinks;
-};
-
-/** Swallows trace bytes so only event formatting is measured. */
-struct NullBuf : std::streambuf
-{
-    int
-    overflow(int c) override
-    {
-        return c;
-    }
-
-    std::streamsize
-    xsputn(const char *, std::streamsize n) override
-    {
-        return n;
-    }
-};
-
-/** Wall seconds of one run() with the @p sinks attached. */
-double
-observedRun(const ExperimentConfig &cfg, const WorkloadProfile &profile,
-            unsigned sinks, ObserveResult *counts = nullptr)
-{
-    NullBuf nb;
-    std::ostream null_os(&nb);
-    MultiGpuSystem sys(makeSystemConfig(cfg), profile);
-    // Attribution first: the sampler registers percentile columns
-    // only for a collector that already exists.
-    if (sinks & kSinkAttr)
-        sys.enableAttribution();
-    if (sinks & kSinkTrace)
-        sys.enableTrace(null_os);
-    if (sinks & kSinkWire)
-        sys.enableWireObserver();
-    if (sinks & kSinkMetrics)
-        sys.enableMetrics(1000, 4096);
-    const auto t0 = Clock::now();
-    sys.run();
-    const double wall = secondsSince(t0);
-    if (counts) {
-        counts->traceEvents = sys.traceSink()->events();
-        counts->metricSamples = sys.metrics()->samples();
-        counts->attrFolds = sys.attribution()->folds();
-    }
-    return wall;
-}
-
-ObserveResult
-benchObserve(double scale, bool quick)
-{
-    ObserveResult r;
-    {
-        ExperimentConfig cfg;
-        cfg.scheme = OtpScheme::Dynamic;
-        cfg.batching = true;
-        cfg.scale = quick ? scale * 0.5 : scale;
-        const WorkloadProfile profile =
-            makeProfile("mm", cfg.scale, cfg.numGpus);
-        r.wallSecOff = observedRun(cfg, profile, 0);
-        r.wallSecOn = observedRun(cfg, profile,
-                                  kSinkTrace | kSinkAttr | kSinkMetrics,
-                                  &r);
-        r.overheadPct = (r.wallSecOn / r.wallSecOff - 1.0) * 100.0;
-    }
-
-    ExperimentConfig cfg;
-    cfg.numGpus = 16;
-    cfg.topology.kind = TopologyKind::NvSwitch;
-    cfg.scheme = OtpScheme::Dynamic;
-    cfg.batching = true;
-    cfg.scale = (quick ? 2.5 : 5.0) * scale;
-    const WorkloadProfile profile =
-        makeProfile("mm", cfg.scale, cfg.numGpus);
-    r.ledgerGpus = cfg.numGpus;
-    r.ledgerScale = cfg.scale;
-    r.ledgerReps = quick ? 3 : 5;
-    r.sinks = {{"off", 0},
-               {"trace", kSinkTrace},
-               {"metrics", kSinkMetrics},
-               {"attr", kSinkAttr},
-               {"wire", kSinkWire},
-               {"all", kSinkAll}};
-    for (int rep = 0; rep < r.ledgerReps; ++rep) {
-        for (SinkCost &c : r.sinks)
-            c.wallSec = std::min(c.wallSec,
-                                 observedRun(cfg, profile, c.sinks));
-    }
-    for (SinkCost &c : r.sinks)
-        c.pct = (c.wallSec / r.sinks[0].wallSec - 1.0) * 100.0;
-
-    // With the sinks gone, the hooks must again cost exactly one
-    // null test: a warm churn may not touch the allocator.
-    PacketPool::resetStats();
-    packetChurn(quick ? 25'000 : 200'000);
-    r.freshAfterTrace = PacketPool::stats().freshPackets;
-    return r;
-}
-
-// --------------------------------------------------------------------
-// Self-profiler: end-to-end with the host profiler off vs. on. Off
+// Self-profiler: a 4-GPU run with the host profiler off vs. on. Off
 // must cost nothing (the hooks are one null pointer test); on must
-// stay under a couple percent. A profiled sharded run must also keep
-// the packet hot path allocation-free — the profiler's only memory
-// is its own pre-sized lanes.
+// stay under a couple percent. A profiled wide run at two workers
+// must also keep the pool within its bound — the profiler's only
+// memory is its own pre-sized lanes.
 // --------------------------------------------------------------------
 
 struct ProfilerResult
 {
-    double wallSecOff = 0.0;
-    double wallSecOn = 0.0;
+    double scale = 0.0;
+    double wallSecOff = 1e30; ///< minimum over the reps
+    double wallSecOn = 1e30;
     double overheadPct = 0.0;
+    int reps = 0;
     std::uint64_t spans = 0;
     std::uint64_t shardedSpans = 0;
     std::uint64_t shardedWindows = 0;
@@ -748,75 +559,48 @@ struct ProfilerResult
 };
 
 ProfilerResult
-benchProfiler(double scale, bool quick)
+benchProfiler(double scale, bool quick, const SimThreadsResult &st)
 {
     ExperimentConfig cfg;
     cfg.scheme = OtpScheme::Dynamic;
     cfg.batching = true;
-    cfg.scale = quick ? scale * 0.5 : scale;
-    const WorkloadProfile profile =
-        makeProfile("mm", cfg.scale, cfg.numGpus);
+    cfg.scale = scale;
+    growToMinRep(cfg);
 
-    // Minimum over alternating repetitions: the delta being gated
-    // (a dozen clock reads) is far below scheduler noise on one
-    // 20 ms run, and min-of-N is the standard estimator for "cost
-    // when nothing else interfered".
+    // The gated delta (a dozen clock reads per window) is near
+    // scheduler noise, so off and on alternate and each keeps its
+    // minimum: the cost when nothing else interfered.
     ProfilerResult r;
-    r.wallSecOff = 1e30;
-    r.wallSecOn = 1e30;
-    const int reps = quick ? 3 : 5;
-    for (int i = 0; i < reps; ++i) {
-        {
-            MultiGpuSystem sys(makeSystemConfig(cfg), profile);
-            const auto t0 = Clock::now();
-            sys.run();
-            r.wallSecOff = std::min(r.wallSecOff, secondsSince(t0));
-        }
-        {
-            MultiGpuSystem sys(makeSystemConfig(cfg), profile);
-            sys.enableProfiler();
-            const auto t0 = Clock::now();
-            sys.run();
-            r.wallSecOn = std::min(r.wallSecOn, secondsSince(t0));
-            r.spans = sys.profiler()->totalSpans();
-        }
+    r.scale = cfg.scale;
+    r.reps = repsFor(quick);
+    for (int i = 0; i < r.reps; ++i) {
+        r.wallSecOff = std::min(r.wallSecOff, timedRun(cfg, false));
+        r.wallSecOn = std::min(
+            r.wallSecOn,
+            timedRun(cfg, true, [&](MultiGpuSystem &sys, const RunResult &) {
+                r.spans = sys.profiler()->totalSpans();
+            }));
     }
     r.overheadPct = (r.wallSecOn / r.wallSecOff - 1.0) * 100.0;
 
-    // The multi-worker allocation guarantee must survive with
-    // per-window span recording on every worker.
-    {
-        ExperimentConfig pc = cfg;
-        pc.numGpus = 16;
-        pc.strongScaling = false;
-        pc.simThreads = 2;
-        const WorkloadProfile pp =
-            makeProfile("mm", pc.scale, pc.numGpus);
-        MultiGpuSystem sys(makeSystemConfig(pc), pp);
-        sys.enableProfiler();
-        const RunResult run = sys.run();
+    ExperimentConfig pc = st.cfg;
+    pc.simThreads = 2;
+    PacketPool::trim();
+    timedRun(pc, true, [&](MultiGpuSystem &sys, const RunResult &run) {
         r.shardedSpans = sys.profiler()->totalSpans();
         r.shardedWindows = sys.profiler()->profiledWindows();
         r.poolFreshPackets = run.poolFreshPackets;
         r.poolFreshPayloads = run.poolFreshPayloads;
-        if (run.poolFreshPackets != 0 ||
-            run.poolFreshPayloads != 0) {
-            std::cerr << "FATAL: profiled sharded run hit the "
-                      << "allocator " << run.poolFreshPackets << "+"
-                      << run.poolFreshPayloads
-                      << " times after preload\n";
-            std::exit(1);
-        }
-    }
+        checkFreshBound("profiled sharded run", pc.simThreads,
+                        st.points[0].run, run);
+    });
     return r;
 }
 
 void
 writeJson(const std::string &path, const GhashResult &gh,
-          const CryptoTiersResult &ct, const EventQueueResult &eq,
-          const PacketPoolResult &pp, const EndToEndResult &e2e,
-          const SimThreadsResult &st, const ObserveResult &obs,
-          const ProfilerResult &pr)
+          const CryptoTiersResult &ct, const PacketPoolResult &pp,
+          const SimThreadsResult &st, const ProfilerResult &pr)
 {
     std::ofstream os(path);
     if (!os) {
@@ -855,11 +639,6 @@ writeJson(const std::string &path, const GhashResult &gh,
     w.field("padDeriveSpeedup", ct.padDeriveSpeedup);
     w.endObject();
 
-    w.key("eventQueue").beginObject();
-    w.field("eventsPerSec", eq.eventsPerSec);
-    w.field("events", eq.events);
-    w.endObject();
-
     w.key("packetPool").beginObject();
     w.field("pooledPacketsPerSec", pp.pooledPacketsPerSec);
     w.field("mallocPacketsPerSec", pp.mallocPacketsPerSec);
@@ -868,19 +647,10 @@ writeJson(const std::string &path, const GhashResult &gh,
     w.field("freshPackets", pp.freshPackets);
     w.endObject();
 
-    w.key("endToEnd").beginObject();
-    w.field("workload", e2e.workload);
-    w.field("wallSec", e2e.wallSec);
-    w.field("simCycles", e2e.simCycles);
-    w.field("events", e2e.events);
-    w.field("packets", e2e.packets);
-    w.field("cyclesPerSec", e2e.cyclesPerSec);
-    w.field("eventsPerSec", e2e.eventsPerSec);
-    w.field("packetsPerSec", e2e.packetsPerSec);
-    w.endObject();
-
     w.key("simThreads").beginObject();
     w.field("hwThreads", static_cast<std::uint64_t>(st.hwThreads));
+    w.field("scale", st.cfg.scale);
+    w.field("reps", static_cast<std::uint64_t>(st.reps));
     for (const SimThreadsPoint &p : st.points) {
         w.key(strformat("t%u", p.threads)).beginObject();
         w.field("threads", static_cast<std::uint64_t>(p.threads));
@@ -888,38 +658,21 @@ writeJson(const std::string &path, const GhashResult &gh,
         w.field("events", p.events);
         w.field("eventsPerSec", p.eventsPerSec);
         w.field("speedup", p.speedup);
-        w.field("pdesWindows", p.pdesWindows);
-        w.field("domainCrossings", p.domainCrossings);
-        w.field("windowStalls", p.windowStalls);
-        w.field("poolFreshPackets", p.poolFreshPackets);
-        w.field("poolFreshPayloads", p.poolFreshPayloads);
+        w.field("pdesWindows", p.run.pdesWindows);
+        w.field("domainCrossings", p.run.domainCrossings);
+        w.field("windowStalls", p.run.windowStalls);
+        w.field("poolFreshPackets", p.run.poolFreshPackets);
+        w.field("poolFreshPayloads", p.run.poolFreshPayloads);
         w.endObject();
     }
     w.endObject();
 
-    w.key("observe").beginObject();
-    w.field("wallSecOff", obs.wallSecOff);
-    w.field("wallSecOn", obs.wallSecOn);
-    w.field("overheadPct", obs.overheadPct);
-    w.field("traceEvents", obs.traceEvents);
-    w.field("metricSamples", obs.metricSamples);
-    w.field("attrFolds", obs.attrFolds);
-    w.field("freshAfterTrace", obs.freshAfterTrace);
-    w.key("sinks").beginObject();
-    w.field("gpus", static_cast<std::uint64_t>(obs.ledgerGpus));
-    w.field("scale", obs.ledgerScale);
-    w.field("reps", static_cast<std::uint64_t>(obs.ledgerReps));
-    w.field("wallSecOff", obs.sinks[0].wallSec);
-    for (std::size_t i = 1; i < obs.sinks.size(); ++i)
-        w.field(std::string(obs.sinks[i].name) + "Pct",
-                obs.sinks[i].pct);
-    w.endObject();
-    w.endObject();
-
     w.key("profiler").beginObject();
+    w.field("scale", pr.scale);
     w.field("wallSecOff", pr.wallSecOff);
     w.field("wallSecOn", pr.wallSecOn);
     w.field("overheadPct", pr.overheadPct);
+    w.field("reps", static_cast<std::uint64_t>(pr.reps));
     w.field("spans", pr.spans);
     w.field("shardedSpans", pr.shardedSpans);
     w.field("shardedWindows", pr.shardedWindows);
@@ -977,11 +730,6 @@ main(int argc, char **argv)
                     ct.padDerivePortablePerSec);
     }
 
-    const EventQueueResult eq = benchEventQueue(args.quick);
-    std::printf("event queue %9.2f Mevents/s   (%llu events)\n",
-                eq.eventsPerSec / 1e6,
-                static_cast<unsigned long long>(eq.events));
-
     const PacketPoolResult pp = benchPacketPool(args.quick);
     std::printf("packet pool %9.2f Mpkts/s pooled   %6.2f Mpkts/s "
                 "malloc   speedup %.2fx\n",
@@ -993,23 +741,21 @@ main(int argc, char **argv)
                     static_cast<unsigned long long>(pp.freshPackets));
     }
 
-    const EndToEndResult e2e = benchEndToEnd(args.scale, args.quick);
-    std::printf("end-to-end  %s: %.2f s wall   %.1f Mcycles/s   "
-                "%.2f Mevents/s   %.0f kpkts/s\n",
-                e2e.workload.c_str(), e2e.wallSec,
-                e2e.cyclesPerSec / 1e6, e2e.eventsPerSec / 1e6,
-                e2e.packetsPerSec / 1e3);
-
     const SimThreadsResult st = benchSimThreads(args.scale, args.quick);
+    std::printf("sim threads 16-GPU mm at scale %.2f, min of %d reps\n",
+                st.cfg.scale, st.reps);
     for (const SimThreadsPoint &p : st.points) {
-        std::printf("sim threads %u: %6.2f s wall   %6.2f Mevents/s"
-                    "   speedup %.2fx   windows=%llu crossings=%llu "
-                    "stalls=%llu\n",
+        std::printf("  %u worker(s) %6.2f s   %6.2f Mevents/s   "
+                    "speedup %.2fx   windows=%llu crossings=%llu "
+                    "stalls=%llu   fresh=%llu\n",
                     p.threads, p.wallSec, p.eventsPerSec / 1e6,
                     p.speedup,
-                    static_cast<unsigned long long>(p.pdesWindows),
-                    static_cast<unsigned long long>(p.domainCrossings),
-                    static_cast<unsigned long long>(p.windowStalls));
+                    static_cast<unsigned long long>(p.run.pdesWindows),
+                    static_cast<unsigned long long>(
+                        p.run.domainCrossings),
+                    static_cast<unsigned long long>(p.run.windowStalls),
+                    static_cast<unsigned long long>(
+                        p.run.poolFreshPackets));
     }
     if (st.hwThreads < 4) {
         std::printf("  note: only %u hardware threads — parallel "
@@ -1017,38 +763,18 @@ main(int argc, char **argv)
                     st.hwThreads);
     }
 
-    const ObserveResult obs = benchObserve(args.scale, args.quick);
-    std::printf("observe     %.2f s off   %.2f s on   overhead "
-                "%+.1f%%   %llu trace events   %llu samples   "
-                "%llu folds\n",
-                obs.wallSecOff, obs.wallSecOn, obs.overheadPct,
-                static_cast<unsigned long long>(obs.traceEvents),
-                static_cast<unsigned long long>(obs.metricSamples),
-                static_cast<unsigned long long>(obs.attrFolds));
-    std::printf("  sinks     16-GPU nvswitch mm, min of %d: %.2f s "
-                "off",
-                obs.ledgerReps, obs.sinks[0].wallSec);
-    for (std::size_t i = 1; i < obs.sinks.size(); ++i)
-        std::printf("   %s %+.1f%%", obs.sinks[i].name, obs.sinks[i].pct);
-    std::printf("\n");
-    if (obs.freshAfterTrace != 0) {
-        std::printf("  WARNING: %llu fresh allocations in a warm "
-                    "churn after tracing (expected 0)\n",
-                    static_cast<unsigned long long>(
-                        obs.freshAfterTrace));
-    }
-
-    const ProfilerResult pr = benchProfiler(args.scale, args.quick);
-    std::printf("profiler    %.2f s off   %.2f s on   overhead "
-                "%+.1f%%   %llu spans   %llu sharded spans over "
-                "%llu windows\n",
-                pr.wallSecOff, pr.wallSecOn, pr.overheadPct,
+    const ProfilerResult pr = benchProfiler(args.scale, args.quick, st);
+    std::printf("profiler    4-GPU mm at scale %.2f, min of %d reps: "
+                "%.2f s off   %.2f s on   overhead %+.1f%%   %llu spans"
+                "   %llu sharded spans over %llu windows\n",
+                pr.scale, pr.reps, pr.wallSecOff, pr.wallSecOn,
+                pr.overheadPct,
                 static_cast<unsigned long long>(pr.spans),
                 static_cast<unsigned long long>(pr.shardedSpans),
                 static_cast<unsigned long long>(pr.shardedWindows));
 
     if (!args.json.empty()) {
-        writeJson(args.json, gh, ct, eq, pp, e2e, st, obs, pr);
+        writeJson(args.json, gh, ct, pp, st, pr);
         std::cout << "\nwrote " << args.json << "\n";
     }
 

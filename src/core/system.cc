@@ -593,27 +593,17 @@ MultiGpuSystem::runKernel()
             });
     };
 
-    // With several workers, each provisions its thread-local packet
-    // pool up front (a worker cannot warm its free lists from
-    // packets released on other threads). A lone worker is the
-    // calling thread, whose pool warms itself as on any single-
-    // threaded run. Each reports its fresh-allocation delta at exit.
-    const std::uint64_t window =
-        std::max(cfg_.gpu.maxOutstanding, cfg_.cpu.maxOutstanding);
-    const std::size_t preload =
-        sim_threads_ > 1 ? (window + 64) * 8 : 0;
-    std::vector<PacketPool::Stats> base(sim_threads_);
-    kc.workerStart = [&base, preload](unsigned w) {
-        if (preload > 0)
-            PacketPool::preload(preload, preload);
-        base[w] = PacketPool::stats();
+    // Each worker records its own fresh-allocation delta in its slot;
+    // the slots are summed once the workers have joined.
+    std::vector<PacketPool::Stats> fresh(sim_threads_);
+    kc.workerStart = [&fresh](unsigned w) {
+        fresh[w] = PacketPool::stats();
     };
-    kc.workerEnd = [this, &base](unsigned w) {
+    kc.workerEnd = [&fresh](unsigned w) {
         const PacketPool::Stats s = PacketPool::stats();
-        std::lock_guard<std::mutex> g(pool_mu_);
-        pool_fresh_packets_ += s.freshPackets - base[w].freshPackets;
-        pool_fresh_payloads_ +=
-            s.freshPayloads - base[w].freshPayloads;
+        fresh[w].freshPackets = s.freshPackets - fresh[w].freshPackets;
+        fresh[w].freshPayloads =
+            s.freshPayloads - fresh[w].freshPayloads;
     };
 
     ParallelKernel *kptr = nullptr;
@@ -634,6 +624,10 @@ MultiGpuSystem::runKernel()
     kptr = &kernel;
     kernel.run(0);
 
+    for (const PacketPool::Stats &f : fresh) {
+        pool_fresh_packets_ += f.freshPackets;
+        pool_fresh_payloads_ += f.freshPayloads;
+    }
     pdes_windows_ = kernel.windows();
     pdes_crossings_ = kernel.domainCrossings();
     pdes_stalls_ = kernel.windowStalls();

@@ -14,7 +14,6 @@
 #include <fstream>
 #include <iosfwd>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -346,8 +345,7 @@ class MultiGpuSystem
     std::uint64_t pdes_windows_ = 0;
     std::uint64_t pdes_crossings_ = 0;
     std::uint64_t pdes_stalls_ = 0;
-    /** Worker packet-pool deltas, accumulated under pool_mu_. */
-    std::mutex pool_mu_;
+    /** Worker packet-pool deltas, summed after the kernel joins. */
     std::uint64_t pool_fresh_packets_ = 0;
     std::uint64_t pool_fresh_payloads_ = 0;
     /// @}

@@ -81,6 +81,8 @@ struct FunctionalPayload
     std::array<std::uint8_t, 8> mac{};
     bool hasCipher = false;
     bool hasMac = false;
+    /** Free-list link; meaningful only while parked in the pool. */
+    FunctionalPayload *poolNext = nullptr;
 };
 
 /** Returns a FunctionalPayload to the thread's pool (or frees it). */
@@ -156,6 +158,9 @@ struct Packet
      * recycling with a memset profiling-off runs never benefit from.
      */
     LifeStamps life{};
+
+    /** Free-list link; meaningful only while parked in the pool. */
+    Packet *poolNext = nullptr;
 
     /**
      * Return to the freshly-constructed state so a pooled packet can

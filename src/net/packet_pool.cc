@@ -1,6 +1,6 @@
 #include "net/packet_pool.hh"
 
-#include <vector>
+#include <mutex>
 
 namespace mgsec
 {
@@ -8,23 +8,112 @@ namespace mgsec
 namespace
 {
 
+/** LIFO of parked objects, linked through their poolNext fields. */
+template <class T>
+struct FreeList
+{
+    T *head = nullptr;
+    std::size_t size = 0;
+
+    bool
+    empty() const
+    {
+        return head == nullptr;
+    }
+
+    void
+    push(T *p)
+    {
+        p->poolNext = head;
+        head = p;
+        ++size;
+    }
+
+    T *
+    pop()
+    {
+        T *p = head;
+        head = p->poolNext;
+        --size;
+        return p;
+    }
+
+    /** Move the first @p n objects (all when n >= size) onto @p to. */
+    void
+    moveTo(FreeList &to, std::size_t n)
+    {
+        if (n > size)
+            n = size;
+        if (n == 0)
+            return;
+        T *last = head;
+        for (std::size_t i = 1; i < n; ++i)
+            last = last->poolNext;
+        T *first = head;
+        head = last->poolNext;
+        size -= n;
+        last->poolNext = to.head;
+        to.head = first;
+        to.size += n;
+    }
+
+    void
+    freeAll()
+    {
+        while (!empty())
+            delete pop();
+    }
+};
+
+/** Process-wide surplus, shared by every thread's lists. */
+template <class T>
+struct Depot
+{
+    std::mutex mu;
+    FreeList<T> list;
+
+    ~Depot() { list.freeAll(); }
+
+    void
+    put(FreeList<T> &from, std::size_t n)
+    {
+        std::lock_guard<std::mutex> g(mu);
+        from.moveTo(list, n);
+    }
+
+    void
+    take(FreeList<T> &to)
+    {
+        std::lock_guard<std::mutex> g(mu);
+        list.moveTo(to, PacketPool::kBatch);
+    }
+
+    void
+    clear()
+    {
+        std::lock_guard<std::mutex> g(mu);
+        list.freeAll();
+    }
+};
+
+constinit Depot<Packet> g_packet_depot;
+constinit Depot<FunctionalPayload> g_payload_depot;
+
 /**
- * Per-thread pool state. Owned raw pointers; the destructor frees
- * whatever is still cached when the worker thread exits.
+ * Per-thread pool state. Whatever is still cached when the thread
+ * exits moves to the depot for the next thread to reuse.
  */
 struct Tls
 {
-    std::vector<Packet *> packets;
-    std::vector<FunctionalPayload *> payloads;
+    FreeList<Packet> packets;
+    FreeList<FunctionalPayload> payloads;
     PacketPool::Stats stats;
     bool enabled = true;
 
     ~Tls()
     {
-        for (Packet *p : packets)
-            delete p;
-        for (FunctionalPayload *p : payloads)
-            delete p;
+        g_packet_depot.put(packets, packets.size);
+        g_payload_depot.put(payloads, payloads.size);
     }
 };
 
@@ -35,6 +124,16 @@ tls()
     return t;
 }
 
+/** Push @p p onto @p list, spilling a batch once it holds too many. */
+template <class T>
+void
+park(FreeList<T> &list, Depot<T> &depot, T *p)
+{
+    list.push(p);
+    if (list.size > 2 * PacketPool::kBatch)
+        depot.put(list, PacketPool::kBatch);
+}
+
 } // anonymous namespace
 
 PacketPtr
@@ -42,11 +141,13 @@ PacketPool::acquire()
 {
     Tls &t = tls();
     ++t.stats.livePackets;
-    if (t.enabled && !t.packets.empty()) {
-        Packet *p = t.packets.back();
-        t.packets.pop_back();
-        ++t.stats.reusedPackets;
-        return PacketPtr(p);
+    if (t.enabled) {
+        if (t.packets.empty())
+            g_packet_depot.take(t.packets);
+        if (!t.packets.empty()) {
+            ++t.stats.reusedPackets;
+            return PacketPtr(t.packets.pop());
+        }
     }
     ++t.stats.freshPackets;
     return PacketPtr(new Packet);
@@ -56,11 +157,13 @@ FunctionalPayloadPtr
 PacketPool::acquireFunc()
 {
     Tls &t = tls();
-    if (t.enabled && !t.payloads.empty()) {
-        FunctionalPayload *p = t.payloads.back();
-        t.payloads.pop_back();
-        ++t.stats.reusedPayloads;
-        return FunctionalPayloadPtr(p);
+    if (t.enabled) {
+        if (t.payloads.empty())
+            g_payload_depot.take(t.payloads);
+        if (!t.payloads.empty()) {
+            ++t.stats.reusedPayloads;
+            return FunctionalPayloadPtr(t.payloads.pop());
+        }
     }
     ++t.stats.freshPayloads;
     return FunctionalPayloadPtr(new FunctionalPayload);
@@ -77,7 +180,7 @@ PacketPool::release(Packet *p) noexcept
         return;
     }
     p->reset();
-    t.packets.push_back(p);
+    park(t.packets, g_packet_depot, p);
 }
 
 void
@@ -92,7 +195,7 @@ PacketPool::releaseFunc(FunctionalPayload *p) noexcept
     // only the flags need resetting.
     p->hasCipher = false;
     p->hasMac = false;
-    t.payloads.push_back(p);
+    park(t.payloads, g_payload_depot, p);
 }
 
 void
@@ -125,41 +228,25 @@ PacketPool::resetStats()
 }
 
 void
-PacketPool::preload(std::size_t packets, std::size_t payloads)
-{
-    Tls &t = tls();
-    if (!t.enabled)
-        return;
-    t.packets.reserve(packets);
-    while (t.packets.size() < packets)
-        t.packets.push_back(new Packet);
-    t.payloads.reserve(payloads);
-    while (t.payloads.size() < payloads)
-        t.payloads.push_back(new FunctionalPayload);
-}
-
-void
 PacketPool::trim()
 {
     Tls &t = tls();
-    for (Packet *p : t.packets)
-        delete p;
-    t.packets.clear();
-    for (FunctionalPayload *p : t.payloads)
-        delete p;
-    t.payloads.clear();
+    t.packets.freeAll();
+    t.payloads.freeAll();
+    g_packet_depot.clear();
+    g_payload_depot.clear();
 }
 
 std::uint64_t
 PacketPool::cachedPackets()
 {
-    return tls().packets.size();
+    return tls().packets.size;
 }
 
 std::uint64_t
 PacketPool::cachedPayloads()
 {
-    return tls().payloads.size();
+    return tls().payloads.size;
 }
 
 } // namespace mgsec

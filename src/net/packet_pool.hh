@@ -1,15 +1,27 @@
 /**
  * @file
- * Thread-local free-list recycling of Packet and FunctionalPayload
- * objects.
+ * Free-list recycling of Packet and FunctionalPayload objects.
  *
  * Every message used to heap-allocate a Packet at the sender and free
  * it at the receiver — the dominant allocator traffic of a run. Each
- * simulation is confined to one JobPool worker thread, so a
- * thread-local free list recycles packets with no locking: acquire()
- * pops the list (or allocates on a cold start), and the PacketPtr
- * deleter resets the object and pushes it back. After warm-up the
- * steady-state loop touches the allocator zero times per packet.
+ * thread keeps its own free list, so the common case takes no lock:
+ * acquire() pops the list and the PacketPtr deleter resets the object
+ * and pushes it back onto the releasing thread's list.
+ *
+ * Kernel workers hand packets to each other: one acquired on the
+ * worker running its source domain is often released on the worker
+ * running its destination. One process-wide depot, behind a mutex
+ * taken once per batch, evens that drift out:
+ *   - a list that grows past 2 x kBatch moves kBatch objects to it;
+ *   - an empty list takes one batch from it before calling new;
+ *   - a thread's lists move into it when the thread exits, so the
+ *     next run's workers start warm.
+ * Batches are chained through the objects' own poolNext links, so
+ * moving one never allocates. A thread therefore parks at most
+ * 2 x kBatch objects of each kind, and a run at T workers allocates
+ * at most its peak live population plus T x 2 x kBatch objects,
+ * however long it runs. After warm-up the steady-state loop touches
+ * the allocator zero times per packet.
  *
  * Pooling only changes where objects live, never what they contain:
  * acquire() always hands out a fully reset packet, so results are
@@ -20,6 +32,7 @@
 #ifndef MGSEC_NET_PACKET_POOL_HH
 #define MGSEC_NET_PACKET_POOL_HH
 
+#include <cstddef>
 #include <cstdint>
 
 #include "net/packet.hh"
@@ -46,6 +59,9 @@ class PacketPool
         }
     };
 
+    /** Objects moved between a thread's lists and the depot at once. */
+    static constexpr std::size_t kBatch = 64;
+
     /** Pop a reset packet from the free list, or allocate one. */
     static PacketPtr acquire();
 
@@ -64,22 +80,12 @@ class PacketPool
     static void resetStats();
 
     /**
-     * Provision the calling thread's free lists up to the given
-     * object counts. Provisioning is not allocator *traffic* — the
-     * hot-path guarantee is zero fresh allocations in steady state,
-     * and a preloaded list is exactly a warmed-up one — so these
-     * allocations are not counted as fresh. A multi-worker kernel
-     * preloads each worker thread before the run: unlike a lone
-     * thread, a worker cannot warm its lists from packets other threads
-     * released (migration trains drift packets from the home node's
-     * thread to the requester's).
+     * Free every cached object, the calling thread's and the depot's
+     * (counters are preserved).
      */
-    static void preload(std::size_t packets, std::size_t payloads);
-
-    /** Free every cached object (counters are preserved). */
     static void trim();
 
-    /** Objects currently parked on the free lists. */
+    /** Objects currently parked on the calling thread's lists. */
     static std::uint64_t cachedPackets();
     static std::uint64_t cachedPayloads();
 

@@ -83,9 +83,8 @@ struct ParallelKernelConfig
     std::function<void(Tick window_end)> atBarrier;
     /**
      * Per-worker hooks running on the worker's own thread right
-     * after spawn / right before join — packet-pool provisioning and
-     * allocator-stat harvesting live here. Worker 0 is the calling
-     * thread; its hooks run too.
+     * after spawn / right before join — allocator-stat harvesting
+     * lives here. Worker 0 is the calling thread; its hooks run too.
      */
     std::function<void(unsigned worker)> workerStart;
     std::function<void(unsigned worker)> workerEnd;

@@ -4,25 +4,30 @@
  * nothing after construction: TLB lookups and shootdowns, cache
  * accesses and invalidations, the node's transaction table once it
  * covers the issue window, event scheduling, execution and
- * cancellation once the queue is reserved and warm, and the secure
- * channel sealing and opening functional-crypto messages. This binary
+ * cancellation once the queue is reserved and warm, the packet pool
+ * handing packets from one thread to another, and the secure channel
+ * sealing and opening functional-crypto messages. This binary
  * replaces the global operator new with a counting one, so it is its
  * own test executable.
  */
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdlib>
 #include <deque>
 #include <memory>
 #include <new>
 #include <random>
+#include <semaphore>
+#include <thread>
 #include <vector>
 
 #include "gpu/txn_table.hh"
 #include "mem/cache.hh"
 #include "mem/tlb.hh"
 #include "net/network.hh"
+#include "net/packet_pool.hh"
 #include "secure/secure_channel.hh"
 #include "sim/event_queue.hh"
 #include "sim/logging.hh"
@@ -31,14 +36,15 @@
 namespace
 {
 
-std::uint64_t g_news = 0;
+/** Counted from every thread: the hand-off case runs two. */
+std::atomic<std::uint64_t> g_news{0};
 
 } // anonymous namespace
 
 void *
 operator new(std::size_t n)
 {
-    ++g_news;
+    g_news.fetch_add(1, std::memory_order_relaxed);
     if (void *p = std::malloc(n != 0 ? n : 1))
         return p;
     throw std::bad_alloc();
@@ -323,4 +329,39 @@ TEST(MemAlloc, FunctionalMessagesAllocateNothing)
         else
             EXPECT_EQ(verified, sent);
     }
+}
+
+TEST(MemAlloc, WarmCrossThreadHandOffAllocatesNothing)
+{
+    // One thread acquires packets with payloads, another releases
+    // them: once the depot has absorbed the releaser's surplus, every
+    // acquire is served from it and neither thread calls new. Each
+    // round shifts both threads' list sizes by kInFlight modulo
+    // kBatch, so kBatch warm rounds visit every state the cycle has.
+    constexpr std::size_t kInFlight = 500;
+    constexpr int kWarmRounds = static_cast<int>(PacketPool::kBatch);
+    constexpr int kRounds = 40;
+    std::vector<PacketPtr> handed;
+    handed.reserve(kInFlight);
+    std::binary_semaphore full(0), drained(0);
+    std::thread releaser([&] {
+        for (int r = 0; r < kWarmRounds + kRounds; ++r) {
+            full.acquire();
+            handed.clear();
+            drained.release();
+        }
+    });
+    std::uint64_t before = 0;
+    for (int r = 0; r < kWarmRounds + kRounds; ++r) {
+        if (r == kWarmRounds)
+            before = g_news.load();
+        for (std::size_t i = 0; i < kInFlight; ++i) {
+            handed.push_back(makePacket());
+            handed.back()->func = makeFunctionalPayload();
+        }
+        full.release();
+        drained.acquire();
+    }
+    EXPECT_EQ(g_news.load() - before, 0u);
+    releaser.join();
 }

@@ -1,12 +1,17 @@
 /**
  * @file
  * Packet/payload pooling: recycling really happens, a warm pool
- * serves a whole run without touching the allocator, and pooling is
- * invisible to results — a full simulation is bit-identical with the
- * pool on or off.
+ * serves a whole run without touching the allocator, packets handed
+ * from one thread to another come back through the depot, and
+ * pooling is invisible to results — a full simulation is
+ * bit-identical with the pool on or off.
  */
 
 #include <gtest/gtest.h>
+
+#include <semaphore>
+#include <thread>
+#include <vector>
 
 #include "core/experiment.hh"
 #include "net/packet.hh"
@@ -134,12 +139,11 @@ TEST_F(PacketPoolTest, SteadyStateRunAllocatesNoPackets)
 {
     // Pinned to one kernel worker: this test asserts the *calling
     // thread's* pool counters, a thread-confined contract. A multi-
-    // worker run drifts packets between worker pools (acquired here,
-    // released on the worker that runs the destination domain), so
-    // per-thread live counts skew by design; the sharded equivalent
-    // — zero fresh allocations summed over the preloaded worker
-    // pools — is asserted by bench_hotpath's simThreads section and
-    // reported in RunResult::poolFreshPackets.
+    // worker run drifts packets between worker threads (acquired on
+    // the source domain's worker, released on the destination's), so
+    // per-thread live counts skew by design; the depot bounds what
+    // that drift can cost (CrossThreadHandOffStaysBounded), and a
+    // run's summed fresh allocations are RunResult::poolFreshPackets.
     ExperimentConfig cfg = smallConfig();
     cfg.simThreads = 1;
 
@@ -172,4 +176,40 @@ TEST_F(PacketPoolTest, TrimFreesCacheButKeepsCounters)
     EXPECT_EQ(PacketPool::cachedPayloads(), 0u);
     EXPECT_EQ(PacketPool::stats().freshPackets, 1u);
     EXPECT_EQ(PacketPool::stats().freshPayloads, 1u);
+}
+
+TEST_F(PacketPoolTest, CrossThreadHandOffStaysBounded)
+{
+    // This thread acquires every packet (each with a payload) and a
+    // second thread releases them, round after round — the drift of
+    // a packet from its source domain's worker to its destination's.
+    // The releaser's surplus must come back through the depot, so
+    // fresh allocations stay at the in-flight count plus the
+    // releaser's parked maximum, however many rounds run.
+    constexpr std::size_t kInFlight = 1000;
+    constexpr int kRounds = 20;
+    std::vector<PacketPtr> handed;
+    handed.reserve(kInFlight);
+    std::binary_semaphore full(0), drained(0);
+    std::thread releaser([&] {
+        for (int r = 0; r < kRounds; ++r) {
+            full.acquire();
+            handed.clear();
+            drained.release();
+        }
+    });
+    for (int r = 0; r < kRounds; ++r) {
+        for (std::size_t i = 0; i < kInFlight; ++i) {
+            handed.push_back(makePacket());
+            handed.back()->func = makeFunctionalPayload();
+        }
+        full.release();
+        drained.acquire();
+    }
+    releaser.join();
+
+    const std::uint64_t bound = kInFlight + 2 * PacketPool::kBatch;
+    EXPECT_LE(PacketPool::stats().freshPackets, bound);
+    EXPECT_LE(PacketPool::stats().freshPayloads, bound);
+    EXPECT_EQ(PacketPool::stats().totalPackets(), kInFlight * kRounds);
 }
