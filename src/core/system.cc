@@ -295,6 +295,9 @@ MultiGpuSystem::enableMetrics(Cycles interval, std::size_t capacity)
         return static_cast<double>(pdes_stalls_);
     });
 
+    std::vector<std::string> node_names;
+    for (const auto &n : nodes_)
+        node_names.push_back(n->name());
     for (auto &nptr : nodes_) {
         Node &n = *nptr;
         const std::string nm = n.name();
@@ -307,45 +310,13 @@ MultiGpuSystem::enableMetrics(Cycles interval, std::size_t capacity)
 
         if (const PadTable *ptab = ch.padTable()) {
             // Pad-buffer occupancy per (pair, direction): the quota
-            // the pair owns and how many of those pads exist now.
-            for (NodeId p = 0; p < cfg_.numNodes(); ++p) {
-                if (p == n.nodeId())
-                    continue;
-                const std::string peer = nodes_[p]->name();
-                for (Direction d :
-                     {Direction::Send, Direction::Recv}) {
-                    const std::string base = nm + ".pads." +
-                        directionName(d) + "." + peer;
-                    ms.addGauge(base + ".quota", [ptab, p, d](Tick) {
-                        return static_cast<double>(
-                            ptab->padQuota(p, d));
-                    });
-                    ms.addGauge(base + ".ready",
-                                [ptab, p, d](Tick t) {
-                        return static_cast<double>(
-                            ptab->padsReady(p, d, t));
-                    });
-                }
-            }
-            if (const auto *dyn =
-                    dynamic_cast<const DynamicPadTable *>(ptab)) {
-                ms.addGauge(nm + ".ewma.S", [dyn](Tick) {
-                    return dyn->sendWeight();
-                });
-                for (NodeId p = 0; p < cfg_.numNodes(); ++p) {
-                    if (p == n.nodeId())
-                        continue;
-                    const std::string peer = nodes_[p]->name();
-                    for (Direction d :
-                         {Direction::Send, Direction::Recv}) {
-                        ms.addGauge(nm + ".ewma." +
-                                        directionName(d) + "." + peer,
-                                    [dyn, p, d](Tick) {
-                            return dyn->peerWeight(p, d);
+            // the pair owns and how many of those pads exist now;
+            // then the Dynamic table's EWMA weights. One block reader
+            // fills them all.
+            ms.addBlock(ptab->gaugeNames(nm, node_names),
+                        [ptab](Tick t, double *out) {
+                            ptab->readGauges(t, out);
                         });
-                    }
-                }
-            }
         }
 
         if (const BatchAssembler *ba = ch.assembler()) {

@@ -603,6 +603,72 @@ DynamicPadTable::adjust()
     ++adjustments_;
 }
 
+// ---------------------------------------------------------------- gauges
+
+std::vector<std::string>
+PadTable::gaugeNames(const std::string &prefix,
+                     const std::vector<std::string> &node_names) const
+{
+    std::vector<std::string> names;
+    for (NodeId p = 0; p < num_nodes_; ++p) {
+        if (p == self_)
+            continue;
+        for (Direction d : {Direction::Send, Direction::Recv}) {
+            const std::string base = prefix + ".pads." +
+                directionName(d) + "." + node_names[p];
+            names.push_back(base + ".quota");
+            names.push_back(base + ".ready");
+        }
+    }
+    return names;
+}
+
+double *
+PadTable::readGauges(Tick now, double *out) const
+{
+    for (NodeId p = 0; p < num_nodes_; ++p) {
+        if (p == self_)
+            continue;
+        for (Direction d : {Direction::Send, Direction::Recv}) {
+            *out++ = static_cast<double>(padQuota(p, d));
+            *out++ = static_cast<double>(padsReady(p, d, now));
+        }
+    }
+    return out;
+}
+
+std::vector<std::string>
+DynamicPadTable::gaugeNames(
+    const std::string &prefix,
+    const std::vector<std::string> &node_names) const
+{
+    std::vector<std::string> names =
+        PadTable::gaugeNames(prefix, node_names);
+    names.push_back(prefix + ".ewma.S");
+    for (NodeId p = 0; p < num_nodes_; ++p) {
+        if (p == self_)
+            continue;
+        for (Direction d : {Direction::Send, Direction::Recv})
+            names.push_back(prefix + ".ewma." + directionName(d) +
+                            "." + node_names[p]);
+    }
+    return names;
+}
+
+double *
+DynamicPadTable::readGauges(Tick now, double *out) const
+{
+    out = PadTable::readGauges(now, out);
+    *out++ = s_weight_;
+    for (NodeId p = 0; p < num_nodes_; ++p) {
+        if (p == self_)
+            continue;
+        *out++ = s_peer_weight_[p];
+        *out++ = r_peer_weight_[p];
+    }
+    return out;
+}
+
 // ---------------------------------------------------------------- factory
 
 std::unique_ptr<PadTable>

@@ -109,6 +109,22 @@ class PadTable : public SimObject
      * attribution layer. Schemes without staged pipelines report 0.
      */
     virtual std::uint64_t wastedGenerations() const { return 0; }
+
+    /**
+     * Names of the table's metric columns, each "<prefix>." + ...:
+     * for each peer other than self, in id order, the send then the
+     * recv "pads.<dir>.<peer>.quota" and ".ready" pair (padQuota,
+     * padsReady); a table with EWMA state appends its weights.
+     * @p node_names names every node by id.
+     */
+    virtual std::vector<std::string>
+    gaugeNames(const std::string &prefix,
+               const std::vector<std::string> &node_names) const;
+    /**
+     * Writes the gaugeNames() columns' values at @p now to @p out;
+     * returns one past the last value written.
+     */
+    virtual double *readGauges(Tick now, double *out) const;
     /// @}
 
   protected:
@@ -321,6 +337,15 @@ class DynamicPadTable : public PrivatePadTable
     std::uint32_t quota(NodeId peer, Direction d) const;
 
     double sendWeight() const { return s_weight_; }
+
+    /**
+     * Adds "ewma.S" (sendWeight()), then each peer's
+     * "ewma.<dir>.<peer>" send and recv weight.
+     */
+    std::vector<std::string>
+    gaugeNames(const std::string &prefix,
+               const std::vector<std::string> &node_names) const override;
+    double *readGauges(Tick now, double *out) const override;
 
     /** EWMA traffic share of @p peer in direction @p d. */
     double

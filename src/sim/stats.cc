@@ -140,8 +140,23 @@ Distribution::reset()
 }
 
 Histogram::Histogram(std::string name, std::string desc)
-    : Stat(std::move(name), std::move(desc)), buckets_(numBuckets(), 0)
+    : Stat(std::move(name), std::move(desc))
 {
+}
+
+void
+Histogram::cover(std::size_t idx)
+{
+    if (idx < buckets_.size())
+        return;
+    // The exact range is one block of kSubCount; each tier above it
+    // adds kSubCount / 2 buckets.
+    constexpr std::size_t kTier = kSubCount / 2;
+    const std::size_t n = std::min(
+        numBuckets(),
+        std::max<std::size_t>(kSubCount, (idx / kTier + 1) * kTier));
+    buckets_.reserve(n);
+    buckets_.resize(n, 0);
 }
 
 std::size_t
@@ -198,7 +213,9 @@ Histogram::record(std::uint64_t v, std::uint64_t count)
     }
     count_ += count;
     sum_ += v * count;
-    buckets_[bucketIndex(v)] += count;
+    const std::size_t idx = bucketIndex(v);
+    cover(idx);
+    buckets_[idx] += count;
 }
 
 double
@@ -245,7 +262,9 @@ Histogram::merge(const Histogram &other)
     }
     count_ += other.count_;
     sum_ += other.sum_;
-    for (std::size_t i = 0; i < buckets_.size(); ++i)
+    if (!other.buckets_.empty())
+        cover(other.buckets_.size() - 1);
+    for (std::size_t i = 0; i < other.buckets_.size(); ++i)
         buckets_[i] += other.buckets_[i];
 }
 
@@ -262,8 +281,11 @@ Histogram::restore(std::uint64_t count, std::uint64_t sum,
     max_seen_ = max;
     // bucketIndex(bucketLo(i)) == i, so the serialized lower bounds
     // land each count back in its original bucket.
-    for (const auto &[lo, n] : buckets)
-        buckets_[bucketIndex(lo)] += n;
+    for (const auto &[lo, n] : buckets) {
+        const std::size_t idx = bucketIndex(lo);
+        cover(idx);
+        buckets_[idx] += n;
+    }
 }
 
 void

@@ -36,6 +36,10 @@ class Stat
         : name_(std::move(name)), desc_(std::move(desc))
     {}
     virtual ~Stat() = default;
+    Stat(const Stat &) = default;
+    Stat(Stat &&) = default;
+    Stat &operator=(const Stat &) = default;
+    Stat &operator=(Stat &&) = default;
 
     const std::string &name() const { return name_; }
     const std::string &desc() const { return desc_; }
@@ -130,6 +134,12 @@ class Distribution : public Stat
  * error of any percentile readout to 2^-(kSubBits-1) (~3%).
  * Recording is two array index computations and an increment — cheap
  * enough for per-packet hot-path use. Count/sum/min/max are exact.
+ *
+ * Buckets are stored only up to the highest one ever recorded,
+ * merged or restored, growing a whole tier at a time: a histogram
+ * that was built but never fed allocates nothing, and one of
+ * latencies under 2^k cycles holds about 16 k buckets rather than
+ * all numBuckets(). Buckets past the stored prefix read 0.
  */
 class Histogram : public Stat
 {
@@ -178,13 +188,22 @@ class Histogram : public Stat
     static std::uint64_t bucketHi(std::size_t idx);
     static std::size_t numBuckets();
     /// @}
-    std::uint64_t bucket(std::size_t idx) const { return buckets_[idx]; }
+    std::uint64_t
+    bucket(std::size_t idx) const
+    {
+        return idx < buckets_.size() ? buckets_[idx] : 0;
+    }
+    /** Buckets currently stored (the prefix the samples reach). */
+    std::size_t storedBuckets() const { return buckets_.size(); }
 
     void dump(std::ostream &os) const override;
     void dumpJson(JsonWriter &w) const override;
     void reset() override;
 
   private:
+    /** Store buckets [0, idx], rounded up to the end of idx's tier. */
+    void cover(std::size_t idx);
+
     std::vector<std::uint64_t> buckets_;
     std::uint64_t count_ = 0;
     std::uint64_t sum_ = 0;

@@ -1,7 +1,6 @@
 #include "sim/trace_sink.hh"
 
 #include <algorithm>
-#include <charconv>
 #include <cstring>
 #include <ostream>
 #include <string>
@@ -37,21 +36,6 @@ char *
 putStr(char *p, const char *s)
 {
     return put(p, s, std::strlen(s));
-}
-
-char *
-putUint(char *p, std::uint64_t v)
-{
-    return std::to_chars(p, p + 20, v).ptr;
-}
-
-char *
-putDouble(char *p, double v)
-{
-    // "%g" at precision 6, what `ostream << double` prints by
-    // default; at most 13 characters ("-1.23457e-308").
-    return std::to_chars(p, p + 16, v, std::chars_format::general, 6)
-        .ptr;
 }
 
 const char kHeader[] = "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
@@ -144,13 +128,13 @@ TraceSink::begin(char ph, std::uint32_t tid, const char *cat,
     p = put(p, "{\"ph\":\"");
     *p++ = ph;
     p = put(p, "\",\"pid\":0,\"tid\":");
-    p = putUint(p, tid);
+    p = formatUint(p, tid);
     p = put(p, ",\"cat\":\"");
     p = put(p, cat, ncat);
     p = put(p, "\",\"name\":\"");
     p = put(p, name, nname);
     p = put(p, "\",\"ts\":");
-    return putUint(p, ts);
+    return formatUint(p, ts);
 }
 
 void
@@ -159,7 +143,7 @@ TraceSink::complete(std::uint32_t tid, const char *cat,
 {
     char *p = begin('X', tid, cat, name, start, 0);
     p = put(p, ",\"dur\":");
-    p = putUint(p, dur);
+    p = formatUint(p, dur);
     *p++ = '}';
     commit(p);
 }
@@ -172,11 +156,11 @@ TraceSink::complete(std::uint32_t tid, const char *cat,
     const std::size_t nkey = std::strlen(arg_key);
     char *p = begin('X', tid, cat, name, start, nkey);
     p = put(p, ",\"dur\":");
-    p = putUint(p, dur);
+    p = formatUint(p, dur);
     p = put(p, ",\"args\":{\"");
     p = put(p, arg_key, nkey);
     p = put(p, "\":");
-    p = putUint(p, arg_val);
+    p = formatUint(p, arg_val);
     commit(put(p, "}}"));
 }
 
@@ -198,7 +182,7 @@ TraceSink::instant(std::uint32_t tid, const char *cat,
     p = put(p, ",\"s\":\"t\",\"args\":{\"");
     p = put(p, arg_key, nkey);
     p = put(p, "\":");
-    p = putDouble(p, arg_val);
+    p = formatDouble(p, arg_val);
     commit(put(p, "}}"));
 }
 
@@ -210,7 +194,7 @@ TraceSink::counter(std::uint32_t tid, const char *cat,
     p = put(p, ",\"args\":{\"");
     p = putStr(p, name);
     p = put(p, "\":");
-    p = putDouble(p, value);
+    p = formatDouble(p, value);
     commit(put(p, "}}"));
 }
 
@@ -223,7 +207,7 @@ TraceSink::metadata(std::uint32_t tid, const char *what,
     const std::string label = JsonWriter::escape(name);
     char *p = open(kEventBytes + std::strlen(what) + label.size());
     p = put(p, "{\"ph\":\"M\",\"pid\":0,\"tid\":");
-    p = putUint(p, tid);
+    p = formatUint(p, tid);
     p = put(p, ",\"name\":\"");
     p = putStr(p, what);
     p = put(p, "\",\"args\":{\"name\":\"");

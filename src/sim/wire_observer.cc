@@ -8,8 +8,8 @@
 namespace mgsec
 {
 
-WireObserver::Flow::Flow()
-    : gap("gap", "inter-packet send gap (cycles)"),
+WireObserver::Flow::Flow(std::size_t link_class)
+    : cls(link_class), gap("gap", "inter-packet send gap (cycles)"),
       size("size", "wire bytes per packet"),
       burst("burst", "packets per burst"),
       ctlGap("ctlGap", "gap between control-sized packets (cycles)")
@@ -19,34 +19,42 @@ WireObserver::Flow::Flow()
 WireObserver::WireObserver(std::uint32_t num_nodes,
                            std::vector<std::string> class_names,
                            Classifier classify, Params p)
-    : num_nodes_(num_nodes), params_(p),
-      flows_(static_cast<std::size_t>(num_nodes) * num_nodes),
+    : num_nodes_(num_nodes), params_(p), flow_ix_(num_nodes),
       class_names_(std::move(class_names)),
       classify_(std::move(classify)), classes_(class_names_.size())
 {
 }
 
 WireObserver::Flow &
-WireObserver::flow(NodeId src, NodeId dst)
+WireObserver::touch(NodeId src, NodeId dst)
 {
-    return flows_[static_cast<std::size_t>(src) * num_nodes_ + dst];
+    std::vector<std::uint32_t> &row = flow_ix_[src];
+    if (row.empty())
+        row.assign(num_nodes_, kNoFlow);
+    if (row[dst] == kNoFlow) {
+        row[dst] = static_cast<std::uint32_t>(flows_.size());
+        flows_.emplace_back(classify_(src, dst));
+    }
+    return flows_[row[dst]];
 }
 
-const WireObserver::Flow &
-WireObserver::flow(NodeId src, NodeId dst) const
+const WireObserver::Flow *
+WireObserver::find(NodeId src, NodeId dst) const
 {
-    return flows_[static_cast<std::size_t>(src) * num_nodes_ + dst];
+    const std::vector<std::uint32_t> &row = flow_ix_[src];
+    return row.empty() || row[dst] == kNoFlow ? nullptr
+                                              : &flows_[row[dst]];
 }
 
 void
 WireObserver::onWirePacket(NodeId src, NodeId dst, Bytes bytes,
                            Tick send_tick, Tick arrive_tick)
 {
-    Flow &f = flow(src, dst);
+    Flow &f = touch(src, dst);
     const Tick occupancy =
         arrive_tick > send_tick ? arrive_tick - send_tick : 0;
 
-    if (f.seen) {
+    if (f.packets) {
         const Tick delta =
             send_tick > f.lastSend ? send_tick - f.lastSend : 0;
         f.gap.record(delta);
@@ -62,7 +70,6 @@ WireObserver::onWirePacket(NodeId src, NodeId dst, Bytes bytes,
         f.burstStart = send_tick;
         f.burstLen = 1;
     }
-    f.seen = true;
     f.lastSend = send_tick;
     if (arrive_tick > f.lastArrive)
         f.lastArrive = arrive_tick;
@@ -82,7 +89,7 @@ WireObserver::onWirePacket(NodeId src, NodeId dst, Bytes bytes,
         ++f.ctlPackets;
     }
 
-    LinkClass &cls = classes_[classOf(src, dst)];
+    LinkClass &cls = classes_[f.cls];
     ++cls.packets;
     cls.bytes += bytes;
     cls.busy += occupancy;
@@ -118,9 +125,10 @@ WireObserver::mergeClass(std::size_t cls, stats::Histogram &gap,
     ctl_packets = 0;
     for (NodeId s = 0; s < num_nodes_; ++s) {
         for (NodeId d = 0; d < num_nodes_; ++d) {
-            const Flow &f = flow(s, d);
-            if (!f.packets || classOf(s, d) != cls)
+            const Flow *fp = find(s, d);
+            if (!fp || fp->cls != cls)
                 continue;
+            const Flow &f = *fp;
             gap.merge(f.gap);
             size.merge(f.size);
             burst.merge(f.burst);
@@ -248,12 +256,12 @@ WireObserver::features() const
     for (NodeId s = 0; s < num_nodes_; ++s) {
         std::uint64_t dsts = 0;
         for (NodeId d = 0; d < num_nodes_; ++d) {
-            const Flow &f = flow(s, d);
-            if (!f.packets)
+            const Flow *f = find(s, d);
+            if (!f)
                 continue;
             ++dsts;
-            if (classOf(s, d) != 0)
-                nv_total += f.bytes;
+            if (f->cls != 0)
+                nv_total += f->bytes;
         }
         if (dsts) {
             ++active_srcs;
@@ -263,10 +271,10 @@ WireObserver::features() const
     if (nv_total) {
         for (NodeId s = 0; s < num_nodes_; ++s) {
             for (NodeId d = 0; d < num_nodes_; ++d) {
-                const Flow &f = flow(s, d);
-                if (classOf(s, d) == 0 || !f.bytes)
+                const Flow *f = find(s, d);
+                if (!f || f->cls == 0 || !f->bytes)
                     continue;
-                const double p = static_cast<double>(f.bytes) /
+                const double p = static_cast<double>(f->bytes) /
                                  static_cast<double>(nv_total);
                 nv_entropy -= p * std::log2(p);
             }
@@ -306,13 +314,14 @@ WireObserver::writeJson(std::ostream &os) const
     w.beginArray("flows");
     for (NodeId s = 0; s < num_nodes_; ++s) {
         for (NodeId d = 0; d < num_nodes_; ++d) {
-            const Flow &f = flow(s, d);
-            if (!f.packets)
+            const Flow *fp = find(s, d);
+            if (!fp)
                 continue;
+            const Flow &f = *fp;
             w.beginObject();
             w.field("src", static_cast<std::uint64_t>(s));
             w.field("dst", static_cast<std::uint64_t>(d));
-            w.field("link", class_names_[classOf(s, d)]);
+            w.field("link", class_names_[f.cls]);
             w.field("packets", f.packets);
             w.field("bytes", f.bytes);
             w.field("busy", f.busy);

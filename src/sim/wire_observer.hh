@@ -29,7 +29,9 @@
  * traces the batching cadence without reading any header bit.
  *
  * Like the TraceSink, a null observer pointer in the Network is the
- * entire cost of the disabled feature.
+ * entire cost of the disabled feature. Enabled, it costs what the run
+ * sends: a flow's state, link class included, is allocated at the
+ * flow's first packet, so an n-node observer starts at O(n) bytes.
  */
 
 #ifndef MGSEC_SIM_WIRE_OBSERVER_HH
@@ -71,7 +73,8 @@ class WireObserver
      * Nodes are 0 (CPU) .. num_nodes-1; flows are directed pairs.
      * @p class_names labels the fabric's link classes 0..n-1 (class 0
      * is the CPU-side pcie class, which the fan-out features
-     * exclude) and @p classify maps a flow's endpoints to its class.
+     * exclude) and @p classify maps a flow's endpoints to its class,
+     * once per flow, at its first packet.
      */
     WireObserver(std::uint32_t num_nodes,
                  std::vector<std::string> class_names,
@@ -115,15 +118,15 @@ class WireObserver
     /** Per directed (src, dst) flow, folded online. */
     struct Flow
     {
-        Flow();
+        explicit Flow(std::size_t link_class);
 
+        std::size_t cls; ///< link class, fixed at the first packet
         std::uint64_t packets = 0;
         std::uint64_t bytes = 0;
         std::uint64_t busy = 0; ///< sum of (arrive - send)
         Tick firstSend = 0;
         Tick lastSend = 0;
         Tick lastArrive = 0;
-        bool seen = false;
 
         Tick lastCtl = 0;
         bool ctlSeen = false;
@@ -149,13 +152,13 @@ class WireObserver
         std::uint64_t droppedWindows = 0;
     };
 
-    Flow &flow(NodeId src, NodeId dst);
-    const Flow &flow(NodeId src, NodeId dst) const;
-    std::size_t
-    classOf(NodeId src, NodeId dst) const
-    {
-        return classify_(src, dst);
-    }
+    /** flows_ index of (src, dst); kNoFlow before its first packet. */
+    static constexpr std::uint32_t kNoFlow = ~std::uint32_t{0};
+
+    /** The (src, dst) flow, created at its first packet. */
+    Flow &touch(NodeId src, NodeId dst);
+    /** The (src, dst) flow, or null if it never carried a packet. */
+    const Flow *find(NodeId src, NodeId dst) const;
 
     /** Merge every flow of a link class into fresh histograms. */
     void mergeClass(std::size_t cls, stats::Histogram &gap,
@@ -165,7 +168,13 @@ class WireObserver
 
     std::uint32_t num_nodes_;
     Params params_;
-    std::vector<Flow> flows_; ///< num_nodes^2, index src*n+dst
+    /** Flows in first-packet order; flow_ix_ finds them by pair. */
+    std::vector<Flow> flows_;
+    /**
+     * flow_ix_[src][dst] indexes flows_; a source's row of num_nodes
+     * entries is allocated at that source's first packet.
+     */
+    std::vector<std::vector<std::uint32_t>> flow_ix_;
     std::vector<std::string> class_names_;
     Classifier classify_;
     std::vector<LinkClass> classes_;

@@ -6,7 +6,10 @@
  * covers the issue window, event scheduling, execution and
  * cancellation once the queue is reserved and warm, the packet pool
  * handing packets from one thread to another, and the secure channel
- * sealing and opening functional-crypto messages. This binary
+ * sealing and opening functional-crypto messages. Observability
+ * state costs what a run records: a histogram that was only built,
+ * and a wire observer before its first packet, hold O(1) and O(n)
+ * bytes. This binary
  * replaces the global operator new with a counting one, so it is its
  * own test executable.
  */
@@ -32,6 +35,8 @@
 #include "sim/event_queue.hh"
 #include "sim/logging.hh"
 #include "sim/ring_queue.hh"
+#include "sim/stats.hh"
+#include "sim/wire_observer.hh"
 
 namespace
 {
@@ -364,4 +369,63 @@ TEST(MemAlloc, WarmCrossThreadHandOffAllocatesNothing)
     }
     EXPECT_EQ(g_news.load() - before, 0u);
     releaser.join();
+}
+
+TEST(MemAlloc, HistogramConstructionAllocatesNothing)
+{
+    // Short names stay in the strings' inline buffers, so building
+    // one is free; the first sample stores one tier of buckets, not
+    // all numBuckets().
+    const std::uint64_t before = g_news;
+    stats::Histogram h("lat", "cycles");
+    EXPECT_EQ(g_news - before, 0u);
+    EXPECT_EQ(h.storedBuckets(), 0u);
+    EXPECT_EQ(h.bucket(stats::Histogram::numBuckets() - 1), 0u);
+    EXPECT_DOUBLE_EQ(h.percentile(99.0), 0.0);
+    h.reset();
+    stats::Histogram copy = h;
+    EXPECT_EQ(g_news - before, 0u);
+
+    h.record(1000);
+    EXPECT_EQ(g_news - before, 1u);
+    EXPECT_LT(h.storedBuckets(), stats::Histogram::numBuckets() / 4);
+    // Recording inside the stored prefix, and resetting, reuse it.
+    const std::uint64_t warm = g_news;
+    for (std::uint64_t v = 0; v <= 1000; ++v)
+        h.record(v);
+    h.reset();
+    h.record(999);
+    EXPECT_EQ(g_news - warm, 0u);
+}
+
+TEST(MemAlloc, WireObserverStartsLinearInNodes)
+{
+    // 257 nodes: 66,049 directed flows, each with four histograms
+    // once it opens. Building the observer makes the same few
+    // allocations (O(n) bytes: one index-row slot per source) at 17
+    // nodes as at 257, and a packet adds its source's index row and
+    // the one flow it opens, not a histogram per pair.
+    const auto build = [](std::uint32_t nodes, std::uint64_t &calls) {
+        const std::uint64_t before = g_news;
+        auto obs = std::make_unique<WireObserver>(
+            nodes, std::vector<std::string>{"pcie", "nvlink"},
+            [&calls](NodeId src, NodeId) {
+                ++calls;
+                return src == 0 ? std::size_t{0} : std::size_t{1};
+            });
+        return std::make_pair(std::move(obs), g_news - before);
+    };
+    std::uint64_t small_calls = 0, calls = 0;
+    const auto [small, small_news] = build(17, small_calls);
+    const auto [obs, news] = build(257, calls);
+    EXPECT_EQ(news, small_news);
+    EXPECT_LE(news, 8u);
+
+    const std::uint64_t before = g_news;
+    for (Tick t = 0; t < 100; ++t)
+        obs->onWirePacket(3, 200, 64, 10 * t, 10 * t + 5);
+    EXPECT_LE(g_news - before, 16u);
+    // The flow's link class is looked up once, when it opens.
+    EXPECT_EQ(calls, 1u);
+    EXPECT_EQ(obs->packets(), 100u);
 }

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <random>
 #include <sstream>
@@ -357,4 +358,185 @@ TEST(HistogramStat, ResetClearsEverything)
     EXPECT_EQ(h.sum(), 0u);
     EXPECT_EQ(h.bucket(9), 0u);
     EXPECT_DOUBLE_EQ(h.percentile(50), 0.0);
+}
+
+namespace
+{
+
+/**
+ * The eager reference: every bucket stored from the start, with the
+ * record/merge/restore/percentile rules the Histogram documents.
+ */
+struct EagerHistogram
+{
+    std::vector<std::uint64_t> buckets =
+        std::vector<std::uint64_t>(Histogram::numBuckets(), 0);
+    std::uint64_t count = 0, sum = 0, min = 0, max = 0;
+
+    void
+    extremes(std::uint64_t lo, std::uint64_t hi)
+    {
+        min = count ? std::min(min, lo) : lo;
+        max = count ? std::max(max, hi) : hi;
+    }
+
+    void
+    record(std::uint64_t v, std::uint64_t n)
+    {
+        if (n == 0)
+            return;
+        extremes(v, v);
+        count += n;
+        sum += v * n;
+        buckets[Histogram::bucketIndex(v)] += n;
+    }
+
+    void
+    merge(const EagerHistogram &o)
+    {
+        if (o.count == 0)
+            return;
+        extremes(o.min, o.max);
+        count += o.count;
+        sum += o.sum;
+        for (std::size_t i = 0; i < buckets.size(); ++i)
+            buckets[i] += o.buckets[i];
+    }
+
+    double
+    percentile(double p) const
+    {
+        if (count == 0)
+            return 0.0;
+        if (p <= 0.0)
+            return static_cast<double>(min);
+        if (p >= 100.0)
+            return static_cast<double>(max);
+        const double target = p / 100.0 * static_cast<double>(count);
+        std::uint64_t cum = 0;
+        for (std::size_t i = 0; i < buckets.size(); ++i) {
+            const std::uint64_t b = buckets[i];
+            if (b == 0)
+                continue;
+            if (static_cast<double>(cum + b) >= target) {
+                const double lo =
+                    static_cast<double>(Histogram::bucketLo(i));
+                const double hi =
+                    static_cast<double>(Histogram::bucketHi(i));
+                const double v =
+                    lo + (target - static_cast<double>(cum)) /
+                             static_cast<double>(b) * (hi - lo);
+                return std::clamp(v, static_cast<double>(min),
+                                  static_cast<double>(max));
+            }
+            cum += b;
+        }
+        return static_cast<double>(max);
+    }
+};
+
+/** A value of @p rng's choosing, spread over every tier. */
+std::uint64_t
+anyValue(std::mt19937_64 &rng, unsigned max_bits)
+{
+    const unsigned bits = static_cast<unsigned>(rng() % (max_bits + 1));
+    return bits == 64 ? rng() : rng() % (std::uint64_t{1} << bits);
+}
+
+void
+expectSame(const Histogram &lazy, const EagerHistogram &eager,
+           const char *what)
+{
+    SCOPED_TRACE(what);
+    ASSERT_EQ(lazy.count(), eager.count);
+    ASSERT_EQ(lazy.sum(), eager.sum);
+    ASSERT_EQ(lazy.minSeen(), eager.min);
+    ASSERT_EQ(lazy.maxSeen(), eager.max);
+    // Past the stored prefix, and past the geometry, buckets read 0.
+    for (std::size_t i = 0; i < Histogram::numBuckets() + 8; ++i) {
+        const std::uint64_t want =
+            i < eager.buckets.size() ? eager.buckets[i] : 0;
+        ASSERT_EQ(lazy.bucket(i), want) << "bucket " << i;
+    }
+    for (double p : {0.0, 0.1, 1.0, 25.0, 50.0, 90.0, 99.0, 99.9,
+                     100.0})
+        ASSERT_EQ(lazy.percentile(p), eager.percentile(p)) << p;
+}
+
+} // anonymous namespace
+
+TEST(HistogramStat, LazyBucketsMatchAnEagerOracle)
+{
+    std::mt19937_64 rng(25);
+    for (int round = 0; round < 200; ++round) {
+        // Unequal ranges: a's values reach 2^bits_a, b's 2^bits_b.
+        const unsigned bits_a = static_cast<unsigned>(rng() % 65);
+        const unsigned bits_b = static_cast<unsigned>(rng() % 65);
+        Histogram a("a", "x"), b("b", "x");
+        EagerHistogram ea, eb;
+        EXPECT_EQ(a.storedBuckets(), 0u);
+        const int na = static_cast<int>(rng() % 50);
+        for (int i = 0; i < na; ++i) {
+            const std::uint64_t v = anyValue(rng, bits_a);
+            const std::uint64_t n = rng() % 4;
+            a.record(v, n);
+            ea.record(v, n);
+        }
+        const int nb = static_cast<int>(rng() % 50);
+        for (int i = 0; i < nb; ++i) {
+            const std::uint64_t v = anyValue(rng, bits_b);
+            b.record(v, 1);
+            eb.record(v, 1);
+        }
+        expectSame(a, ea, "record");
+        expectSame(b, eb, "record b");
+        EXPECT_LE(a.storedBuckets(), Histogram::numBuckets());
+        if (ea.count) {
+            EXPECT_GT(a.storedBuckets(),
+                      Histogram::bucketIndex(ea.max));
+        }
+
+        a.merge(b);
+        ea.merge(eb);
+        expectSame(a, ea, "merge");
+        // Merging the other way round: the smaller into the larger
+        // and vice versa must agree.
+        b.merge(a);
+        eb.merge(ea);
+        expectSame(b, eb, "merge back");
+
+        // Restore from the non-zero (bucketLo, count) pairs, as
+        // mgsec_report reads a dump back.
+        std::vector<std::pair<std::uint64_t, std::uint64_t>> pairs;
+        for (std::size_t i = 0; i < ea.buckets.size(); ++i)
+            if (ea.buckets[i])
+                pairs.emplace_back(Histogram::bucketLo(i),
+                                   ea.buckets[i]);
+        Histogram r("r", "x");
+        r.record(anyValue(rng, 64)); // restore replaces, not adds
+        r.restore(ea.count, ea.sum, ea.min, ea.max, pairs);
+        expectSame(r, ea, "restore");
+
+        // Same dump bytes as the histogram it was restored from.
+        std::ostringstream da, dr;
+        {
+            JsonWriter wa(da), wr(dr);
+            wa.beginObject();
+            a.dumpJson(wa);
+            wa.endObject();
+            wr.beginObject();
+            r.dumpJson(wr);
+            wr.endObject();
+        }
+        EXPECT_EQ(da.str().substr(da.str().find("\"count\"")),
+                  dr.str().substr(dr.str().find("\"count\"")));
+
+        a.reset();
+        expectSame(a, EagerHistogram{}, "reset");
+        const std::uint64_t v = anyValue(rng, 64);
+        a.record(v);
+        EagerHistogram one;
+        one.record(v, 1);
+        expectSame(a, one, "record after reset");
+    }
 }

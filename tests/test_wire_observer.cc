@@ -19,6 +19,7 @@
 #include "core/experiment.hh"
 #include "core/json_in.hh"
 #include "core/system.hh"
+#include "sim/wire_observer.hh"
 #include "verify/observer_adversary.hh"
 
 using namespace mgsec;
@@ -206,6 +207,51 @@ TEST(WireObserver, SwitchFabricWireJsonRoundTrips)
                          {"pcie", "nvlink", "switch"});
     expectWireJsonParses(TopologyKind::Hier,
                          {"pcie", "nvlink", "switch", "inter"});
+}
+
+TEST(WireObserver, FlowsSerializeInPairOrderWhateverOrderTheyOpen)
+{
+    // Flows are allocated at their first packet, so their storage
+    // order is the order they opened in. The dump, the merged link
+    // histograms and the features must not see it: two observers fed
+    // the same per-flow packets, flows opened in opposite orders,
+    // write the same bytes, with flows in (src, dst) order.
+    struct Pkt
+    {
+        NodeId src, dst;
+        Bytes bytes;
+    };
+    const std::vector<Pkt> pkts{{3, 1, 64}, {1, 2, 16}, {2, 3, 200},
+                                {0, 2, 24}, {1, 0, 96}, {3, 2, 16}};
+    const auto classify = [](NodeId s, NodeId d) {
+        return s == 0 || d == 0 ? std::size_t{0} : std::size_t{1};
+    };
+    WireObserver fwd(4, {"pcie", "nvlink"}, classify);
+    WireObserver rev(4, {"pcie", "nvlink"}, classify);
+    for (Tick round = 0; round < 40; ++round) {
+        for (std::size_t i = 0; i < pkts.size(); ++i) {
+            const Pkt &f = pkts[i];
+            const Pkt &r = pkts[pkts.size() - 1 - i];
+            const Tick t = round * 50 + round % 3 * 20;
+            fwd.onWirePacket(f.src, f.dst, f.bytes, t, t + f.bytes);
+            rev.onWirePacket(r.src, r.dst, r.bytes, t, t + r.bytes);
+        }
+    }
+    std::ostringstream a, b;
+    fwd.writeJson(a);
+    rev.writeJson(b);
+    EXPECT_EQ(a.str(), b.str());
+    EXPECT_EQ(fwd.features(), rev.features());
+
+    JsonValue doc;
+    std::string err;
+    ASSERT_TRUE(jsonParse(a.str(), doc, err)) << err;
+    std::vector<std::pair<double, double>> order;
+    for (const JsonValue &f : doc.find("flows")->items)
+        order.emplace_back(f.find("src")->number, f.find("dst")->number);
+    EXPECT_EQ(order, (std::vector<std::pair<double, double>>{
+                         {0, 2}, {1, 0}, {1, 2}, {2, 3}, {3, 1},
+                         {3, 2}}));
 }
 
 TEST(ObserverAdversary, TimingFeatureAllowlist)
