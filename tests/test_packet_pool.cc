@@ -137,12 +137,11 @@ TEST_F(PacketPoolTest, WholeRunIsBitIdenticalWithPoolingOnAndOff)
 
 TEST_F(PacketPoolTest, SteadyStateRunAllocatesNoPackets)
 {
-    // Pinned to one kernel worker: this test asserts the *calling
-    // thread's* pool counters, a thread-confined contract. A multi-
-    // worker run drifts packets between worker threads (acquired on
-    // the source domain's worker, released on the destination's), so
-    // per-thread live counts skew by design; the depot bounds what
-    // that drift can cost (CrossThreadHandOffStaysBounded), and a
+    // Pinned to one kernel worker: every counter here is the calling
+    // thread's, so the measured run must acquire and release all its
+    // packets on this thread. resetStats() zeroes them all, the live
+    // count included, whatever earlier tests left. Multi-worker drift
+    // is bounded by the depot (CrossThreadHandOffStaysBounded), and a
     // run's summed fresh allocations are RunResult::poolFreshPackets.
     ExperimentConfig cfg = smallConfig();
     cfg.simThreads = 1;
@@ -161,7 +160,7 @@ TEST_F(PacketPoolTest, SteadyStateRunAllocatesNoPackets)
     EXPECT_EQ(PacketPool::stats().freshPayloads, 0u)
         << "warm steady state must not allocate payloads";
     EXPECT_GT(PacketPool::stats().reusedPackets, 0u);
-    EXPECT_EQ(PacketPool::stats().livePackets, 0u)
+    EXPECT_EQ(PacketPool::stats().livePackets, 0)
         << "every packet must return to the pool after the run";
 }
 
