@@ -7,11 +7,15 @@
  * matches how the paper's Table III caches contribute to the remote
  * access path.
  *
- * Host layout: a line is 16 bytes, {tag << 2 | dirty | valid,
- * lruStamp}, in one flat array of sets. An invalid line's stamp is 0
- * and a filled line's is at least 1, so the victim is simply the
- * first line with the smallest stamp: the first invalid way if there
- * is one, else the least recently used.
+ * Host layout: a line is 9 bytes in two flat arrays of sets, one
+ * tag word {tag << 2 | dirty | valid} and one recency rank. The ranks
+ * of a set are a permutation of 0..assoc-1, 0 the most recently used:
+ * a hit or a fill moves its way to rank 0 and ages every younger way
+ * by one. The victim is the first invalid way if there is one, else
+ * the way of rank assoc-1, the least recently used. A rank only
+ * orders ways: an invalidated way keeps its rank, and every valid way
+ * has been touched since its fill, so among valid ways the ranks
+ * order exactly by last access.
  */
 
 #ifndef MGSEC_MEM_CACHE_HH
@@ -88,25 +92,22 @@ class Cache : public SimObject
     static constexpr std::uint64_t kDirty = 2;
     static constexpr std::uint32_t kFlagBits = 2;
 
-    struct Line
-    {
-        std::uint64_t tagFlags = 0; ///< tag << kFlagBits | kDirty | kValid
-        std::uint64_t lruStamp = 0; ///< 0 while invalid
-    };
-    static_assert(sizeof(Line) == 16);
-
     std::uint32_t setIndex(std::uint64_t addr) const;
     /** The tag word of a valid, clean line holding @p addr. */
     std::uint64_t cleanTagWord(std::uint64_t addr) const;
     std::uint64_t blockAddr(std::uint64_t tag, std::uint32_t set) const;
+    /** Make @p way of the set at @p ranks the most recently used. */
+    void touch(std::uint8_t *ranks, std::uint32_t way);
 
     CacheParams params_;
     std::uint32_t num_sets_;
     /** log2 of blockSize and num_sets_: index math is shifts. */
     std::uint32_t block_shift_ = 0;
     std::uint32_t set_shift_ = 0;
-    std::vector<Line> lines_;
-    std::uint64_t lru_clock_ = 0;
+    /** Per line, set-major: tag << kFlagBits | kDirty | kValid. */
+    std::vector<std::uint64_t> tags_;
+    /** Per line, set-major: the way's recency rank in its set. */
+    std::vector<std::uint8_t> ranks_;
 
     stats::Scalar hits_{"hits", "cache hits"};
     stats::Scalar misses_{"misses", "cache misses"};

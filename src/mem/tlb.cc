@@ -12,7 +12,11 @@ Tlb::Tlb(const std::string &name, EventQueue &eq, TlbParams params)
     : SimObject(name, eq), params_(params)
 {
     MGSEC_ASSERT(params_.entries > 0, "TLB needs entries");
-    slots_.resize(params_.entries);
+    MGSEC_ASSERT(params_.entries < kNone,
+                 "%u TLB entries: slot numbers are 16-bit, at most %u",
+                 params_.entries, kNone - 1u);
+    pages_.resize(params_.entries);
+    links_.resize(params_.entries);
     // Load factor at most 1/2 keeps linear-probing runs short.
     const std::uint64_t buckets = std::bit_ceil(2ull * params_.entries);
     index_shift_ = static_cast<std::uint32_t>(
@@ -38,7 +42,7 @@ Tlb::probe(std::uint64_t page) const
     const std::uint32_t mask =
         static_cast<std::uint32_t>(index_.size() - 1);
     std::uint32_t pos = bucketOf(page);
-    while (index_[pos] != kNone && slots_[index_[pos]].page != page)
+    while (index_[pos] != kNone && pages_[index_[pos]] != page)
         pos = (pos + 1) & mask;
     return pos;
 }
@@ -51,7 +55,7 @@ Tlb::eraseIndex(std::uint32_t pos)
     std::uint32_t hole = pos;
     for (std::uint32_t j = (pos + 1) & mask; index_[j] != kNone;
          j = (j + 1) & mask) {
-        const std::uint32_t home = bucketOf(slots_[index_[j]].page);
+        const std::uint32_t home = bucketOf(pages_[index_[j]]);
         // The entry may fill the hole only if the hole lies on its
         // probe path, i.e. between its home bucket and j.
         if (((j - home) & mask) >= ((j - hole) & mask)) {
@@ -63,20 +67,19 @@ Tlb::eraseIndex(std::uint32_t pos)
 }
 
 void
-Tlb::unlink(std::uint32_t slot)
+Tlb::unlink(SlotId slot)
 {
-    const std::uint32_t p = slots_[slot].prev;
-    const std::uint32_t n = slots_[slot].next;
-    (p == kNone ? head_ : slots_[p].next) = n;
-    (n == kNone ? tail_ : slots_[n].prev) = p;
+    const SlotId p = links_[slot].prev;
+    const SlotId n = links_[slot].next;
+    (p == kNone ? head_ : links_[p].next) = n;
+    (n == kNone ? tail_ : links_[n].prev) = p;
 }
 
 void
-Tlb::pushFront(std::uint32_t slot)
+Tlb::pushFront(SlotId slot)
 {
-    slots_[slot].prev = kNone;
-    slots_[slot].next = head_;
-    (head_ == kNone ? tail_ : slots_[head_].prev) = slot;
+    links_[slot] = Links{kNone, head_};
+    (head_ == kNone ? tail_ : links_[head_].prev) = slot;
     head_ = slot;
 }
 
@@ -85,7 +88,7 @@ Tlb::lookup(std::uint64_t page)
 {
     std::uint32_t pos = probe(page);
     if (index_[pos] != kNone) {
-        const std::uint32_t slot = index_[pos];
+        const SlotId slot = index_[pos];
         if (slot != head_) {
             unlink(slot);
             pushFront(slot);
@@ -94,20 +97,20 @@ Tlb::lookup(std::uint64_t page)
         return true;
     }
     ++misses_;
-    std::uint32_t slot;
+    SlotId slot;
     if (used_ >= params_.entries) {
         // The LRU slot is recycled for the new page.
         slot = tail_;
         unlink(slot);
-        eraseIndex(probe(slots_[slot].page));
+        eraseIndex(probe(pages_[slot]));
         pos = probe(page); // the delete may have shifted the run
         ++evictions_;
     } else {
         slot = free_;
-        free_ = slots_[slot].next;
+        free_ = links_[slot].next;
         ++used_;
     }
-    slots_[slot].page = page;
+    pages_[slot] = page;
     pushFront(slot);
     index_[pos] = slot;
     return false;
@@ -123,12 +126,12 @@ bool
 Tlb::invalidate(std::uint64_t page)
 {
     const std::uint32_t pos = probe(page);
-    const std::uint32_t slot = index_[pos];
+    const SlotId slot = index_[pos];
     if (slot == kNone)
         return false;
     unlink(slot);
     eraseIndex(pos);
-    slots_[slot].next = free_;
+    links_[slot].next = free_;
     free_ = slot;
     --used_;
     return true;
@@ -141,8 +144,8 @@ Tlb::flush()
     head_ = tail_ = kNone;
     used_ = 0;
     free_ = kNone;
-    for (std::uint32_t s = params_.entries; s-- > 0;) {
-        slots_[s].next = free_;
+    for (SlotId s = static_cast<SlotId>(params_.entries); s-- > 0;) {
+        links_[s].next = free_;
         free_ = s;
     }
 }

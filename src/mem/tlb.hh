@@ -8,12 +8,15 @@
  * CPU-GPU message like any other and therefore crosses the secure
  * channel.
  *
- * Host layout: the entries live in a fixed slot array sized at
- * construction. An intrusive doubly linked list threads the used
- * slots MRU -> LRU (unused slots form a singly linked free list), and
- * an open-addressed (linear probing) index maps a page to its slot.
- * Nothing allocates after construction, and the hit / victim /
- * eviction order is exact LRU.
+ * Host layout: the entries live in fixed slot arrays sized at
+ * construction, the pages apart from their 16-bit list links. An
+ * intrusive doubly linked list threads the used slots MRU -> LRU
+ * (unused slots form a singly linked free list), and an open-addressed
+ * (linear probing) index of 16-bit slot numbers maps a page to its
+ * slot. An entry costs 16 bytes: its page, two links and two index
+ * buckets; a TLB holds fewer than 65535 entries. Nothing allocates
+ * after construction, and the hit / victim / eviction order is exact
+ * LRU.
  */
 
 #ifndef MGSEC_MEM_TLB_HH
@@ -73,7 +76,9 @@ class Tlb : public SimObject
     }
 
   private:
-    static constexpr std::uint32_t kNone = ~0u;
+    /** A slot number; kNone ends a list or marks an empty bucket. */
+    using SlotId = std::uint16_t;
+    static constexpr SlotId kNone = 0xffff;
 
     /** Home bucket of @p page in the index. */
     std::uint32_t bucketOf(std::uint64_t page) const;
@@ -82,26 +87,26 @@ class Tlb : public SimObject
     std::uint32_t probe(std::uint64_t page) const;
     /** Remove the index entry at @p pos (backward-shift delete). */
     void eraseIndex(std::uint32_t pos);
-    void unlink(std::uint32_t slot);
-    void pushFront(std::uint32_t slot);
+    void unlink(SlotId slot);
+    void pushFront(SlotId slot);
 
     TlbParams params_;
 
-    struct Slot
+    struct Links
     {
-        std::uint64_t page = 0;
-        std::uint32_t prev = kNone; ///< towards MRU
-        std::uint32_t next = kNone; ///< towards LRU, or next free
+        SlotId prev = kNone; ///< towards MRU
+        SlotId next = kNone; ///< towards LRU, or next free
     };
 
-    std::vector<Slot> slots_;
-    std::uint32_t head_ = kNone; ///< MRU
-    std::uint32_t tail_ = kNone; ///< LRU
-    std::uint32_t free_ = kNone; ///< first unused slot
+    std::vector<std::uint64_t> pages_; ///< per slot
+    std::vector<Links> links_;         ///< per slot
+    SlotId head_ = kNone; ///< MRU
+    SlotId tail_ = kNone; ///< LRU
+    SlotId free_ = kNone; ///< first unused slot
     std::uint32_t used_ = 0;
 
     /** page -> slot, kNone = empty; at least twice the entries. */
-    std::vector<std::uint32_t> index_;
+    std::vector<SlotId> index_;
     std::uint32_t index_shift_ = 0; ///< 64 - log2(index_.size())
 
     stats::Scalar hits_{"hits", "TLB hits"};

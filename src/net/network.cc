@@ -161,16 +161,22 @@ Network::sendOnWire(PacketPtr pkt, Tick send_tick, EventQueue &dst_eq)
     // Port occupancy and arrival timing are the fabric's decision.
     const Tick arrive =
         topo_->route(pkt->src, pkt->dst, bytes, send_tick);
-    if (TraceSink *ts = eventq().traceSink()) {
-        ts->complete(pkt->src, "net", packetTypeName(pkt->type),
-                     send_tick, arrive - send_tick, "bytes", bytes);
-    }
-    if (eventq().attribution()) {
+    if (eventq().stampsLife()) {
         // The network owns the wire boundaries of the lifecycle
-        // clock; the receiving channel folds the stamps on delivery
-        // (SecAck/BatchMac stamps are written but never folded).
+        // clock; the receiving channel reads the stamps on delivery.
         lifeStamp(pkt->life, LifeStamp::WireEntry) = send_tick;
         lifeStamp(pkt->life, LifeStamp::Delivered) = arrive;
+        // SecAck and BatchMac are never delivered, so the wire
+        // crossing is their one trace record; a data packet's is the
+        // "wire" stage of its "packet" event. Chaff is left out: at
+        // constant rate it outnumbers everything else, and the stats
+        // and the wire observer count it.
+        TraceSink *ts = eventq().traceSink();
+        if (ts && (pkt->type == PacketType::SecAck ||
+                   pkt->type == PacketType::BatchMac)) {
+            ts->complete(pkt->src, "net", packetTypeName(pkt->type),
+                         send_tick, arrive - send_tick, "bytes", bytes);
+        }
     }
 
     // The passive observer sees the committed wire crossing exactly

@@ -147,15 +147,16 @@ struct Packet
     /** Timestamp when the secure-send stage accepted the message. */
     Tick sendReady = 0;
 
-    /** Tick the message entered the channel (trace lifetime start). */
+    /** Tick the message entered the channel. */
     Tick injectTick = 0;
 
     /**
-     * Lifecycle-clock stamps (latency attribution). Only written
-     * when EventQueue::attribution() is attached, and every stamp a
-     * fold reads is rewritten on that same enabled path — so reset()
-     * deliberately leaves the array stale rather than taxing pooled
-     * recycling with a memset profiling-off runs never benefit from.
+     * Lifecycle-clock stamps (latency attribution and the trace's
+     * packet events). Only written when EventQueue::stampsLife(),
+     * and every stamp a reader uses is rewritten on that same
+     * enabled path — so reset() deliberately leaves the array stale
+     * rather than taxing pooled recycling with a memset
+     * profiling-off runs never benefit from.
      */
     LifeStamps life{};
 

@@ -117,12 +117,12 @@ SecureChannel::send(PacketPtr pkt)
     pkt->headerBytes = cfg_.headerBytes;
     pkt->injectTick = now();
 
-    LatencyAttribution *attr = eventq().attribution();
-    if (attr)
+    const bool stamp = eventq().stampsLife();
+    if (stamp)
         lifeStamp(pkt->life, LifeStamp::Enqueue) = now();
 
     if (!cfg_.secured()) {
-        if (attr) {
+        if (stamp) {
             // No pad stages: both boundaries collapse onto enqueue.
             lifeStamp(pkt->life, LifeStamp::PadClaim) = now();
             lifeStamp(pkt->life, LifeStamp::PadReady) = now();
@@ -190,7 +190,7 @@ SecureChannel::send(PacketPtr pkt)
     if (cfg_.debugPadStallPct != 0 && pad_ready > now())
         pad_ready += (pad_ready - now()) * cfg_.debugPadStallPct / 100;
 
-    if (attr) {
+    if (stamp) {
         lifeStamp(pkt->life, LifeStamp::PadClaim) = now();
         lifeStamp(pkt->life, LifeStamp::PadReady) =
             std::max(now(), pad_ready);
@@ -213,11 +213,6 @@ SecureChannel::send(PacketPtr pkt)
         claimChaffSlot(pkt->dst, dep);
         last_real_activity_ = std::max(last_real_activity_, dep);
         armChaff();
-    }
-
-    if (dep > now()) {
-        if (TraceSink *ts = eventq().traceSink())
-            ts->complete(self_, "pad", "sendWait", now(), dep - now());
     }
 
     if (dep <= now()) {
@@ -759,15 +754,7 @@ SecureChannel::handleArrival(PacketPtr pkt)
     }
 
     if (!pkt->secured) {
-        if (TraceSink *ts = eventq().traceSink()) {
-            ts->complete(self_, "packet", packetTypeName(pkt->type),
-                         pkt->injectTick, now() - pkt->injectTick);
-        }
-        if (LatencyAttribution *attr = eventq().attribution()) {
-            lifeStamp(pkt->life, LifeStamp::DeliverReady) = now();
-            attr->fold(net_.linkType(pkt->src, self_), pkt->life,
-                       eventq().traceSink(), self_);
-        }
+        recordDelivery(*pkt, now());
         MGSEC_ASSERT(deliver_ != nullptr, "no deliver handler");
         deliver_(std::move(pkt));
         return;
@@ -825,25 +812,9 @@ SecureChannel::handleArrival(PacketPtr pkt)
     ready = std::max(ready, last_deliver_[src]);
     last_deliver_[src] = ready;
 
-    if (LatencyAttribution *attr = eventq().attribution()) {
-        // Decrypt and MAC check share the pad: `ready` is both the
-        // delivery and the MAC-verify boundary.
-        lifeStamp(pkt->life, LifeStamp::DeliverReady) = ready;
-        attr->fold(net_.linkType(src, self_), pkt->life,
-                   eventq().traceSink(), self_);
-    }
-
-    if (TraceSink *ts = eventq().traceSink()) {
-        // The packet's lifetime runs from channel injection at the
-        // sender to decrypted delivery here (inject -> pad lookup ->
-        // encrypt -> wire -> verify); any tail past the wire arrival
-        // is pad/verify wait, shown as its own span.
-        ts->complete(self_, "packet", packetTypeName(pkt->type),
-                     pkt->injectTick, ready - pkt->injectTick);
-        if (ready > now())
-            ts->complete(self_, "pad", "recvWait", now(),
-                         ready - now());
-    }
+    // Decrypt and MAC check share the pad: `ready` is both the
+    // delivery and the MAC-verify boundary.
+    recordDelivery(*pkt, ready);
 
     MGSEC_ASSERT(deliver_ != nullptr, "no deliver handler");
     if (ready <= now()) {
@@ -852,6 +823,20 @@ SecureChannel::handleArrival(PacketPtr pkt)
         eventq().schedule(ready, [this, p = std::move(pkt)]() mutable {
             deliver_(std::move(p));
         });
+    }
+}
+
+void
+SecureChannel::recordDelivery(Packet &pkt, Tick ready)
+{
+    if (!eventq().stampsLife())
+        return;
+    lifeStamp(pkt.life, LifeStamp::DeliverReady) = ready;
+    if (LatencyAttribution *attr = eventq().attribution())
+        attr->fold(net_.linkType(pkt.src, self_), pkt.life);
+    if (TraceSink *ts = eventq().traceSink()) {
+        ts->packet(self_, packetTypeName(pkt.type), pkt.src,
+                   pkt.wireBytes(), pkt.life);
     }
 }
 

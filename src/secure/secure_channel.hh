@@ -150,6 +150,11 @@ class SecureChannel : public SimObject
     void advanceVerified(NodeId src, std::uint64_t ctr);
 
     void finishSend(PacketPtr pkt, Tick departure);
+    /**
+     * Stamp DeliverReady = @p ready on a delivered data packet, fold
+     * its stamps into the attribution and write its trace event.
+     */
+    void recordDelivery(Packet &pkt, Tick ready);
     void queueAck(NodeId peer, const AckRecord &rec);
     void flushAcks(NodeId peer);
     void processAcks(NodeId from, const AckList &acks);

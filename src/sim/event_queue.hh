@@ -218,6 +218,13 @@ class EventQueue
     void setAttribution(LatencyAttribution *attr) { attr_ = attr; }
 
     /**
+     * Whether packets carry lifecycle stamps (sim/lifecycle.hh):
+     * attribution folds them and the trace writes them as the
+     * stages of each "packet" event.
+     */
+    bool stampsLife() const { return attr_ || trace_sink_; }
+
+    /**
      * Host-side self-profiler shared by every component on this
      * queue, or nullptr when profiling is off — same
      * single-pointer-test contract as traceSink(). Instrumented

@@ -4,7 +4,6 @@
 
 #include "sim/json_writer.hh"
 #include "sim/logging.hh"
-#include "sim/trace_sink.hh"
 
 namespace mgsec
 {
@@ -83,11 +82,8 @@ LatencyAttribution::e2e(LinkType l) const
 }
 
 void
-LatencyAttribution::fold(LinkType link, const LifeStamps &st,
-                         TraceSink *trace, NodeId tid)
+LatencyAttribution::fold(LinkType link, const LifeStamps &st)
 {
-    // The trace sink is the caller's per-domain buffer, so only the
-    // histogram accumulation below needs the concurrent guard.
     auto l = lockIfConcurrent();
     for (std::size_t s = 0; s < kNumLifeStages; ++s) {
         MGSEC_ASSERT(st[s + 1] >= st[s],
@@ -95,12 +91,7 @@ LatencyAttribution::fold(LinkType link, const LifeStamps &st,
                      lifeStageName(s),
                      static_cast<unsigned long long>(st[s]),
                      static_cast<unsigned long long>(st[s + 1]));
-        const Tick dur = st[s + 1] - st[s];
-        stageMut(link, s).record(dur);
-        if (trace && dur > 0) {
-            trace->complete(static_cast<std::uint32_t>(tid), "attr",
-                            lifeStageName(s), st[s], dur);
-        }
+        stageMut(link, s).record(st[s + 1] - st[s]);
     }
     e2e_[static_cast<std::size_t>(link)].record(
         st[kNumLifeStamps - 1] - st[0]);

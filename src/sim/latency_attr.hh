@@ -34,8 +34,6 @@
 namespace mgsec
 {
 
-class TraceSink;
-
 /**
  * Interconnect hop classes. The first two are the paper's
  * point-to-point fabric; Switch and Inter exist only on the
@@ -85,12 +83,10 @@ class LatencyAttribution
 
     /**
      * Fold a delivered packet's stamps: records every conservation
-     * stage plus end-to-end, and emits one "attr" trace span per
-     * nonzero stage when @p trace is non-null. @p tid is the
-     * receiving node (trace row).
+     * stage plus end-to-end. (The trace writes the same stages as
+     * the args of the packet's one "packet" event.)
      */
-    void fold(LinkType link, const LifeStamps &st, TraceSink *trace,
-              NodeId tid);
+    void fold(LinkType link, const LifeStamps &st);
 
     /** @name Auxiliary (non-conservation) latencies. */
     /// @{

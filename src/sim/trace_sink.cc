@@ -165,6 +165,27 @@ TraceSink::complete(std::uint32_t tid, const char *cat,
 }
 
 void
+TraceSink::packet(std::uint32_t tid, const char *name, std::uint32_t src,
+                  std::uint64_t bytes, const LifeStamps &st)
+{
+    // Seven more numbers and their keys than begin() budgets for.
+    char *p = begin('X', tid, "packet", name, st.front(), kEventBytes);
+    p = put(p, ",\"dur\":");
+    p = formatUint(p, st.back() - st.front());
+    p = put(p, ",\"args\":{\"src\":");
+    p = formatUint(p, src);
+    p = put(p, ",\"bytes\":");
+    p = formatUint(p, bytes);
+    for (std::size_t s = 0; s < kNumLifeStages; ++s) {
+        p = put(p, ",\"");
+        p = putStr(p, lifeStageName(s));
+        p = put(p, "\":");
+        p = formatUint(p, st[s + 1] - st[s]);
+    }
+    commit(put(p, "}}"));
+}
+
+void
 TraceSink::instant(std::uint32_t tid, const char *cat,
                    const char *name, Tick ts)
 {

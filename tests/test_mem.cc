@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
 #include <utility>
 #include <vector>
@@ -106,7 +107,7 @@ TEST(Cache, InvalidateRemovesBlock)
 /**
  * Reference tag array with separate valid/dirty flags and the
  * original victim scan (first invalid way, else the oldest stamp),
- * against which the packed 16-byte lines are checked.
+ * against which the tag words and recency ranks are checked.
  */
 class RefCache
 {
@@ -192,17 +193,30 @@ TEST(Cache, MatchesReferenceLruModel)
 {
     // Invalidations leave holes that the victim scan must prefer,
     // and addresses wrap the sets several times, so every branch of
-    // the scan (hole, oldest, dirty victim) is exercised.
+    // the scan (hole, oldest, dirty victim) is exercised. The last
+    // two geometries are an 8-way cache and the CPU L2 of Table III.
     for (const auto &[size, assoc] :
          {std::pair<Bytes, std::uint32_t>{64, 1}, {512, 1}, {1024, 2},
-          {4096, 4}, {16 * 1024, 4}, {64 * 1024, 16}}) {
+          {4096, 4}, {16 * 1024, 4}, {64 * 1024, 16}, {32 * 1024, 8},
+          {8 * 1024 * 1024, 16}}) {
         EventQueue eq;
         Cache c("c", eq, smallCache(size, assoc));
         RefCache ref(c.numSets(), assoc);
         std::mt19937_64 rng(size + assoc);
-        const std::uint64_t span = 4 * size;
+        // A cache with more than 256 sets sees four times its ways in
+        // tags on 256 sets spread over its index, or the steps would
+        // never fill a set.
+        const std::uint64_t sets = c.numSets();
+        const std::uint64_t hot = std::min<std::uint64_t>(sets, 256);
+        auto draw = [&]() -> std::uint64_t {
+            if (hot == sets)
+                return rng() % (4 * size);
+            const std::uint64_t set = (rng() % hot) * (sets / hot);
+            const std::uint64_t tag = rng() % (4 * assoc);
+            return (tag * sets + set) * 64 + rng() % 64;
+        };
         for (int step = 0; step < 20000; ++step) {
-            const std::uint64_t addr = rng() % span;
+            const std::uint64_t addr = draw();
             const unsigned kind = static_cast<unsigned>(rng() % 8);
             if (kind == 0) {
                 ASSERT_EQ(c.invalidate(addr), ref.invalidate(addr));
@@ -222,6 +236,7 @@ TEST(Cache, MatchesReferenceLruModel)
         EXPECT_EQ(c.misses(), ref.misses);
         EXPECT_EQ(c.evictions(), ref.evictions);
         EXPECT_EQ(c.writebacks(), ref.writebacks);
+        EXPECT_GT(c.evictions(), 0u) << size << " B " << assoc << "-way";
     }
 }
 

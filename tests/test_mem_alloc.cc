@@ -9,7 +9,7 @@
  * sealing and opening functional-crypto messages. Observability
  * state costs what a run records: a histogram that was only built,
  * and a wire observer before its first packet, hold O(1) and O(n)
- * bytes. This binary
+ * bytes. A cache line costs 9 bytes and a TLB entry 16. This binary
  * replaces the global operator new with a counting one, so it is its
  * own test executable.
  */
@@ -43,6 +43,8 @@ namespace
 
 /** Counted from every thread: the hand-off case runs two. */
 std::atomic<std::uint64_t> g_news{0};
+/** Bytes requested, summed over every allocation. */
+std::atomic<std::uint64_t> g_bytes{0};
 
 } // anonymous namespace
 
@@ -50,6 +52,7 @@ void *
 operator new(std::size_t n)
 {
     g_news.fetch_add(1, std::memory_order_relaxed);
+    g_bytes.fetch_add(n, std::memory_order_relaxed);
     if (void *p = std::malloc(n != 0 ? n : 1))
         return p;
     throw std::bad_alloc();
@@ -124,6 +127,32 @@ TEST(MemAlloc, CacheAccessesAndInvalidatesAllocateNothing)
     EXPECT_EQ(g_news - before, 0u);
     EXPECT_GT(cache.hits(), 0u);
     EXPECT_GT(cache.misses(), 0u);
+}
+
+TEST(MemAlloc, CacheLinesAndTlbEntriesFitTheirBytes)
+{
+    // Names and stats cost the same at any size, so a one-set
+    // cache and a one-entry TLB measure that fixed part.
+    EventQueue eq;
+    const auto cacheBytes = [&eq](Bytes size) {
+        const std::uint64_t before = g_bytes;
+        Cache c("l2", eq, CacheParams{size, 16, kBlockBytes, 1});
+        return g_bytes - before;
+    };
+    const auto tlbBytes = [&eq](std::uint32_t entries) {
+        const std::uint64_t before = g_bytes;
+        Tlb t("tlb", eq, TlbParams{entries, 1});
+        return g_bytes - before;
+    };
+    // A 2 MB 16-way L2: a tag word and a recency rank per line.
+    const std::uint64_t lines = 2 * 1024 * 1024 / kBlockBytes;
+    const std::uint64_t fixed_lines = 16;
+    EXPECT_LE(cacheBytes(2 * 1024 * 1024) -
+                  cacheBytes(fixed_lines * kBlockBytes),
+              9 * (lines - fixed_lines));
+    // A 64-entry L1 TLB: a page, two 16-bit links and two 16-bit
+    // index buckets per entry.
+    EXPECT_LE(tlbBytes(64) - tlbBytes(1), 16u * 63);
 }
 
 TEST(MemAlloc, TxnTableStopsAllocatingOnceItCoversTheWindow)

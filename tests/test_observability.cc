@@ -26,6 +26,8 @@
 #include "core/sweep.hh"
 #include "core/system.hh"
 #include "sim/json_writer.hh"
+#include "sim/latency_attr.hh"
+#include "sim/lifecycle.hh"
 #include "sim/metric_sampler.hh"
 #include "sim/stats.hh"
 #include "sim/trace_sink.hh"
@@ -526,6 +528,77 @@ TEST(Observability, AttributionAddsPercentileMetricColumns)
     EXPECT_NE(j.find("attr.nvlink.e2e.p50"), std::string::npos);
     EXPECT_NE(j.find("attr.pcie.padWait.p99"), std::string::npos);
     EXPECT_NE(j.find("gpu1.pads.wasted"), std::string::npos);
+}
+
+TEST(Observability, PacketEventsCarryTheirStagesAndLeaveHistAlone)
+{
+    // Runs with attribution, the trace, or both: the trace stamps the
+    // lifecycle clock itself, and neither sink changes the other.
+    const ExperimentConfig cfg = quick();
+    const WorkloadProfile profile =
+        makeProfile("mm", cfg.scale, cfg.numGpus);
+    struct Out
+    {
+        std::string trace, hist;
+        std::uint64_t folds = 0;
+    };
+    const auto run = [&](bool trace, bool attr) {
+        MultiGpuSystem sys(makeSystemConfig(cfg), profile);
+        std::ostringstream tr, hist;
+        if (trace)
+            sys.enableTrace(tr);
+        if (attr)
+            sys.enableAttribution();
+        EXPECT_TRUE(sys.run().completed);
+        Out o{tr.str(), "", 0};
+        if (attr) {
+            sys.attribution()->writeJson(hist);
+            o.hist = hist.str();
+            o.folds = sys.attribution()->folds();
+        }
+        return o;
+    };
+    const Out both = run(true, true);
+    EXPECT_EQ(run(false, true).hist, both.hist);
+    EXPECT_EQ(run(true, false).trace, both.trace);
+
+    JsonValue doc;
+    std::string err;
+    ASSERT_TRUE(jsonParse(both.trace, doc, err)) << err;
+    const JsonValue *events = doc.find("traceEvents");
+    ASSERT_NE(events, nullptr);
+    std::size_t packets = 0;
+    for (const JsonValue &e : events->items) {
+        const std::string cat = e.find("cat") ? e.find("cat")->string : "";
+        // A data packet's waits and stages are args of its one event.
+        EXPECT_NE(cat, "attr");
+        if (cat == "pad") {
+            const std::string &name = e.find("name")->string;
+            EXPECT_TRUE(name == "sendMiss" || name == "recvMiss") << name;
+        }
+        if (cat == "net") {
+            const std::string &name = e.find("name")->string;
+            EXPECT_TRUE(name == "SecAck" || name == "BatchMac") << name;
+        }
+        if (cat != "packet")
+            continue;
+        ++packets;
+        const JsonValue *args = e.find("args");
+        ASSERT_NE(args, nullptr);
+        ASSERT_NE(args->find("src"), nullptr);
+        EXPECT_GT(args->find("bytes")->asNumber(), 0.0);
+        double sum = 0;
+        for (std::size_t st = 0; st < kNumLifeStages; ++st) {
+            const JsonValue *v = args->find(lifeStageName(st));
+            ASSERT_NE(v, nullptr) << lifeStageName(st);
+            sum += v->asNumber();
+        }
+        EXPECT_EQ(sum, e.find("dur")->asNumber());
+    }
+    // One event per delivered data packet, as many as attribution
+    // folds.
+    ASSERT_GT(packets, 0u);
+    EXPECT_EQ(packets, both.folds);
 }
 
 TEST(Observability, SweepObserveWritesHistogramsMatchingIndex)

@@ -153,7 +153,7 @@ class RefTlb
 
 TEST(Tlb, MatchesReferenceListLru)
 {
-    for (const std::uint32_t entries : {1u, 2u, 64u, 1024u}) {
+    for (const std::uint32_t entries : {1u, 2u, 64u, 1024u, 4096u}) {
         EventQueue eq;
         Tlb t("t", eq, TlbParams{entries, 1});
         RefTlb ref(entries);
@@ -162,6 +162,9 @@ TEST(Tlb, MatchesReferenceListLru)
         // and misses all stay common; every 8th is far away so the
         // index sees scattered hashes and long probe runs too.
         const std::uint64_t pool = entries + entries / 2 + 2;
+        // A flush comes every ~1,000 steps, too soon for 4,096
+        // entries to fill, so the largest TLB invalidates instead.
+        const bool flushes = entries <= 1024;
         for (int step = 0; step < 60000; ++step) {
             std::uint64_t page = rng() % pool;
             if (rng() % 8 == 0)
@@ -173,7 +176,7 @@ TEST(Tlb, MatchesReferenceListLru)
             } else if (op < 850) {
                 ASSERT_EQ(t.resident(page), ref.resident(page))
                     << entries << " entries, step " << step;
-            } else if (op < 999) {
+            } else if (op < 999 || !flushes) {
                 ASSERT_EQ(t.invalidate(page), ref.invalidate(page))
                     << entries << " entries, step " << step;
             } else {
@@ -187,6 +190,13 @@ TEST(Tlb, MatchesReferenceListLru)
         }
         EXPECT_GT(ref.evictions, 0u);
     }
+}
+
+TEST(TlbDeath, SixteenBitSlotNumbersCapTheEntries)
+{
+    EventQueue eq;
+    EXPECT_DEATH(Tlb("t", eq, TlbParams{65535, 1}), "16-bit");
+    EXPECT_DEATH(Tlb("t", eq, TlbParams{1u << 20, 1}), "16-bit");
 }
 
 // ------------------------------------------------------------ ComputeUnit

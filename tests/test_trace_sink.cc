@@ -116,6 +116,35 @@ TEST(TraceSink, EveryEventKindMatchesStreamFormatting)
     EXPECT_EQ(os.str(), want);
 }
 
+TEST(TraceSink, PacketEventWritesItsStagesAsArgs)
+{
+    std::ostringstream os;
+    {
+        TraceSink t(os);
+        t.packet(2, "ReadResp", 1, 1040,
+                 LifeStamps{100, 100, 130, 131, 291, 300});
+        // Every number at its widest.
+        const Tick top = 18446744073709551615ULL;
+        t.packet(4294967295u, "TransResp", 4294967295u, top,
+                 LifeStamps{0, 0, 0, 0, 0, top});
+        EXPECT_EQ(t.events(), 2u);
+    }
+    EXPECT_EQ(os.str(),
+              std::string(kHeader) +
+                  "\n{\"ph\":\"X\",\"pid\":0,\"tid\":2,\"cat\":\"packet\","
+                  "\"name\":\"ReadResp\",\"ts\":100,\"dur\":200,"
+                  "\"args\":{\"src\":1,\"bytes\":1040,\"padClaim\":0,"
+                  "\"padWait\":30,\"xmit\":1,\"wire\":160,"
+                  "\"recvVerify\":9}},\n"
+                  "{\"ph\":\"X\",\"pid\":0,\"tid\":4294967295,"
+                  "\"cat\":\"packet\",\"name\":\"TransResp\",\"ts\":0,"
+                  "\"dur\":18446744073709551615,\"args\":{"
+                  "\"src\":4294967295,\"bytes\":18446744073709551615,"
+                  "\"padClaim\":0,\"padWait\":0,\"xmit\":0,\"wire\":0,"
+                  "\"recvVerify\":18446744073709551615}}" +
+                  kFooter);
+}
+
 TEST(TraceSink, SpliceDropsLeadingCommaOnEmptyMaster)
 {
     std::ostringstream os;
