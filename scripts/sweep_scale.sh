@@ -1,8 +1,9 @@
 #!/usr/bin/env sh
 # Scale-out sweep preset: the full workload x scheme matrix at 8, 16
-# and 64 GPUs on one fabric. Companion to bench_scale (which compares
-# the headline schemes); this runs mgsec_sweep's full six-config
-# matrix per system size and writes one JSON per size.
+# and 64 GPUs on one fabric. Companion to `mgsec_figures --figure
+# scaleout` (which checks the headline schemes on every fabric); this
+# runs mgsec_sweep's full six-config matrix per system size and writes
+# one JSON per size.
 #
 # Usage: scripts/sweep_scale.sh [topology] [outdir] [extra args...]
 #   topology   p2p | nvswitch | hier      (default nvswitch)

@@ -26,7 +26,6 @@ makeSystemConfig(const ExperimentConfig &cfg)
     sys.security.otpMultiplier = cfg.otpMult;
     sys.security.countMetadataBytes = cfg.countMetadataBytes;
     sys.security.dynParams = cfg.dynParams;
-    sys.security.debugPadStallPct = cfg.debugPadStallPct;
     sys.security.cryptoImpl = cfg.cryptoImpl;
     sys.security.shaping = cfg.shaping;
     sys.security.shapeInterval = cfg.shapeInterval;

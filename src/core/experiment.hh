@@ -63,13 +63,6 @@ struct ExperimentConfig
     Cycles shapeJitter = 96;
     std::uint32_t shapeChaffSlots = 512;
 
-    /**
-     * Hidden debug knob (SecurityConfig::debugPadStallPct): inflate
-     * exposed send-pad waits by this percentage so CI can prove the
-     * mgsec_report regression gate trips.
-     */
-    std::uint32_t debugPadStallPct = 0;
-
     /** Host crypto tier; every result is bit-identical for each. */
     crypto::CryptoImpl cryptoImpl = crypto::CryptoImpl::Auto;
 

@@ -461,6 +461,54 @@ const char *const kWhyLowAes =
     "fft (seed 1) at 10 cycles Private misses 0.0% of receive pads, "
     "Cached 37.6%.";
 
+/**
+ * Fig. 24/25's comparison past the paper's 16 GPUs and onto the switch
+ * fabrics: one table per fabric and GPU count, held to ordering laws
+ * only. An 8-GPU hier fabric is a single node, nvswitch again, so it
+ * is left out.
+ */
+Figure
+scaleout()
+{
+    Figure f{.name = "scaleout",
+             .title = "Scale-out — secure schemes at 8/16/64 GPUs",
+             .reproduces = "extends Fig. 24/25 to 64 GPUs and switch "
+                           "fabrics",
+             .cols = privateCachedOurs(),
+             .tables = {},
+             .footer = "paper: Fig. 24/25 stop at 16 GPUs on p2p links; "
+                       "no paper values past them\n"};
+    for (const TopologyKind kind :
+         {TopologyKind::P2p, TopologyKind::NvSwitch, TopologyKind::Hier}) {
+        for (const std::uint32_t gpus : {8u, 16u, 64u}) {
+            if (kind == TopologyKind::Hier && gpus == 8)
+                continue;
+            const char *fabric = topologyKindName(kind);
+            const std::string key = strformat("%s %u GPUs", fabric, gpus);
+            const auto lt = [&](const char *a, const char *b) {
+                return Law{key + " " + a + " < " + key + " " + b};
+            };
+            f.tables.push_back(
+                {.key = key,
+                 .heading = strformat("--- %u-GPU system on %s fabric\n",
+                                      gpus, fabric),
+                 .mod =
+                     [=](ExperimentConfig &c) {
+                         c.numGpus = gpus;
+                         c.topology.kind = kind;
+                     },
+                 .footer = "Ours vs Private: {Ours vs Private}, Ours vs "
+                           "Cached: {Ours vs Cached}\n\n"});
+            // At 64 GPUs Cached loses its edge over Private (on hier
+            // by less than half a point, so that is no law).
+            f.laws.push_back(lt("Ours", "Private"));
+            f.laws.push_back(gpus < 64 ? lt("Cached", "Private")
+                                       : lt("Ours", "Cached"));
+        }
+    }
+    return f;
+}
+
 std::vector<Figure>
 buildSpecs()
 {
@@ -801,6 +849,7 @@ buildSpecs()
                   {"comm + host memprot", kNoValue, 0.005, 1.122}},
          .laws = {{"comm only < comm + host memprot"},
                   {"comm + host memprot ~ comm only", 0.005}}},
+        scaleout(),
     };
 }
 

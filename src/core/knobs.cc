@@ -56,11 +56,6 @@ experimentKnobs()
         number<&E::hostMemProtect>(nullptr, "memprot", -1, 1, "").secured(),
         flag<&E::strongScaling>("strong-scaling", "strong",
                                 "shrink per-GPU work with N"),
-        // A CI-only fault injector for the regression gate self-check.
-        number<&E::debugPadStallPct>("debug-pad-stall-pct", "padstall", 0,
-                                     10000, "")
-            .secured()
-            .hide(),
         choice<&E::shaping>("shape", "shape", kShapingPolicyNames,
                             "traffic shaping")
             .secured(),

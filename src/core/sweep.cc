@@ -22,118 +22,51 @@ namespace mgsec
 namespace
 {
 
-/** The experiment row --@p name, on the SweepArgs field S for E. */
-template <auto S, auto E>
-Knob<SweepArgs>
-shared(const char *name)
-{
-    const Knob<ExperimentConfig> &e = *findKnob(experimentKnobs(), name);
-    const auto view = [](const SweepArgs &a) {
-        ExperimentConfig v;
-        v.*E = a.*S;
-        return v;
-    };
-    Knob<SweepArgs> k{e.name, nullptr, e.meta, e.help, e.values};
-    k.parse = [&e, view](SweepArgs &a, const std::string &text) {
-        ExperimentConfig v = view(a);
-        return e.parse(v, text) && (a.*S = v.*E, true);
-    };
-    k.print = [&e, view](const SweepArgs &a) { return e.print(view(a)); };
-    return k;
-}
-
-/** A comma-separated list field, parsed and printed item by item. */
-template <auto M, typename Parse, typename Print>
-Knob<SweepArgs>
-listOf(const char *name, const char *meta, const char *help,
-       std::string values, Parse parse, Print print)
-{
-    using V = typename KnobField<M>::value_type;
-    return bind<M>(
-        name, nullptr, meta, help, std::move(values),
-        [parse](const std::string &text, std::vector<V> &out) {
-            std::vector<V> vs;
-            for (const std::string &tok : splitList(text, ',')) {
-                if (!parse(tok, vs.emplace_back()))
-                    return false;
-            }
-            return out = std::move(vs), true;
-        },
-        [print](const std::vector<V> &vs) {
-            std::string text;
-            for (const V &v : vs)
-                text.append(text.empty() ? "" : ",").append(print(v));
-            return text;
-        });
-}
-
-/** The flags @p a takes; its accept* fields gate the optional ones. */
+/** The shared rows around the caller's @p own. */
 std::vector<Knob<SweepArgs>>
-sweepKnobs(const SweepArgs &a)
+sweepKnobs(const std::vector<Knob<SweepArgs>> &own)
 {
     using S = SweepArgs;
     using E = ExperimentConfig;
     std::vector<Knob<S>> rows = {
-        shared<&S::scale, &E::scale>("scale"),
+        sweepKnob<&S::scale, &E::scale>("scale"),
         number<&S::seeds>("seeds", nullptr, 1, 10000,
                           "seeds averaged per configuration"),
         number<&S::jobs>("jobs", nullptr, 1, 1024,
                          "parallel simulation jobs (default: all "
-                         "hardware threads)")};
-    if (a.acceptGpus)
-        rows.push_back(shared<&S::gpus, &E::numGpus>("gpus"));
-    if (a.acceptJson)
-        rows.push_back(
-            text<&S::jsonOut>("json", "also write the results as JSON"));
-    if (a.acceptObserve)
-        rows.push_back(text<&S::observeDir>(
-            "observe",
-            "write per-job METRICS_/TRACE_/STATS_/HIST_/WIRE_/"
-            "PROF_<hash>.json files, an OBSERVE_INDEX.json and a "
-            "PROGRESS.jsonl heartbeat into DIR",
-            "DIR"));
-    if (a.acceptShape)
-        rows.push_back(listOf<&S::shapes>(
-            "shape", "P[,P...]",
-            "shaping policies to sweep (extra policies add rows to the "
-            "matrix)",
-            findKnob(experimentKnobs(), "shape")->values,
-            [](const std::string &t, ShapingPolicy &p) {
-                return parseIn(kShapingPolicyNames, t, p);
-            },
-            shapingPolicyName));
-    if (a.acceptWorkloads)
-        rows.push_back(listOf<&S::workloads>(
-            "workloads", "W[,W...]",
-            "restrict the matrix to these workloads (default all)", "",
-            parseWorkload, [](const std::string &w) { return w; }));
-    if (a.acceptTopology)
-        rows.push_back(shared<&S::topology, &E::topology>("topology"));
-    rows.push_back(shared<&S::cryptoImpl, &E::cryptoImpl>("crypto-impl"));
-    rows.push_back(shared<&S::simThreads, &E::simThreads>("sim-threads"));
+                         "hardware threads)"),
+        text<&S::jsonOut>("json", "also write the results as JSON")};
+    rows.insert(rows.end(), own.begin(), own.end());
+    rows.push_back(sweepKnob<&S::cryptoImpl, &E::cryptoImpl>("crypto-impl"));
+    rows.push_back(sweepKnob<&S::simThreads, &E::simThreads>("sim-threads"));
     return rows;
 }
 
 } // anonymous namespace
 
 void
-SweepArgs::printUsage(std::ostream &os, const char *argv0) const
+SweepArgs::printUsage(std::ostream &os, const char *argv0,
+                      const std::vector<Knob<SweepArgs>> &own) const
 {
     os << "usage: " << argv0 << " [--FLAG VALUE]...\n";
-    printKnobHelp(os, sweepKnobs(*this), *this);
+    printKnobHelp(os, sweepKnobs(own), *this);
     os << knobHelpLine("debug", "FLAGS",
                        "enable trace flags ('help' lists them)", "", "");
 }
 
 void
-SweepArgs::parseArgs(int argc, char **argv)
+SweepArgs::parseArgs(int argc, char **argv,
+                     const std::vector<Knob<SweepArgs>> &own)
 {
-    // Honor MGSEC_DEBUG in every bench/tool; Sweep::run() drops to
-    // one worker when any flag is on so traces stay readable.
+    // Honor MGSEC_DEBUG in every tool; Sweep::run() drops to one
+    // worker when any flag is on so traces stay readable.
     debug::enableFromEnv();
-    const std::vector<Knob<SweepArgs>> rows = sweepKnobs(*this);
+    const std::vector<Knob<SweepArgs>> rows = sweepKnobs(own);
+    const auto usage = [&](std::ostream &os) {
+        printUsage(os, argv[0], own);
+    };
     const ParseStatus st = walkArgs(
-        argc, argv, [&](std::ostream &os) { printUsage(os, argv[0]); },
+        argc, argv, usage,
         [&](const std::string &name, const std::string &v) {
             return name == "debug" ? setDebugFlags(v)
                                    : setKnob(rows, *this, name, v);
@@ -144,7 +77,7 @@ SweepArgs::parseArgs(int argc, char **argv)
         st == ParseStatus::Ok ? checkFabric(gpus + 1, topology) : "";
     if (st == ParseStatus::Error || !fabric.empty()) {
         std::cerr << fabric << (fabric.empty() ? "" : "\n");
-        printUsage(std::cerr, argv[0]);
+        usage(std::cerr);
         std::exit(2);
     }
 }

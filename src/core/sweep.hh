@@ -25,65 +25,80 @@
 #include <vector>
 
 #include "core/experiment.hh"
+#include "core/knobs.hh"
 
 namespace mgsec
 {
 
 /**
- * The command-line arguments shared by every figure bench and the
- * sweep tools. Parsing is strict: values are range-checked and an
- * unknown flag prints usage and exits instead of being ignored.
+ * The command-line arguments of mgsec_sweep and mgsec_figures. Parsing
+ * is strict: values are range-checked and an unknown flag prints usage
+ * and exits instead of being ignored.
  */
 struct SweepArgs
 {
     double scale = 0.6; ///< workload size multiplier
     int seeds = 2;      ///< seeds averaged per configuration
     unsigned jobs = 0;  ///< worker threads; 0 = all hardware threads
+    std::string jsonOut;
 
-    std::uint32_t gpus = 4; ///< parsed only when acceptGpus
-    std::string jsonOut;    ///< parsed only when acceptJson
-    std::string observeDir; ///< parsed only when acceptObserve
-
+    /** @name Set only by mgsec_sweep's own rows */
+    /// @{
+    std::uint32_t gpus = 4;
+    std::string observeDir;
     /**
-     * Shaping policies to sweep (--shape, comma-separated; parsed
-     * only when acceptShape). The default single None entry keeps
-     * the historical matrix — and its output — unchanged.
+     * Shaping policies to sweep. The default single None entry keeps
+     * the historical matrix, and its output, unchanged.
      */
     std::vector<ShapingPolicy> shapes{ShapingPolicy::None};
-    /**
-     * Workload filter (--workloads, comma-separated; parsed only
-     * when acceptWorkloads). Empty = every paper workload.
-     */
+    /** Workload filter; empty = every paper workload. */
     std::vector<std::string> workloads;
+    /** Only the fabric kind is a flag (--topology). */
+    TopologyConfig topology{};
+    /// @}
 
     /**
      * Knobs every queued run takes, parsed by their experimentKnobs()
-     * rows: --topology (when acceptTopology) sets only the fabric
-     * kind; --crypto-impl and --sim-threads (0 = MGSEC_SIM_THREADS,
+     * rows. --crypto-impl and --sim-threads (0 = MGSEC_SIM_THREADS,
      * else 1; unlike --jobs, it speeds up one large run) never change
      * results.
      */
-    TopologyConfig topology{};
     crypto::CryptoImpl cryptoImpl = crypto::CryptoImpl::Auto;
     std::uint32_t simThreads = 0;
 
-    bool acceptGpus = false;
-    bool acceptJson = false;
-    bool acceptObserve = false;
-    bool acceptShape = false;
-    bool acceptWorkloads = false;
-    bool acceptTopology = false;
-
     /**
-     * Parse argv into *this (current members are the defaults).
-     * Prints usage and exits on --help (status 0) or on any unknown
-     * flag, missing value, out-of-range value or GPU count the
-     * fabric cannot hold (status 2).
+     * Parse argv into *this (current members are the defaults) with
+     * the shared rows plus the caller's @p own. Prints usage and exits
+     * on --help (status 0) or on any unknown flag, missing value,
+     * out-of-range value or GPU count the fabric cannot hold
+     * (status 2).
      */
-    void parseArgs(int argc, char **argv);
+    void parseArgs(int argc, char **argv,
+                   const std::vector<Knob<SweepArgs>> &own);
 
-    void printUsage(std::ostream &os, const char *argv0) const;
+    void printUsage(std::ostream &os, const char *argv0,
+                    const std::vector<Knob<SweepArgs>> &own) const;
 };
+
+/** The experiment row --@p name, on the SweepArgs field S for E. */
+template <auto S, auto E>
+Knob<SweepArgs>
+sweepKnob(const char *name)
+{
+    const Knob<ExperimentConfig> &e = *findKnob(experimentKnobs(), name);
+    const auto view = [](const SweepArgs &a) {
+        ExperimentConfig v;
+        v.*E = a.*S;
+        return v;
+    };
+    Knob<SweepArgs> k{e.name, nullptr, e.meta, e.help, e.values};
+    k.parse = [&e, view](SweepArgs &a, const std::string &text) {
+        ExperimentConfig v = view(a);
+        return e.parse(v, text) && (a.*S = v.*E, true);
+    };
+    k.print = [&e, view](const SweepArgs &a) { return e.print(view(a)); };
+    return k;
+}
 
 /**
  * Seed-averaged metrics of one configuration vs. its unsecure

@@ -549,8 +549,13 @@ DynamicPadTable::adjust()
         }
     }
 
-    if (TraceSink *ts = eventq().traceSink())
+    // A counter track holds its value between events, so an interval
+    // that left S where it was needs none.
+    TraceSink *ts = eventq().traceSink();
+    if (ts && s_weight_ != traced_s_) {
         ts->counter(self_, "ewma", "S", now(), s_weight_);
+        traced_s_ = s_weight_;
+    }
 
     // Re-partitioning throws away staged pads in every resized
     // pipe, so only act when the traffic picture actually moved:
@@ -587,7 +592,7 @@ DynamicPadTable::adjust()
         applied_s_ = s_weight_;
         applied_s_peer_ = s_peer_weight_;
         applied_r_peer_ = r_peer_weight_;
-        if (TraceSink *ts = eventq().traceSink()) {
+        if (ts) {
             ts->instant(self_, "ewma", "repartition", now(), "spad",
                         static_cast<double>(spad));
         }

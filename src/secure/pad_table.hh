@@ -18,6 +18,7 @@
 
 #include <array>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -390,6 +391,9 @@ class DynamicPadTable : public PrivatePadTable
     double applied_s_ = 0.5;
     std::vector<double> applied_s_peer_;
     std::vector<double> applied_r_peer_;
+
+    /** The S this table last wrote to the trace; NaN: none yet. */
+    double traced_s_ = std::numeric_limits<double>::quiet_NaN();
 
     stats::Scalar adjustments_{"adjustments",
                                "quota re-partition steps"};

@@ -184,21 +184,15 @@ SecureChannel::send(PacketPtr pkt)
                   static_cast<unsigned long long>(grant.ctr),
                   otpOutcomeName(grant.outcome));
 
-    Tick pad_ready = grant.padReady;
-    // Hidden debug knob (CI gate self-check): stretch the exposed
-    // pad wait by a percentage to fake an OTP-management regression.
-    if (cfg_.debugPadStallPct != 0 && pad_ready > now())
-        pad_ready += (pad_ready - now()) * cfg_.debugPadStallPct / 100;
-
+    const Tick pad_ready = std::max(now(), grant.padReady);
     if (stamp) {
         lifeStamp(pkt->life, LifeStamp::PadClaim) = now();
-        lifeStamp(pkt->life, LifeStamp::PadReady) =
-            std::max(now(), pad_ready);
+        lifeStamp(pkt->life, LifeStamp::PadReady) = pad_ready;
     }
 
     // Pad wait plus the one-cycle XOR; clamped so a pair's packets
     // depart in counter order (the link preserves it from there).
-    Tick dep = std::max(now(), pad_ready) + 1;
+    Tick dep = pad_ready + 1;
     dep = std::max(dep, last_departure_[pkt->dst]);
     if (shapingOn()) {
         const Tick shaped =

@@ -100,13 +100,6 @@ struct SecurityConfig
     /** Pending ACKs flush standalone after this many cycles. */
     Cycles ackTimeout = 100;
 
-    /**
-     * Hidden debug knob: inflate every exposed send-pad wait by this
-     * percentage. Exists solely so CI can verify the mgsec_report
-     * regression gate trips on a synthetic pad-wait regression;
-     * joins configKey because it changes results. 0 = off.
-     */
-    std::uint32_t debugPadStallPct = 0;
     /** An open batch flushes (short) after this many idle cycles. */
     Cycles batchTimeout = 400;
     /** Max ACK records piggybacked on one data packet. */

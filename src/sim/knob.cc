@@ -41,7 +41,8 @@ walkArgs(int argc, char **argv,
          const std::function<void(std::ostream &)> &usage,
          const std::function<ParseStatus(const std::string &,
                                          const std::string &)> &take,
-         std::initializer_list<std::string_view> bare)
+         std::initializer_list<std::string_view> bare,
+         const std::function<ParseStatus(const std::string &)> &positional)
 {
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
@@ -50,15 +51,19 @@ walkArgs(int argc, char **argv,
             usage(std::cout);
             return ParseStatus::Help;
         }
-        if (arg.rfind("--", 0) != 0) {
+        ParseStatus st;
+        if (arg.rfind("--", 0) == 0) {
+            if (!alone && i + 1 >= argc) {
+                std::cerr << "missing value for '" << arg << "'\n";
+                return ParseStatus::Error;
+            }
+            st = take(arg.substr(2), alone ? "" : argv[++i]);
+        } else if (positional) {
+            st = positional(arg);
+        } else {
             std::cerr << "unexpected argument '" << arg << "'\n";
             return ParseStatus::Error;
         }
-        if (!alone && i + 1 >= argc) {
-            std::cerr << "missing value for '" << arg << "'\n";
-            return ParseStatus::Error;
-        }
-        const ParseStatus st = take(arg.substr(2), alone ? "" : argv[++i]);
         if (st != ParseStatus::Ok)
             return st;
     }

@@ -103,7 +103,6 @@ struct Knob
     std::string values;    ///< "lo..hi", "a|b|c", "on|off"; "": any
     const char *suffix = "";  ///< printed after the value in a key
     bool securedOnly = false; ///< acts only on secured runs
-    bool hidden = false;      ///< parsed, but left out of help
 
     /** Set the field from text; false leaves it untouched. */
     std::function<bool(T &, const std::string &)> parse{};
@@ -111,7 +110,6 @@ struct Knob
     std::function<std::string(const T &)> print{};
 
     Knob &secured() { securedOnly = true; return *this; }
-    Knob &hide() { hidden = true; return *this; }
     Knob &unit(const char *s) { suffix = s; return *this; }
 };
 
@@ -217,15 +215,18 @@ enum class ParseStatus
 
 /**
  * Hand argv's "--name value" pairs (a lone "--name" in @p bare) to
- * @p take until one is not Ok. --help or -h prints @p usage to
- * stdout (Help); a stray word or a missing value is a reported Error.
+ * @p take, and any other word to @p positional, until one is not Ok.
+ * --help or -h prints @p usage to stdout (Help); a missing value, or
+ * a stray word without @p positional, is a reported Error.
  */
 ParseStatus
 walkArgs(int argc, char **argv,
          const std::function<void(std::ostream &)> &usage,
          const std::function<ParseStatus(const std::string &name,
                                          const std::string &value)> &take,
-         std::initializer_list<std::string_view> bare = {});
+         std::initializer_list<std::string_view> bare = {},
+         const std::function<ParseStatus(const std::string &word)>
+             &positional = {});
 
 /** Report --@p name as unknown, or @p value as bad for it. */
 ParseStatus badKnob(const std::string &name, const std::string &value,
@@ -257,7 +258,7 @@ printKnobHelp(std::ostream &os, const std::vector<Knob<T>> &rows,
     for (const Knob<T> &k : rows) {
         const std::string def = k.print(defaults);
         T probe = defaults;
-        if (k.name && !k.hidden)
+        if (k.name)
             os << knobHelpLine(k.name, k.meta, k.help, k.values,
                                k.parse(probe, def) ? def : "");
     }

@@ -182,22 +182,22 @@ TEST(Attribution, DoesNotPerturbSimulatedResults)
     EXPECT_EQ(attributed.standaloneAcks, plain.standaloneAcks);
 }
 
-TEST(Attribution, PadStallKnobDelaysOnlySecuredSends)
+TEST(Attribution, SlowerAesDelaysOnlySecuredSends)
 {
-    // The hidden CI fault injector must lengthen the run (it delays
-    // departures) — that is what the report gate's self-check keys on.
+    // A 10% slower AES must lengthen the run (pads are ready later):
+    // the report gate's CI self-check keys on that.
     ExperimentConfig cfg = smallConfig(OtpScheme::Dynamic, true, 3);
     const RunResult plain = runWorkload("mm", cfg);
-    cfg.debugPadStallPct = 50;
-    const RunResult stalled = runWorkload("mm", cfg);
-    EXPECT_GT(stalled.cycles, plain.cycles);
+    cfg.aesLatency = 44;
+    const RunResult slower = runWorkload("mm", cfg);
+    EXPECT_GT(slower.cycles, plain.cycles);
 
-    // The unsecure path has no pad wait to inflate.
+    // The unsecure path generates no pads.
     ExperimentConfig uns = smallConfig(OtpScheme::Unsecure, false, 3);
     const RunResult ubase = runWorkload("mm", uns);
-    uns.debugPadStallPct = 50;
-    const RunResult ustall = runWorkload("mm", uns);
-    EXPECT_EQ(ustall.cycles, ubase.cycles);
+    uns.aesLatency = 44;
+    const RunResult uslow = runWorkload("mm", uns);
+    EXPECT_EQ(uslow.cycles, ubase.cycles);
 }
 
 TEST(Attribution, StatsJsonCarriesAttrGroupOnlyWhenEnabled)

@@ -6,7 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <string>
 #include <sys/wait.h>
 
@@ -18,6 +20,20 @@ exitCode(const std::string &cmd)
 {
     const int status = std::system((cmd + " >/dev/null 2>&1").c_str());
     return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+}
+
+/** What @p cmd prints to stdout. */
+std::string
+output(const std::string &cmd)
+{
+    std::string out;
+    std::FILE *p = popen((cmd + " 2>/dev/null").c_str(), "r");
+    char buf[4096];
+    for (std::size_t n; p && (n = std::fread(buf, 1, sizeof buf, p)) > 0;)
+        out.append(buf, n);
+    if (p)
+        pclose(p);
+    return out;
 }
 
 const std::string kRun = MGSEC_RUN_BIN;
@@ -62,6 +78,8 @@ TEST(CliExitCodes, MgsecFiguresRejectsUnknownFlagsAndFigures)
     EXPECT_EQ(exitCode(kFigures + " --figure"), 2);
     EXPECT_EQ(exitCode(kFigures), 2);
     EXPECT_EQ(exitCode(kFigures + " --figure table1 --scale abc"), 2);
+    EXPECT_NE(output(kFigures + " --help").find("--figure NAME"),
+              std::string::npos);
 }
 
 TEST(CliExitCodes, FabricsThatDoNotFitAreUsageErrors)
@@ -114,4 +132,25 @@ TEST(CliExitCodes, MgsecReportParsesThresholdStrictly)
     EXPECT_EQ(exitCode(kReport + " --threshold -1 in.json"), 2);
     EXPECT_EQ(exitCode(kReport + " --threshold 5x in.json"), 2);
     EXPECT_EQ(exitCode(kReport + " --frob 1"), 2);
+}
+
+TEST(CliExitCodes, MgsecReportCountsItsInputs)
+{
+    const std::string dir = ::testing::TempDir();
+    const std::string a = dir + "/report_a.json", b = dir + "/report_b.json";
+    std::ofstream(a) << "{\"x\": 1, \"y\": 2}\n";
+    std::ofstream(b) << "{\"x\": 1, \"y\": 2}\n";
+    const std::string out = " --out " + dir + "/report_verdict.json";
+    EXPECT_EQ(exitCode(kReport + " --compare " + a + out), 2);
+    EXPECT_EQ(exitCode(kReport + " " + a + " " + b), 2);
+    // Each --ignore adds a path filter.
+    const std::string both = kReport + " --compare " + a + " " + b + out;
+    EXPECT_EQ(exitCode(both + " --ignore x --ignore y"), 0);
+    EXPECT_NE(output(both + " --ignore x --ignore y").find("compared 0 "),
+              std::string::npos);
+    EXPECT_NE(output(both + " --ignore x").find("compared 1 "),
+              std::string::npos);
+    EXPECT_EQ(exitCode(kReport + " --compare --stats-json " + a +
+                       " --observe " + b + out),
+              0);
 }

@@ -90,7 +90,7 @@ TEST(FigureSpec, EveryEntryIsWellFormed)
                   "table1", "fig8", "fig9", "fig10", "fig11", "fig12",
                   "fig13_14", "fig15_16", "fig21", "fig22", "fig23",
                   "fig24_25", "fig26", "ablation_batch", "ablation_ewma",
-                  "ablation_memprot"}));
+                  "ablation_memprot", "scaleout"}));
 }
 
 TEST(FigureChecks, OursAbovePrivateBreaksTheOrderingLaw)

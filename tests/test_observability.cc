@@ -13,6 +13,7 @@
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <map>
 #include <random>
 #include <set>
 #include <sstream>
@@ -125,6 +126,41 @@ TEST(Observability, MetricsCoverPadsAndEwma)
     EXPECT_NE(c.metrics.find("gpu1.ewma.S"), std::string::npos);
     EXPECT_NE(c.metrics.find("gpu1.batch.open"), std::string::npos);
     EXPECT_NE(c.metrics.find("net.inFlight"), std::string::npos);
+}
+
+TEST(Observability, TraceLeavesMetricsAloneAndSkipsUnmovedS)
+{
+    const Captured traced = runObserved(quick());
+
+    // The metrics read the EWMA weights as gauges, with or without a
+    // trace.
+    const ExperimentConfig cfg = quick();
+    MultiGpuSystem sys(makeSystemConfig(cfg),
+                       makeProfile("mm", cfg.scale, cfg.numGpus));
+    sys.enableMetrics(500, 1024);
+    ASSERT_TRUE(sys.run().completed);
+    std::ostringstream untraced;
+    sys.writeMetricsJson(untraced);
+    EXPECT_EQ(traced.metrics, untraced.str());
+
+    // No S event repeats the value its lane last showed.
+    std::map<std::string, std::string> last;
+    std::size_t events = 0;
+    std::istringstream lines(traced.trace);
+    for (std::string line; std::getline(lines, line);) {
+        if (line.find("\"name\":\"S\"") == std::string::npos)
+            continue;
+        const std::size_t tid = line.find("\"tid\":");
+        const std::size_t val = line.find("{\"S\":");
+        ASSERT_NE(tid, std::string::npos) << line;
+        ASSERT_NE(val, std::string::npos) << line;
+        std::string &prev =
+            last[line.substr(tid, line.find(',', tid) - tid)];
+        EXPECT_NE(prev, line.substr(val)) << line;
+        prev = line.substr(val);
+        ++events;
+    }
+    EXPECT_GT(events, 0u);
 }
 
 TEST(Observability, ResetStatsMatchesFreshSystem)

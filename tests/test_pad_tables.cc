@@ -6,9 +6,12 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <sstream>
+#include <string>
 
 #include "secure/pad_table.hh"
 #include "sim/event_queue.hh"
+#include "sim/trace_sink.hh"
 
 using namespace mgsec;
 
@@ -314,6 +317,35 @@ TEST(DynamicTable, EmptyIntervalKeepsWeights)
     const double before = t.sendWeight();
     t.adjust();
     EXPECT_DOUBLE_EQ(t.sendWeight(), before);
+}
+
+TEST(DynamicTable, IdleIntervalsTraceNoFurtherS)
+{
+    // A counter track holds its value between events, so S is traced
+    // only when an interval moves it.
+    std::ostringstream os;
+    {
+        TraceSink sink(os);
+        EventQueue eq;
+        eq.setTraceSink(&sink);
+        DynamicPadTable t("t", eq, 1, kNodes, 32, kLat, {});
+        for (int i = 0; i < 50; ++i)
+            t.acquireSend(2);
+        t.adjust();
+        t.adjust();
+        t.adjust();
+        for (std::uint64_t i = 0; i < 50; ++i)
+            t.acquireRecv(3, i);
+        t.adjust();
+        t.adjust();
+    }
+    const std::string trace = os.str();
+    std::size_t events = 0;
+    for (std::size_t at = 0;
+         (at = trace.find("\"name\":\"S\"", at)) != std::string::npos;
+         ++at)
+        ++events;
+    EXPECT_EQ(events, 2u) << trace;
 }
 
 TEST(DynamicTable, ConfidenceDampsSparseIntervals)

@@ -10,7 +10,7 @@
  * errors exit 2.
  */
 
-#include <cstring>
+#include <algorithm>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -22,41 +22,31 @@ using namespace mgsec;
 int
 main(int argc, char **argv)
 {
-    SweepArgs args;
-    args.acceptJson = true;
-    auto usage = [&](std::ostream &os) {
-        args.printUsage(os, argv[0]);
-        std::string names = "all";
-        for (const Figure &f : figureSpecs())
-            names += "|" + f.name;
-        os << knobHelpLine("figure", "NAME", "what to run", names, "");
+    std::string figure, names = "all";
+    for (const Figure &f : figureSpecs())
+        names += "|" + f.name;
+    Knob<SweepArgs> row{"figure", nullptr, "NAME", "what to run", names};
+    row.parse = [&](SweepArgs &, const std::string &v) {
+        const bool known =
+            v == "all" || std::ranges::any_of(figureSpecs(), [&](auto &f) {
+                return f.name == v;
+            });
+        return known && (figure = v, true);
     };
+    row.print = [&](const SweepArgs &) { return figure; };
 
-    // --figure is ours; every other flag goes to the sweep parser.
-    std::string figure;
-    std::vector<char *> rest{argv[0]};
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--help") == 0 ||
-            std::strcmp(argv[i], "-h") == 0) {
-            usage(std::cout);
-            return 0;
-        }
-        if (std::strcmp(argv[i], "--figure") != 0)
-            rest.push_back(argv[i]);
-        else if (i + 1 < argc)
-            figure = argv[++i];
+    SweepArgs args;
+    args.parseArgs(argc, argv, {row});
+    if (figure.empty()) {
+        std::cerr << "missing --figure\n";
+        args.printUsage(std::cerr, argv[0], {row});
+        return 2;
     }
-    args.parseArgs(static_cast<int>(rest.size()), rest.data());
 
     std::vector<const Figure *> figs;
     for (const Figure &f : figureSpecs()) {
         if (figure == "all" || figure == f.name)
             figs.push_back(&f);
-    }
-    if (figs.empty()) {
-        std::cerr << "missing or unknown --figure '" << figure << "'\n";
-        usage(std::cerr);
-        return 2;
     }
     return runFigures(figs, args, std::cout, std::cerr);
 }

@@ -25,7 +25,6 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <map>
@@ -45,40 +44,84 @@ namespace
 using mgsec::CompareStats;
 using mgsec::JsonValue;
 
-int
-usage(const char *argv0, int status)
+struct ReportArgs
 {
-    std::ostream &os = status == 0 ? std::cout : std::cerr;
-    os << "usage: " << argv0 << " [options] INPUT\n"
-       << "       " << argv0 << " [options] --compare OLD NEW\n"
-       << "\n"
-       << "INPUT, OLD, NEW are stats/histogram JSON files "
-       << "(--stats-json dumps,\n"
-       << "sweep --json results, HIST_*.json) or --observe "
-       << "directories holding\n"
-       << "an OBSERVE_INDEX.json.\n"
-       << "\n"
-       << "  --compare OLD NEW  diff two inputs instead of printing "
-       << "a breakdown\n"
-       << "  --threshold PCT    flag leaves moving more than PCT% "
-       << "(default 10)\n"
-       << "  --out FILE         compare verdict JSON (default "
-       << "BENCH_report.json)\n"
-       << "  --ignore SUBSTR    skip paths containing SUBSTR "
-       << "(repeatable;\n"
-       << "                     wall-clock rates are always "
-       << "ignored)\n"
-       << "  --leakage-json FILE  also write the leakage/frontier "
-       << "section as JSON\n"
-       << "                     (report mode on an --observe "
-       << "directory with WIRE files)\n"
-       << "  --prof             INPUT is a PROF_*.json self-profiler "
-       << "dump (or an\n"
-       << "                     --observe directory with PROF files): "
-       << "print the\n"
-       << "                     host phase breakdown and PDES "
-       << "efficiency verdict\n";
-    return status;
+    std::vector<std::string> inputs;
+    // Wall-clock-derived keys vary run to run on a shared CI host;
+    // the simulated counters are the deterministic gate.
+    std::vector<std::string> ignores = mgsec::defaultCompareIgnores();
+    double threshold = 10.0;
+    std::string out = "BENCH_report.json";
+    std::string leakageJson;
+    bool compare = false;
+    bool prof = false;
+};
+
+/** A repeatable flag: each use appends its value to the list at M. */
+template <auto M>
+mgsec::Knob<ReportArgs>
+appendTo(const char *name, const char *meta, const char *help)
+{
+    return mgsec::bind<M>(
+        name, nullptr, meta, help, "",
+        [](const std::string &v, std::vector<std::string> &list) {
+            return list.push_back(v), true;
+        },
+        [](const std::vector<std::string> &) { return std::string(); });
+}
+
+/** A flag that takes no value and sets the bool at M. */
+template <auto M>
+mgsec::Knob<ReportArgs>
+bare(const char *name, const char *help)
+{
+    mgsec::Knob<ReportArgs> k{name, nullptr, "", help, ""};
+    k.parse = [](ReportArgs &a, const std::string &) {
+        return a.*M = true, true;
+    };
+    k.print = [](const ReportArgs &) { return std::string(); };
+    return k;
+}
+
+const std::vector<mgsec::Knob<ReportArgs>> &
+reportKnobs()
+{
+    using A = ReportArgs;
+    static const std::vector<mgsec::Knob<A>> rows = {
+        bare<&A::compare>("compare",
+                          "diff two inputs (OLD NEW) instead of printing "
+                          "a breakdown"),
+        mgsec::number<&A::threshold>("threshold", nullptr, 0, 1e9,
+                                     "compare: flag leaves moving more "
+                                     "than F percent"),
+        mgsec::text<&A::out>("out", "compare verdict JSON"),
+        appendTo<&A::ignores>("ignore", "SUBSTR",
+                              "skip paths containing SUBSTR (repeatable; "
+                              "wall-clock rates are always ignored)"),
+        mgsec::text<&A::leakageJson>(
+            "leakage-json", "also write the leakage/frontier section as "
+                            "JSON (report mode on an --observe directory "
+                            "with WIRE files)"),
+        bare<&A::prof>("prof",
+                       "INPUT is a PROF_*.json self-profiler dump (or an "
+                       "--observe directory with PROF files): print the "
+                       "host phase breakdown and PDES efficiency verdict"),
+        appendTo<&A::inputs>("stats-json", "FILE", "an INPUT, OLD or NEW file"),
+        appendTo<&A::inputs>("observe", "DIR",
+                             "an INPUT, OLD or NEW directory"),
+    };
+    return rows;
+}
+
+void
+usage(std::ostream &os, const char *argv0)
+{
+    os << "usage: " << argv0 << " [--FLAG VALUE]... INPUT\n"
+       << "       " << argv0 << " [--FLAG VALUE]... --compare OLD NEW\n\n"
+       << "INPUT, OLD, NEW are stats/histogram JSON files (--stats-json "
+          "dumps,\nsweep --json results, HIST_*.json) or --observe "
+          "directories holding\nan OBSERVE_INDEX.json.\n\n";
+    mgsec::printKnobHelp(os, reportKnobs(), ReportArgs{});
 }
 
 bool
@@ -567,81 +610,30 @@ reportLeakage(
 
 /// @}
 
-/**
- * The per-thread-count speedups of a document's "simThreads" bench
- * section, as (point key, speedup) pairs in document order. Empty
- * when the document has no such section (sweep dumps, HIST files).
- */
-std::vector<std::pair<std::string, double>>
-simThreadsSpeedups(const JsonValue &doc)
-{
-    std::vector<std::pair<std::string, double>> out;
-    const JsonValue *st = doc.find("simThreads");
-    if (!st || !st->isObject())
-        return out;
-    for (const auto &[k, v] : st->fields) {
-        if (!v.isObject())
-            continue;
-        if (const JsonValue *s = v.find("speedup"))
-            out.emplace_back(k, s->asNumber());
-    }
-    return out;
-}
-
 } // anonymous namespace
 
 int
 main(int argc, char **argv)
 {
-    std::vector<std::string> inputs;
-    // Wall-clock-derived keys vary run to run on a shared CI host;
-    // the simulated counters are the deterministic gate.
-    std::vector<std::string> ignores = mgsec::defaultCompareIgnores();
-    double threshold = 10.0;
-    std::string outPath = "BENCH_report.json";
-    std::string leakageJson;
-    bool compare = false;
-    bool prof = false;
-
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto value = [&]() -> const char * {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "missing value for '%s'\n",
-                             arg.c_str());
-                std::exit(usage(argv[0], 2));
-            }
-            return argv[++i];
-        };
-        if (arg == "--help" || arg == "-h") {
-            return usage(argv[0], 0);
-        } else if (arg == "--compare") {
-            compare = true;
-        } else if (arg == "--prof") {
-            prof = true;
-        } else if (arg == "--threshold") {
-            if (!mgsec::parseNumber(value(), 0.0, 1e9, threshold)) {
-                std::fprintf(stderr, "bad --threshold value\n");
-                return usage(argv[0], 2);
-            }
-        } else if (arg == "--out") {
-            outPath = value();
-        } else if (arg == "--ignore") {
-            ignores.push_back(value());
-        } else if (arg == "--leakage-json") {
-            leakageJson = value();
-        } else if (arg == "--stats-json" || arg == "--observe") {
-            inputs.push_back(value());
-        } else if (!arg.empty() && arg[0] == '-') {
-            std::fprintf(stderr, "unknown flag '%s'\n", arg.c_str());
-            return usage(argv[0], 2);
-        } else {
-            inputs.push_back(arg);
-        }
+    using mgsec::ParseStatus;
+    ReportArgs args;
+    const ParseStatus st = mgsec::walkArgs(
+        argc, argv, [&](std::ostream &os) { usage(os, argv[0]); },
+        [&](const std::string &name, const std::string &value) {
+            return mgsec::setKnob(reportKnobs(), args, name, value);
+        },
+        {"--compare", "--prof"},
+        [&](const std::string &word) {
+            args.inputs.push_back(word);
+            return ParseStatus::Ok;
+        });
+    if (st == ParseStatus::Help)
+        return 0;
+    if (st == ParseStatus::Error ||
+        args.inputs.size() != (args.compare ? 2u : 1u)) {
+        usage(std::cerr, argv[0]);
+        return 2;
     }
-
-    if (compare ? inputs.size() != 2 : inputs.size() != 1)
-        return usage(argv[0], 2);
 
     // Resolve each input to named JSON documents: a file is one
     // document; an --observe directory is one per indexed run,
@@ -657,12 +649,11 @@ main(int argc, char **argv)
                 for (const auto &[hash, key] : idx) {
                     JsonValue doc;
                     const std::string path = in + "/" +
-                        (prof ? "PROF_" : "STATS_") + hash + ".json";
-                    if (prof &&
+                        (args.prof ? "PROF_" : "STATS_") + hash + ".json";
+                    if (args.prof &&
                         !static_cast<bool>(std::ifstream(path))) {
-                        // mgsec_run --observe-dir bundles carry no
-                        // PROF file; a killed sweep may index runs
-                        // it never profiled. Report what exists.
+                        // A killed sweep may index runs it never
+                        // profiled. Report what exists.
                         std::fprintf(stderr, "%s: absent, skipped\n",
                                      path.c_str());
                         continue;
@@ -687,25 +678,25 @@ main(int argc, char **argv)
         };
 
     std::vector<std::pair<std::string, JsonValue>> oldDocs;
-    if (!loadDocs(inputs[0], oldDocs))
+    if (!loadDocs(args.inputs[0], oldDocs))
         return 2;
 
-    if (!compare) {
+    if (!args.compare) {
         bool any = false;
         for (const auto &[name, doc] : oldDocs) {
             if (!name.empty())
                 std::printf("== run %s ==\n", name.c_str());
             const std::string what =
-                name.empty() ? inputs[0] : name;
-            any |= prof ? reportProf(doc, what)
+                name.empty() ? args.inputs[0] : name;
+            any |= args.prof ? reportProf(doc, what)
                         : reportDocument(doc, what);
         }
-        if (prof)
+        if (args.prof)
             return any ? 0 : 2;
-        if (isObserveDir(inputs[0])) {
+        if (isObserveDir(args.inputs[0])) {
             std::vector<std::pair<std::string, std::string>> idx;
-            if (loadIndex(inputs[0], idx)) {
-                if (!reportLeakage(inputs[0], idx, leakageJson))
+            if (loadIndex(args.inputs[0], idx)) {
+                if (!reportLeakage(args.inputs[0], idx, args.leakageJson))
                     return 2;
                 any = true;
             }
@@ -714,18 +705,8 @@ main(int argc, char **argv)
     }
 
     std::vector<std::pair<std::string, JsonValue>> newDocs;
-    if (!loadDocs(inputs[1], newDocs))
+    if (!loadDocs(args.inputs[1], newDocs))
         return 2;
-
-    // Sharded-kernel scaling column: speedups are wall-clock derived
-    // and therefore never gated, but a scaling regression should be
-    // visible in the CI log right next to the verdict.
-    struct StRow
-    {
-        std::string key;
-        double oldSp = 0.0, newSp = 0.0;
-    };
-    std::vector<StRow> stRows;
 
     CompareStats cs;
     for (const auto &[name, oldDoc] : oldDocs) {
@@ -743,52 +724,30 @@ main(int argc, char **argv)
             ++cs.onlyOld;
             continue;
         }
-        mgsec::compareDocs(oldDoc, *newDoc, name, threshold, ignores,
-                           cs);
-
-        const auto oldSp = simThreadsSpeedups(oldDoc);
-        const auto newSp = simThreadsSpeedups(*newDoc);
-        for (const auto &[k, ov] : oldSp) {
-            StRow row;
-            row.key = name.empty() ? k : name + "." + k;
-            row.oldSp = ov;
-            for (const auto &[nk, nv] : newSp) {
-                if (nk == k)
-                    row.newSp = nv;
-            }
-            stRows.push_back(std::move(row));
-        }
+        mgsec::compareDocs(oldDoc, *newDoc, name, args.threshold,
+                           args.ignores, cs);
     }
 
     const bool regressed = !cs.flagged.empty();
     std::printf("compared %llu leaves at threshold %.3g%%: %zu "
                 "flagged (%llu only-old, %llu only-new paths)\n",
                 static_cast<unsigned long long>(cs.checked),
-                threshold, cs.flagged.size(),
+                args.threshold, cs.flagged.size(),
                 static_cast<unsigned long long>(cs.onlyOld),
                 static_cast<unsigned long long>(cs.onlyNew));
     for (const mgsec::FlaggedLeaf &f : cs.flagged)
         std::printf("  %-50s %14g -> %14g  (%+.2f%%)\n",
                     f.path.c_str(), f.oldVal, f.newVal, f.deltaPct);
 
-    if (!stRows.empty()) {
-        std::printf("sim-threads speedup (informational, never "
-                    "gated):\n");
-        std::printf("  %-16s %12s %12s\n", "threads", "old", "new");
-        for (const StRow &r : stRows)
-            std::printf("  %-16s %11.2fx %11.2fx\n", r.key.c_str(),
-                        r.oldSp, r.newSp);
-    }
-
-    std::ofstream os(outPath);
+    std::ofstream os(args.out);
     if (!os) {
-        std::fprintf(stderr, "cannot write '%s'\n", outPath.c_str());
+        std::fprintf(stderr, "cannot write '%s'\n", args.out.c_str());
         return 2;
     }
     mgsec::JsonWriter w(os);
     w.beginObject();
     w.field("verdict", std::string(regressed ? "regressed" : "ok"));
-    w.field("threshold", threshold);
+    w.field("threshold", args.threshold);
     w.field("checked", cs.checked);
     w.field("onlyOld", cs.onlyOld);
     w.field("onlyNew", cs.onlyNew);
@@ -802,18 +761,6 @@ main(int argc, char **argv)
         w.endObject();
     }
     w.endArray();
-    if (!stRows.empty()) {
-        w.key("simThreads");
-        w.beginObject();
-        for (const StRow &r : stRows) {
-            w.key(r.key);
-            w.beginObject();
-            w.field("oldSpeedup", r.oldSp);
-            w.field("newSpeedup", r.newSp);
-            w.endObject();
-        }
-        w.endObject();
-    }
     w.endObject();
     os << "\n";
 

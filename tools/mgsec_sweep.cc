@@ -26,6 +26,7 @@
 
 #include "core/experiment.hh"
 #include "core/json_out.hh"
+#include "core/knobs.hh"
 #include "core/report.hh"
 #include "core/sweep.hh"
 
@@ -50,6 +51,62 @@ const std::vector<Config> kConfigs = {
     {"Dyn4x", OtpScheme::Dynamic, false, 4},
     {"Ours4x", OtpScheme::Dynamic, true, 4},
 };
+
+/** A comma-separated list field, parsed and printed item by item. */
+template <auto M, typename Parse, typename Print>
+Knob<SweepArgs>
+listOf(const char *name, const char *meta, const char *help,
+       std::string values, Parse parse, Print print)
+{
+    using V = typename KnobField<M>::value_type;
+    return bind<M>(
+        name, nullptr, meta, help, std::move(values),
+        [parse](const std::string &text, std::vector<V> &out) {
+            std::vector<V> vs;
+            for (const std::string &tok : splitList(text, ',')) {
+                if (!parse(tok, vs.emplace_back()))
+                    return false;
+            }
+            return out = std::move(vs), true;
+        },
+        [print](const std::vector<V> &vs) {
+            std::string text;
+            for (const V &v : vs)
+                text.append(text.empty() ? "" : ",").append(print(v));
+            return text;
+        });
+}
+
+/** The matrix flags mgsec_sweep adds to the shared sweep rows. */
+std::vector<Knob<SweepArgs>>
+matrixKnobs()
+{
+    using S = SweepArgs;
+    using E = ExperimentConfig;
+    return {
+        sweepKnob<&S::gpus, &E::numGpus>("gpus"),
+        text<&S::observeDir>(
+            "observe",
+            "write per-job METRICS_/TRACE_/STATS_/HIST_/WIRE_/"
+            "PROF_<hash>.json files, an OBSERVE_INDEX.json and a "
+            "PROGRESS.jsonl heartbeat into DIR",
+            "DIR"),
+        listOf<&S::shapes>(
+            "shape", "P[,P...]",
+            "shaping policies to sweep (extra policies add rows to the "
+            "matrix)",
+            findKnob(experimentKnobs(), "shape")->values,
+            [](const std::string &t, ShapingPolicy &p) {
+                return parseIn(kShapingPolicyNames, t, p);
+            },
+            shapingPolicyName),
+        listOf<&S::workloads>(
+            "workloads", "W[,W...]",
+            "restrict the matrix to these workloads (default all)", "",
+            parseWorkload, [](const std::string &w) { return w; }),
+        sweepKnob<&S::topology, &E::topology>("topology"),
+    };
+}
 
 /** handles[shape][workload][config]; shaped = --shape was given. */
 void
@@ -101,13 +158,7 @@ main(int argc, char **argv)
 {
     SweepArgs args;
     args.scale = 1.0;
-    args.acceptGpus = true;
-    args.acceptJson = true;
-    args.acceptObserve = true;
-    args.acceptShape = true;
-    args.acceptWorkloads = true;
-    args.acceptTopology = true;
-    args.parseArgs(argc, argv);
+    args.parseArgs(argc, argv, matrixKnobs());
 
     // With the default --shape none / all-workloads arguments the
     // loops below degenerate to the historical single matrix and the
