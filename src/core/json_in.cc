@@ -152,6 +152,10 @@ class Parser
             }
             if (text_[pos_] == '}') {
                 ++pos_;
+                // A parsed document is read, not grown: drop the
+                // growth slack, so a caller that keeps many documents
+                // pays only for what they hold.
+                out.fields.shrink_to_fit();
                 return true;
             }
             return fail("expected ',' or '}' in object");
@@ -182,6 +186,7 @@ class Parser
             }
             if (text_[pos_] == ']') {
                 ++pos_;
+                out.items.shrink_to_fit();
                 return true;
             }
             return fail("expected ',' or ']' in array");

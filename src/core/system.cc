@@ -152,13 +152,14 @@ MultiGpuSystem::recordBlock(NodeId src, NodeId dst, Tick t)
     // in node order at harvest.
     std::vector<Cycles> &b16 = burst16_[src];
     std::vector<Cycles> &b32 = burst32_[src];
-    bs.ticks.push_back(t);
-    if (bs.ticks.size() >= 32) {
-        b32.push_back(bs.ticks.back() - bs.ticks.front());
+    if (bs.blocks++ == 0)
+        bs.first = t;
+    if (bs.blocks == 32) {
+        b32.push_back(t - bs.first);
         // The first 16 of this window already closed a 16-window.
-        bs.ticks.clear();
-    } else if (bs.ticks.size() == 16) {
-        b16.push_back(bs.ticks.back() - bs.ticks.front());
+        bs.blocks = 0;
+    } else if (bs.blocks == 16) {
+        b16.push_back(t - bs.first);
     }
 }
 
@@ -635,7 +636,7 @@ MultiGpuSystem::run()
             net_->classBytes(static_cast<TrafficClass>(c));
     r.packets = net_->totalPackets();
 
-    double lat_sum = 0.0;
+    std::uint64_t lat_sum = 0;
     std::uint64_t lat_n = 0;
     for (auto &n : nodes_) {
         if (const PadTable *pt = n->channel().padTable())
@@ -649,7 +650,9 @@ MultiGpuSystem::run()
     }
     r.migrations = pt_->migrations();
     r.avgRemoteLatency =
-        lat_n > 0 ? lat_sum / static_cast<double>(lat_n) : 0.0;
+        lat_n > 0 ? static_cast<double>(lat_sum) /
+                        static_cast<double>(lat_n)
+                  : 0.0;
 
     for (auto &v : burst16_)
         r.burst16.insert(r.burst16.end(), v.begin(), v.end());

@@ -10,7 +10,6 @@
 
 #include <array>
 #include <atomic>
-#include <deque>
 #include <fstream>
 #include <iosfwd>
 #include <memory>
@@ -322,10 +321,12 @@ class MultiGpuSystem
     /** Atomic: GPU done callbacks fire on domain threads. */
     std::atomic<std::uint32_t> done_gpus_{0};
 
-    /** Burst accumulation state per (src, dst). */
+    /** Burst accumulation state per (src, dst): the open window's
+     *  first block tick and its block count. */
     struct BurstState
     {
-        std::deque<Tick> ticks;
+        Tick first = 0;
+        std::uint32_t blocks = 0;
     };
     std::vector<BurstState> burst_state_;
     /**

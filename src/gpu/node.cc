@@ -346,7 +346,7 @@ Node::completeResponse(PacketPtr pkt)
     }
 
     if (!txn.translation)
-        latency_.sample(static_cast<double>(now() - txn.issued));
+        latency_.record(now() - txn.issued);
     txns_.erase(txn);
     MGSEC_ASSERT(outstanding_ > 0, "window underflow");
     --outstanding_;

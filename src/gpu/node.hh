@@ -140,7 +140,7 @@ class Node : public SimObject
     {
         return static_cast<std::uint64_t>(l1_hits_.value());
     }
-    const stats::Distribution &latency() const { return latency_; }
+    const stats::Histogram &latency() const { return latency_; }
 
   private:
     void tryIssue();
@@ -201,9 +201,8 @@ class Node : public SimObject
     stats::Scalar iommu_walks_{"iommuWalks",
                                "L2 TLB misses sent to the IOMMU"};
     stats::Scalar l1_hits_{"l1Hits", "local ops filtered by a CU L1"};
-    stats::Distribution latency_{"remoteLatency",
-                                 "remote access round-trip cycles",
-                                 0, 4000, 40};
+    stats::Histogram latency_{"remoteLatency",
+                              "remote access round-trip cycles"};
 };
 
 } // namespace mgsec

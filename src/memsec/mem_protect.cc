@@ -54,7 +54,7 @@ MemProtectEngine::access(std::uint64_t addr, bool write,
 
     if (counter_cache_.lookup(ctr_block)) {
         ++counter_hits_;
-        walk_depth_.sample(0.0);
+        walk_depth_.record(0);
     } else {
         ++counter_misses_;
         // Fetch the counter block, then authenticate ancestors until
@@ -71,7 +71,7 @@ MemProtectEngine::access(std::uint64_t addr, bool write,
             ++meta_fetches_;
             ++walked;
         }
-        walk_depth_.sample(static_cast<double>(walked));
+        walk_depth_.record(walked);
         // One pipelined MAC pass authenticates the fetched chain.
         meta_ready += params_.macLatency;
         mac_checks_ += static_cast<double>(walked);

@@ -99,9 +99,8 @@ class MemProtectEngine : public SimObject
     stats::Scalar meta_fetches_{"metadataFetches",
                                 "extra DRAM accesses for metadata"};
     stats::Scalar mac_checks_{"macChecks", "MAC verifications"};
-    stats::Distribution walk_depth_{"walkDepth",
-                                    "tree levels walked per miss",
-                                    0, 16, 16};
+    stats::Histogram walk_depth_{"walkDepth",
+                                 "tree levels walked per miss"};
 };
 
 } // namespace mgsec

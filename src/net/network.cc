@@ -14,8 +14,7 @@ namespace mgsec
 Network::Network(const std::string &name, EventQueue &eq,
                  std::uint32_t num_nodes, LinkParams pcie,
                  LinkParams nvlink, const TopologyConfig &topo)
-    : SimObject(name, eq), num_nodes_(num_nodes), pcie_(pcie),
-      nvlink_(nvlink),
+    : SimObject(name, eq), num_nodes_(num_nodes),
       topo_(makeTopology(topo, num_nodes, pcie, nvlink)),
       handlers_(num_nodes),
       pair_bytes_(static_cast<std::size_t>(num_nodes) * num_nodes,
@@ -213,30 +212,6 @@ Network::pairBytes(NodeId src, NodeId dst) const
 {
     return static_cast<Bytes>(
         pair_bytes_[static_cast<std::size_t>(src) * num_nodes_ + dst]);
-}
-
-const Serializer &
-Network::nvlinkEgress(NodeId gpu) const
-{
-    return topo_->fabricEgress(gpu);
-}
-
-const Serializer &
-Network::nvlinkIngress(NodeId gpu) const
-{
-    return topo_->fabricIngress(gpu);
-}
-
-const Serializer &
-Network::pcieDown(NodeId gpu) const
-{
-    return topo_->pcieDown(gpu);
-}
-
-const Serializer &
-Network::pcieUp(NodeId gpu) const
-{
-    return topo_->pcieUp(gpu);
 }
 
 } // namespace mgsec

@@ -28,7 +28,6 @@
 #include <vector>
 
 #include "net/packet.hh"
-#include "net/serializer.hh"
 #include "net/topology.hh"
 #include "sim/sim_object.hh"
 
@@ -55,10 +54,9 @@ class Network : public SimObject
             const TopologyConfig &topo = {});
 
     std::uint32_t numNodes() const { return num_nodes_; }
-    const LinkParams &pcieParams() const { return pcie_; }
-    const LinkParams &nvlinkParams() const { return nvlink_; }
 
-    /** The fabric carrying this network's packets. */
+    /** The fabric carrying this network's packets (and owning its
+     *  ports, for utilization analyses). */
     const Topology &topology() const { return *topo_; }
     /** Link class of an (src, dst) crossing on this fabric. */
     LinkType
@@ -186,19 +184,6 @@ class Network : public SimObject
     std::uint64_t inFlight() const { return in_flight_.load(); }
     /// @}
 
-    /**
-     * @name Port utilization (for bandwidth analyses)
-     * The nvlink pair maps to the topology's fabric ports: the
-     * shared NVLink port sides on p2p, the crossbar uplink/egress
-     * on nvswitch/hier.
-     */
-    /// @{
-    const Serializer &nvlinkEgress(NodeId gpu) const;
-    const Serializer &nvlinkIngress(NodeId gpu) const;
-    const Serializer &pcieDown(NodeId gpu) const; ///< CPU -> GPU
-    const Serializer &pcieUp(NodeId gpu) const;   ///< GPU -> CPU
-    /// @}
-
   private:
     void deliver(Tick when, PacketPtr pkt, EventQueue &eq);
     /** The full wire crossing, parameterized so capture replay can
@@ -213,8 +198,6 @@ class Network : public SimObject
     };
 
     std::uint32_t num_nodes_;
-    LinkParams pcie_;
-    LinkParams nvlink_;
     std::unique_ptr<Topology> topo_;
 
     std::vector<Handler> handlers_;

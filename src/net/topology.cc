@@ -129,75 +129,10 @@ class P2pTopology : public Topology
 };
 
 /**
- * NVSwitch-class crossbar: every GPU uplinks into one switch;
- * traffic to a GPU contends at that GPU's switch egress port.
- */
-class NvSwitchTopology : public Topology
-{
-  public:
-    NvSwitchTopology(const TopologyConfig &cfg,
-                     std::uint32_t num_nodes, LinkParams pcie,
-                     LinkParams nvlink)
-        : Topology(cfg, num_nodes, pcie, nvlink)
-    {
-        MGSEC_ASSERT(num_nodes_ - 1 <= cfg_.switchRadix,
-                     "%u GPUs exceed switch radix %u", num_nodes_ - 1,
-                     cfg_.switchRadix);
-        fab_egress_.assign(num_nodes_,
-                           Serializer(nvlink_.bytesPerCycle));
-        sw_egress_.assign(num_nodes_,
-                          Serializer(cfg_.switchBytesPerCycle));
-    }
-
-    Tick
-    route(NodeId src, NodeId dst, Bytes bytes, Tick send_tick) override
-    {
-        if (src == 0 || dst == 0)
-            return routePcie(src, dst, bytes, send_tick);
-        // Uplink into the crossbar, traverse it, then contend at the
-        // destination's switch egress port; the egress wire adds the
-        // NVLink hop latency.
-        const Tick up = fab_egress_[src].reserve(send_tick, bytes);
-        const Tick out = sw_egress_[dst].reserve(
-            up + cfg_.switchLatency, bytes);
-        return out + nvlink_.latency;
-    }
-
-    LinkType
-    linkType(NodeId src, NodeId dst) const override
-    {
-        return src == 0 || dst == 0 ? LinkType::Pcie
-                                    : LinkType::Switch;
-    }
-
-    Cycles
-    minLatency() const override
-    {
-        return std::min(pcie_.latency,
-                        cfg_.switchLatency + nvlink_.latency);
-    }
-
-    std::size_t
-    numLinkClasses() const override
-    {
-        return 3;
-    }
-
-    const Serializer &
-    fabricIngress(NodeId gpu) const override
-    {
-        checkGpu(gpu);
-        return sw_egress_[gpu];
-    }
-
-  private:
-    /** Switch egress port toward each GPU; entry 0 unused. */
-    std::vector<Serializer> sw_egress_;
-};
-
-/**
  * Two-level fabric: per-node crossbars joined by trunk links. GPU g
- * lives on node (g - 1) / gpusPerNode.
+ * lives on node (g - 1) / gpusPerNode. Traffic to a GPU contends at
+ * its crossbar's egress port (fab_ingress_). With every GPU on one
+ * node this is the nvswitch fabric: one crossbar, no trunk.
  */
 class HierTopology : public Topology
 {
@@ -210,16 +145,17 @@ class HierTopology : public Topology
         MGSEC_ASSERT(cfg_.gpusPerNode <= cfg_.switchRadix,
                      "%u GPUs per node exceed switch radix %u",
                      cfg_.gpusPerNode, cfg_.switchRadix);
-        const std::uint32_t gpus = num_nodes_ - 1;
-        fabric_nodes_ =
-            (gpus + cfg_.gpusPerNode - 1) / cfg_.gpusPerNode;
+        node_of_.assign(num_nodes_, 0);
+        for (NodeId g = 1; g < num_nodes_; ++g)
+            node_of_[g] = (g - 1) / cfg_.gpusPerNode;
+        const std::uint32_t fabric_nodes = node_of_.back() + 1;
         fab_egress_.assign(num_nodes_,
                            Serializer(nvlink_.bytesPerCycle));
-        sw_egress_.assign(num_nodes_,
-                          Serializer(cfg_.switchBytesPerCycle));
-        trunk_out_.assign(fabric_nodes_,
+        fab_ingress_.assign(num_nodes_,
+                            Serializer(cfg_.switchBytesPerCycle));
+        trunk_out_.assign(fabric_nodes,
                           Serializer(cfg_.interBytesPerCycle));
-        trunk_in_.assign(fabric_nodes_,
+        trunk_in_.assign(fabric_nodes,
                          Serializer(cfg_.interBytesPerCycle));
     }
 
@@ -228,7 +164,7 @@ class HierTopology : public Topology
     {
         if (src == 0 || dst == 0)
             return routePcie(src, dst, bytes, send_tick);
-        const std::uint32_t hs = nodeOf(src), hd = nodeOf(dst);
+        const std::uint32_t hs = node_of_[src], hd = node_of_[dst];
         Tick t = fab_egress_[src].reserve(send_tick, bytes);
         if (hs != hd) {
             // Source crossbar to trunk, trunk crossing, trunk into
@@ -236,8 +172,9 @@ class HierTopology : public Topology
             t = trunk_out_[hs].reserve(t + cfg_.switchLatency, bytes);
             t = trunk_in_[hd].reserve(t + cfg_.interLatency, bytes);
         }
+        // The crossbar's egress wire adds the NVLink hop latency.
         const Tick out =
-            sw_egress_[dst].reserve(t + cfg_.switchLatency, bytes);
+            fab_ingress_[dst].reserve(t + cfg_.switchLatency, bytes);
         return out + nvlink_.latency;
     }
 
@@ -246,8 +183,8 @@ class HierTopology : public Topology
     {
         if (src == 0 || dst == 0)
             return LinkType::Pcie;
-        return nodeOf(src) == nodeOf(dst) ? LinkType::Switch
-                                          : LinkType::Inter;
+        return node_of_[src] == node_of_[dst] ? LinkType::Switch
+                                              : LinkType::Inter;
     }
 
     Cycles
@@ -260,25 +197,13 @@ class HierTopology : public Topology
     std::size_t
     numLinkClasses() const override
     {
-        return 4;
-    }
-
-    const Serializer &
-    fabricIngress(NodeId gpu) const override
-    {
-        checkGpu(gpu);
-        return sw_egress_[gpu];
+        // A single fabric node never emits Inter.
+        return trunk_out_.size() == 1 ? 3 : 4;
     }
 
   private:
-    std::uint32_t
-    nodeOf(NodeId gpu) const
-    {
-        return (gpu - 1) / cfg_.gpusPerNode;
-    }
-
-    std::uint32_t fabric_nodes_;
-    std::vector<Serializer> sw_egress_;
+    /** Fabric node of each GPU; entry 0 (the CPU) unused. */
+    std::vector<std::uint32_t> node_of_;
     std::vector<Serializer> trunk_out_;
     std::vector<Serializer> trunk_in_;
 };
@@ -293,9 +218,13 @@ makeTopology(const TopologyConfig &cfg, std::uint32_t num_nodes,
       case TopologyKind::P2p:
         return std::make_unique<P2pTopology>(cfg, num_nodes, pcie,
                                              nvlink);
-      case TopologyKind::NvSwitch:
-        return std::make_unique<NvSwitchTopology>(cfg, num_nodes,
-                                                  pcie, nvlink);
+      case TopologyKind::NvSwitch: {
+        // One crossbar for every GPU: a one-node hier fabric.
+        TopologyConfig one = cfg;
+        one.gpusPerNode = num_nodes - 1;
+        return std::make_unique<HierTopology>(one, num_nodes, pcie,
+                                              nvlink);
+      }
       case TopologyKind::Hier:
         return std::make_unique<HierTopology>(cfg, num_nodes, pcie,
                                               nvlink);

@@ -16,21 +16,21 @@
  *
  *                CPU ==pcie== GPUi  <--nvlink port-->  GPUj
  *
- *   nvswitch - an NVSwitch-class crossbar: every GPU owns one uplink
- *              into the switch; the switch has one egress port per
- *              GPU where traffic from all senders contends. CPU
- *              traffic still uses the dedicated PCIe channels.
+ *   hier     - two-level fabric: GPUs are grouped gpusPerNode to a
+ *              node. Every GPU owns one uplink into its node's
+ *              crossbar, which has one egress port per GPU where
+ *              traffic from all senders contends; inter-node traffic
+ *              additionally serializes through the source node's
+ *              trunk-out and the destination node's trunk-in port.
+ *              CPU traffic still uses the dedicated PCIe channels.
  *
  *                GPUi --uplink--> [ crossbar ] --egress[j]--> GPUj
- *
- *   hier     - two-level fabric: GPUs are grouped gpusPerNode to a
- *              node; intra-node traffic crosses that node's crossbar
- *              (as nvswitch), inter-node traffic additionally
- *              serializes through the source node's trunk-out and
- *              the destination node's trunk-in port.
- *
  *                GPUi -> [ node crossbar ] -> trunk ==> trunk ->
  *                [ node crossbar ] -> GPUj
+ *
+ *   nvswitch - an NVSwitch-class crossbar: hier with every GPU on
+ *              one node (gpusPerNode = the GPU count), so no packet
+ *              crosses a trunk.
  *
  * Every topology delivers FIFO per (src, dst): a flow's packets pass
  * through the same serializer chain in send order, and
@@ -120,10 +120,7 @@ class Topology
     virtual ~Topology() = default;
 
     TopologyKind kind() const { return cfg_.kind; }
-    const TopologyConfig &config() const { return cfg_; }
     std::uint32_t numNodes() const { return num_nodes_; }
-    const LinkParams &pcieParams() const { return pcie_; }
-    const LinkParams &nvlinkParams() const { return nvlink_; }
 
     /**
      * Serialize a src -> dst crossing of @p bytes starting no
@@ -146,8 +143,10 @@ class Topology
 
     /**
      * Link classes this fabric can emit, contiguous from
-     * LinkType 0 (pcie). p2p -> 2, nvswitch -> 3, hier -> 4;
-     * attribution registers histograms for exactly this many.
+     * LinkType 0 (pcie). p2p -> 2; a switch fabric -> 3 with one
+     * fabric node (nvswitch, or hier with every GPU on one node)
+     * and 4 with trunks; attribution registers histograms for
+     * exactly this many.
      */
     virtual std::size_t numLinkClasses() const = 0;
 
@@ -160,9 +159,9 @@ class Topology
      */
     /// @{
     const Serializer &fabricEgress(NodeId gpu) const;
-    virtual const Serializer &fabricIngress(NodeId gpu) const;
-    const Serializer &pcieDown(NodeId gpu) const;
-    const Serializer &pcieUp(NodeId gpu) const;
+    const Serializer &fabricIngress(NodeId gpu) const;
+    const Serializer &pcieDown(NodeId gpu) const; ///< CPU -> GPU
+    const Serializer &pcieUp(NodeId gpu) const;   ///< GPU -> CPU
     /// @}
 
   protected:

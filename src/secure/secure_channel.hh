@@ -125,10 +125,12 @@ class SecureChannel : public SimObject
     }
     /// @}
 
-  private:
-    /** Deterministic plaintext both endpoints can reconstruct. */
+    /** Deterministic plaintext both endpoints can reconstruct (the
+     *  verify testbed re-encrypts the packets it rewrites over it). */
     static crypto::BlockPayload synthesize(NodeId src, NodeId dst,
                                            std::uint64_t ctr);
+
+  private:
     /** Auth pad masking a batch's MAC, derivable from the batch id. */
     crypto::Block batchMaskPad(NodeId sender, NodeId receiver,
                                std::uint64_t batch_id) const;

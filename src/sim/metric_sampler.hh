@@ -75,8 +75,8 @@ class MetricSampler
 
     /**
      * Register one column per Scalar stat in @p g, named
-     * "<group>.<stat>". Non-scalar stats are skipped (distributions
-     * and time series are not meaningfully point-sampled).
+     * "<group>.<stat>". Histograms are skipped (they are not
+     * meaningfully point-sampled).
      */
     void addScalars(const stats::StatGroup &g);
 

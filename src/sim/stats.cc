@@ -1,11 +1,11 @@
 #include "sim/stats.hh"
 
+#include <algorithm>
 #include <bit>
 #include <ostream>
 #include <sstream>
 
 #include "sim/json_writer.hh"
-#include "sim/logging.hh"
 
 namespace mgsec::stats
 {
@@ -25,118 +25,6 @@ Scalar::dumpJson(JsonWriter &w) const
     w.field("desc", desc());
     w.field("value", value_);
     w.endObject();
-}
-
-Distribution::Distribution(std::string name, std::string desc,
-                           double min, double max,
-                           std::size_t num_buckets)
-    : Stat(std::move(name), std::move(desc)), lo_(min), hi_(max),
-      width_((max - min) / static_cast<double>(num_buckets)),
-      buckets_(num_buckets, 0)
-{
-    MGSEC_ASSERT(max > min && num_buckets > 0,
-                 "bad distribution range [%f, %f) x %zu", min, max,
-                 num_buckets);
-}
-
-void
-Distribution::sample(double v, std::uint64_t count)
-{
-    if (count == 0)
-        return;
-    if (count_ == 0) {
-        min_seen_ = v;
-        max_seen_ = v;
-    } else {
-        min_seen_ = std::min(min_seen_, v);
-        max_seen_ = std::max(max_seen_, v);
-    }
-    count_ += count;
-    sum_ += v * static_cast<double>(count);
-    sqsum_ += v * v * static_cast<double>(count);
-    if (v < lo_) {
-        underflow_ += count;
-    } else if (v >= hi_) {
-        overflow_ += count;
-    } else {
-        auto idx = static_cast<std::size_t>((v - lo_) / width_);
-        idx = std::min(idx, buckets_.size() - 1);
-        buckets_[idx] += count;
-    }
-}
-
-double
-Distribution::stddev() const
-{
-    if (count_ < 2)
-        return 0.0;
-    const double n = static_cast<double>(count_);
-    const double var = (sqsum_ - sum_ * sum_ / n) / (n - 1.0);
-    return var > 0.0 ? std::sqrt(var) : 0.0;
-}
-
-double
-Distribution::bucketLo(std::size_t i) const
-{
-    return lo_ + width_ * static_cast<double>(i);
-}
-
-double
-Distribution::bucketFrac(std::size_t i) const
-{
-    return count_ == 0
-        ? 0.0
-        : static_cast<double>(buckets_[i]) / static_cast<double>(count_);
-}
-
-void
-Distribution::dump(std::ostream &os) const
-{
-    os << name() << "::count " << count_ << " # " << desc() << "\n";
-    os << name() << "::mean " << mean() << "\n";
-    os << name() << "::stdev " << stddev() << "\n";
-    os << name() << "::underflow " << underflow_ << "\n";
-    for (std::size_t i = 0; i < buckets_.size(); ++i) {
-        os << name() << "::[" << bucketLo(i) << ","
-           << bucketLo(i) + width_ << ") " << buckets_[i] << "\n";
-    }
-    os << name() << "::overflow " << overflow_ << "\n";
-}
-
-void
-Distribution::dumpJson(JsonWriter &w) const
-{
-    w.key(name());
-    w.beginObject();
-    w.field("type", std::string("distribution"));
-    w.field("desc", desc());
-    w.field("count", count_);
-    w.field("mean", mean());
-    w.field("stdev", stddev());
-    w.field("min", min_seen_);
-    w.field("max", max_seen_);
-    w.field("underflow", underflow_);
-    w.field("overflow", overflow_);
-    w.field("lo", lo_);
-    w.field("bucketWidth", width_);
-    w.beginArray("buckets");
-    for (std::uint64_t b : buckets_)
-        w.value(b);
-    w.endArray();
-    w.endObject();
-}
-
-void
-Distribution::reset()
-{
-    std::fill(buckets_.begin(), buckets_.end(), 0);
-    underflow_ = 0;
-    overflow_ = 0;
-    count_ = 0;
-    sum_ = 0.0;
-    sqsum_ = 0.0;
-    min_seen_ = 0.0;
-    max_seen_ = 0.0;
 }
 
 Histogram::Histogram(std::string name, std::string desc)
@@ -337,31 +225,6 @@ Histogram::reset()
     sum_ = 0;
     min_seen_ = 0;
     max_seen_ = 0;
-}
-
-void
-TimeSeries::dump(std::ostream &os) const
-{
-    os << name() << "::samples " << points_.size() << " # " << desc()
-       << "\n";
-}
-
-void
-TimeSeries::dumpJson(JsonWriter &w) const
-{
-    w.key(name());
-    w.beginObject();
-    w.field("type", std::string("timeseries"));
-    w.field("desc", desc());
-    w.beginArray("points");
-    for (const auto &[t, v] : points_) {
-        w.beginArray();
-        w.value(static_cast<std::uint64_t>(t));
-        w.value(v);
-        w.endArray();
-    }
-    w.endArray();
-    w.endObject();
 }
 
 void

@@ -10,15 +10,11 @@
 #ifndef MGSEC_SIM_STATS_HH
 #define MGSEC_SIM_STATS_HH
 
-#include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <iosfwd>
 #include <string>
 #include <utility>
 #include <vector>
-
-#include "sim/types.hh"
 
 namespace mgsec
 {
@@ -78,52 +74,6 @@ class Scalar : public Stat
 
   private:
     double value_ = 0.0;
-};
-
-/**
- * A bucketed distribution over a linear range, plus exact moments.
- * Values outside [min, max) land in underflow/overflow buckets.
- */
-class Distribution : public Stat
-{
-  public:
-    Distribution(std::string name, std::string desc, double min,
-                 double max, std::size_t num_buckets);
-
-    void sample(double v, std::uint64_t count = 1);
-
-    std::uint64_t count() const { return count_; }
-    double sum() const { return sum_; }
-    double mean() const { return count_ ? sum_ / count_ : 0.0; }
-    double stddev() const;
-    double minSeen() const { return min_seen_; }
-    double maxSeen() const { return max_seen_; }
-    std::uint64_t underflow() const { return underflow_; }
-    std::uint64_t overflow() const { return overflow_; }
-    std::size_t numBuckets() const { return buckets_.size(); }
-    std::uint64_t bucket(std::size_t i) const { return buckets_[i]; }
-    /** Lower bound of bucket i. */
-    double bucketLo(std::size_t i) const;
-    double bucketWidth() const { return width_; }
-    /** Fraction of samples in bucket i (0 when empty). */
-    double bucketFrac(std::size_t i) const;
-
-    void dump(std::ostream &os) const override;
-    void dumpJson(JsonWriter &w) const override;
-    void reset() override;
-
-  private:
-    double lo_;
-    double hi_;
-    double width_;
-    std::vector<std::uint64_t> buckets_;
-    std::uint64_t underflow_ = 0;
-    std::uint64_t overflow_ = 0;
-    std::uint64_t count_ = 0;
-    double sum_ = 0.0;
-    double sqsum_ = 0.0;
-    double min_seen_ = 0.0;
-    double max_seen_ = 0.0;
 };
 
 /**
@@ -209,26 +159,6 @@ class Histogram : public Stat
     std::uint64_t sum_ = 0;
     std::uint64_t min_seen_ = 0;
     std::uint64_t max_seen_ = 0;
-};
-
-/** (tick, value) samples, for the paper's time-phased plots. */
-class TimeSeries : public Stat
-{
-  public:
-    using Stat::Stat;
-
-    void sample(Tick t, double v) { points_.emplace_back(t, v); }
-    const std::vector<std::pair<Tick, double>> &points() const
-    {
-        return points_;
-    }
-
-    void dump(std::ostream &os) const override;
-    void dumpJson(JsonWriter &w) const override;
-    void reset() override { points_.clear(); }
-
-  private:
-    std::vector<std::pair<Tick, double>> points_;
 };
 
 /** A registry of stats that dumps them in registration order. */

@@ -14,19 +14,6 @@ namespace
 /** Quiet period after the last scheduled event of interest. */
 constexpr Cycles kSettle = 30000;
 
-/** The deterministic plaintext both endpoints synthesize. */
-crypto::BlockPayload
-synthesize(NodeId src, NodeId dst, std::uint64_t ctr)
-{
-    crypto::BlockPayload p;
-    for (std::size_t i = 0; i < p.size(); ++i) {
-        p[i] = static_cast<std::uint8_t>(
-            (ctr >> ((i % 8) * 8)) ^ (src * 131) ^ (dst * 193) ^
-            (i * 7));
-    }
-    return p;
-}
-
 } // anonymous namespace
 
 VerifyTestbed::VerifyTestbed(const TestbedConfig &cfg) : cfg_(cfg)
@@ -138,7 +125,7 @@ VerifyTestbed::refreshCrypto(Packet &p) const
         factory_->derive(p.src, p.dst, p.msgCtr);
     if (p.func->hasCipher) {
         p.func->cipher = crypto::PadFactory::crypt(
-            synthesize(p.src, p.dst, p.msgCtr), pad);
+            SecureChannel::synthesize(p.src, p.dst, p.msgCtr), pad);
     }
     if (p.func->hasMac && p.batchId == 0) {
         crypto::BlockPayload cipher{};
@@ -184,7 +171,7 @@ VerifyTestbed::maybeSeedBug(Packet &p)
             const crypto::MessagePad stale =
                 factory_->derive(p.src, p.dst, p.msgCtr - 1);
             p.func->cipher = crypto::PadFactory::crypt(
-                synthesize(p.src, p.dst, p.msgCtr), stale);
+                SecureChannel::synthesize(p.src, p.dst, p.msgCtr), stale);
             if (p.func->hasMac && p.batchId == 0) {
                 const crypto::MessagePad pad =
                     factory_->derive(p.src, p.dst, p.msgCtr);

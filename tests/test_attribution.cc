@@ -129,10 +129,13 @@ TEST_P(AttributionScaleInvariance, TelescopeHoldsOnEveryFabric)
 
     const LatencyAttribution *attr = sys->attribution();
     ASSERT_NE(attr, nullptr);
+    // A switch fabric adds Inter only when it has trunks: hier at
+    // more GPUs than one node holds.
     const std::size_t want_links =
-        kind == TopologyKind::P2p        ? kP2pLinkClasses
-        : kind == TopologyKind::NvSwitch ? 3u
-                                         : 4u;
+        kind == TopologyKind::P2p ? kP2pLinkClasses
+        : kind == TopologyKind::Hier && gpus > cfg.topology.gpusPerNode
+            ? 4u
+            : 3u;
     EXPECT_EQ(attr->numLinks(), want_links);
     EXPECT_GT(attr->folds(), 0u);
 

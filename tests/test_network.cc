@@ -197,10 +197,11 @@ TEST(Network, PortUtilizationQueries)
     net.send(makePkt(1, 2, 100, 0));
     net.send(makePkt(1, 0, 50, 0));
     eq.run();
-    EXPECT_DOUBLE_EQ(net.nvlinkEgress(1).busyCycles(), 10.0);
-    EXPECT_DOUBLE_EQ(net.nvlinkIngress(2).busyCycles(), 10.0);
-    EXPECT_DOUBLE_EQ(net.pcieUp(1).busyCycles(), 5.0);
-    EXPECT_DOUBLE_EQ(net.pcieDown(1).busyCycles(), 0.0);
+    const Topology &topo = net.topology();
+    EXPECT_DOUBLE_EQ(topo.fabricEgress(1).busyCycles(), 10.0);
+    EXPECT_DOUBLE_EQ(topo.fabricIngress(2).busyCycles(), 10.0);
+    EXPECT_DOUBLE_EQ(topo.pcieUp(1).busyCycles(), 5.0);
+    EXPECT_DOUBLE_EQ(topo.pcieDown(1).busyCycles(), 0.0);
 }
 
 TEST(NetworkTamper, PreWireMutationChangesAccountingAndTiming)
@@ -287,7 +288,7 @@ TEST(NetworkTamper, PreWireDropLeavesNoTraceOnTheWire)
     // no packets, no port busy time.
     EXPECT_EQ(net.totalPackets(), 0u);
     EXPECT_EQ(net.totalBytes(), 0u);
-    EXPECT_DOUBLE_EQ(net.nvlinkEgress(1).busyCycles(), 0.0);
+    EXPECT_DOUBLE_EQ(net.topology().fabricEgress(1).busyCycles(), 0.0);
     EXPECT_EQ(net.inFlight(), 0u);
 }
 
@@ -308,7 +309,7 @@ TEST(NetworkTamper, PostWireDropConsumesBandwidthButNeverArrives)
     // The bytes crossed the wire (in-flight loss): accounting and
     // port occupancy reflect them.
     EXPECT_EQ(net.totalBytes(), 80u);
-    EXPECT_DOUBLE_EQ(net.nvlinkEgress(1).busyCycles(), 5.0);
+    EXPECT_DOUBLE_EQ(net.topology().fabricEgress(1).busyCycles(), 5.0);
     EXPECT_EQ(net.inFlight(), 0u);
 }
 

@@ -371,17 +371,17 @@ struct PinnedOrder
  */
 const PinnedOrder kPinnedOrder[] = {
     {TopologyKind::P2p, 4, "mm", 46190, 45688, 755594,
-     5492231993163766240ull},
+     16282237847289240334ull},
     {TopologyKind::P2p, 4, "fir", 16584, 105059, 229824,
-     8598463597207116792ull},
+     14434736795151492535ull},
     {TopologyKind::NvSwitch, 16, "mm", 48755, 12970, 787455,
-     5154639019004616384ull},
+     7094489129252529026ull},
     {TopologyKind::NvSwitch, 16, "fir", 14744, 17673, 194211,
-     16271777659886134396ull},
+     1924809888295248096ull},
     {TopologyKind::Hier, 8, "mm", 48989, 34013, 795846,
-     1695170661908886077ull},
+     3903335992268583741ull},
     {TopologyKind::Hier, 8, "fir", 15377, 36312, 208436,
-     9861115585751880552ull},
+     13949244346558314913ull},
 };
 
 std::uint64_t

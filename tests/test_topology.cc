@@ -5,17 +5,21 @@
  * under switch contention, and the default p2p fabric must reproduce
  * the pre-refactor Network's arrival ticks bit for bit. Plus the
  * serial-vs-sharded stats equality gate at 16 GPUs on the new
- * fabrics.
+ * fabrics, and nvswitch as a one-node hier fabric.
  */
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
 #include <map>
 #include <random>
+#include <sstream>
 #include <tuple>
 #include <vector>
 
 #include "core/experiment.hh"
+#include "core/json_out.hh"
 #include "net/network.hh"
 #include "net/serializer.hh"
 #include "sim/event_queue.hh"
@@ -132,6 +136,15 @@ TEST(TopologyLinkClass, ClassesFollowTheFabric)
     EXPECT_EQ(p2p.topology().numLinkClasses(), kP2pLinkClasses);
     EXPECT_EQ(sw.topology().numLinkClasses(), 3u);
     EXPECT_EQ(hier.topology().numLinkClasses(), 4u);
+
+    // Hier with every GPU on one node never crosses a trunk, so it
+    // has nvswitch's three classes.
+    TopologyConfig one = topoOf(TopologyKind::Hier);
+    one.gpusPerNode = nodes - 1;
+    Network flat("flat", eq, nodes, kPcie, kNvlink, one);
+    EXPECT_EQ(flat.linkType(1, nodes - 1), LinkType::Switch);
+    EXPECT_EQ(flat.topology().numLinkClasses(), 3u);
+    EXPECT_EQ(sw.topology().kind(), TopologyKind::NvSwitch);
 }
 
 // ------------------------------------------- FIFO under contention
@@ -386,3 +399,78 @@ INSTANTIATE_TEST_SUITE_P(Fabrics, TopologyShardedEquality,
                              return std::string(
                                  topologyKindName(info.param));
                          });
+
+// ------------------------------ nvswitch is a one-node hier fabric
+
+class NvSwitchIsOneNodeHier
+    : public ::testing::TestWithParam<
+          std::tuple<std::uint32_t, std::uint32_t>>
+{};
+
+TEST_P(NvSwitchIsOneNodeHier, EveryArtifactIsByteIdentical)
+{
+    // nvswitch and hier with gpusPerNode >= the GPU count are the
+    // same machine: the run result, the stats dump, the attribution
+    // histograms, the wire observer and the metrics must not differ
+    // by a byte.
+    namespace fs = std::filesystem;
+    const auto [gpus, threads] = GetParam();
+    const fs::path root =
+        fs::temp_directory_path() /
+        strformat("mgsec_test_one_node_g%u_t%u", gpus, threads);
+    fs::remove_all(root);
+    const auto slurp = [](const fs::path &p) {
+        std::ifstream is(p, std::ios::binary);
+        std::ostringstream os;
+        os << is.rdbuf();
+        return os.str();
+    };
+    const char *kFiles[] = {"stats.json", "hist.json", "wire.json",
+                            "metrics.json"};
+
+    std::map<std::string, std::string> seen;
+    for (const auto &[name, kind, per_node] :
+         {std::tuple{"nvswitch", TopologyKind::NvSwitch, 8u},
+          std::tuple{"hier", TopologyKind::Hier, gpus},
+          std::tuple{"hier_wide", TopologyKind::Hier, 64u}}) {
+        ExperimentConfig cfg;
+        cfg.scheme = OtpScheme::Dynamic;
+        cfg.batching = true;
+        cfg.numGpus = gpus;
+        cfg.scale = 0.05;
+        cfg.simThreads = threads;
+        cfg.topology.kind = kind;
+        cfg.topology.gpusPerNode = per_node;
+        const fs::path dir = root / name;
+        fs::create_directories(dir);
+        cfg.observe.latencyAttr = true;
+        cfg.observe.statsJsonOut = (dir / kFiles[0]).string();
+        cfg.observe.histJsonOut = (dir / kFiles[1]).string();
+        cfg.observe.wireOut = (dir / kFiles[2]).string();
+        cfg.observe.metricsOut = (dir / kFiles[3]).string();
+        const RunResult r = runWorkload("mm", cfg);
+        ASSERT_TRUE(r.completed) << name;
+        std::map<std::string, std::string> got{
+            {"result", resultToJson(r)}};
+        for (const char *f : kFiles) {
+            got[f] = slurp(dir / f);
+            EXPECT_FALSE(got[f].empty()) << name << " " << f;
+        }
+        if (seen.empty()) {
+            seen = std::move(got);
+            continue;
+        }
+        for (const auto &[what, bytes] : seen)
+            EXPECT_EQ(got[what], bytes) << name << " " << what;
+    }
+    fs::remove_all(root);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    GpusAndWorkers, NvSwitchIsOneNodeHier,
+    ::testing::Combine(::testing::Values(8u, 16u),
+                       ::testing::Values(1u, 2u)),
+    [](const auto &info) {
+        return strformat("g%u_t%u", std::get<0>(info.param),
+                         std::get<1>(info.param));
+    });
