@@ -7,15 +7,27 @@
  * bump an access counter per (page, accessor); once a counter passes
  * the threshold the page migrates to the accessor — the Volta-style
  * access-counter policy the paper adopts for its baseline.
+ *
+ * Host layout: the pages live in one open-addressed (linear probing,
+ * Fibonacci-hashed) array of 16-byte records, doubled whenever it
+ * would pass half full; nothing is allocated per page. A record holds
+ * the page, its home and one inline (accessor, count) slot, owned by
+ * the first accessor counted since the page's last reset. Any other
+ * accessor's count spills into one shared table keyed by (page,
+ * accessor) and hashed by the page alone, so a page's spilled counts
+ * sit in one probe run; the record's `spilled` bit says whether there
+ * are any. Counts are exact per (page, accessor): a reset (place,
+ * migration commit, threshold) clears the inline slot and, only for a
+ * page that spilled, its spill entries.
  */
 
 #ifndef MGSEC_MEM_PAGE_TABLE_HH
 #define MGSEC_MEM_PAGE_TABLE_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "sim/sim_object.hh"
@@ -83,14 +95,67 @@ class PageTable : public SimObject
      */
     void setConcurrent(bool on) { concurrent_ = on; }
 
+    /** Host bytes held by the page records and spilled counts. */
+    std::size_t footprintBytes() const;
+
   private:
-    struct Entry
+    /** Marks an empty bucket; no address maps to this page. */
+    static constexpr std::uint64_t kNoPage = ~0ull;
+    /** An inline slot no accessor owns. */
+    static constexpr std::uint16_t kNoAccessor = 0x7fff;
+
+    /** One mapped page. */
+    struct Record
     {
-        NodeId home = InvalidNode;
-        std::vector<std::uint32_t> remoteCounts;
+        std::uint64_t page = kNoPage;
+        std::uint16_t home = 0;
+        std::uint16_t accessor : 15 = kNoAccessor; ///< inline slot owner
+        std::uint16_t spilled : 1 = 0; ///< other accessors have counts
+        std::uint32_t count = 0;       ///< the inline owner's count
     };
 
-    Entry &entryOf(std::uint64_t page, NodeId first_toucher);
+    /** The count of a page's accessor that is not its inline owner. */
+    struct Spill
+    {
+        std::uint64_t page = kNoPage;
+        std::uint32_t accessor = 0;
+        std::uint32_t count = 0;
+    };
+
+    /**
+     * Linear-probing buckets keyed through their `page` field and
+     * hashed by it alone; at most half full. Empty until the first
+     * insert.
+     */
+    template <class Slot>
+    struct Buckets
+    {
+        std::vector<Slot> slots;
+        std::size_t used = 0;
+        std::uint32_t shift = 64; ///< 64 - log2(slots.size())
+
+        std::size_t bucketOf(std::uint64_t page) const;
+        /** Position of the first slot of @p page's probe run that
+         *  satisfies @p match, or of the empty bucket ending the run. */
+        template <class Match>
+        std::size_t find(std::uint64_t page, Match match) const;
+        /** The empty bucket ending @p page's probe run. */
+        std::size_t freeBucket(std::uint64_t page) const;
+        /** Store @p s, whose key is absent, doubling first when that
+         *  would pass half full. */
+        Slot &insert(const Slot &s);
+        /** Remove the slot at @p pos (backward-shift delete). */
+        void erase(std::size_t pos);
+        void resize(std::size_t buckets);
+    };
+
+    Record &recordOf(std::uint64_t page, NodeId first_toucher);
+    Record *findRecord(std::uint64_t page);
+    const Record *findRecord(std::uint64_t page) const;
+    /** The spilled count of (@p r's page, @p accessor), made if new. */
+    std::uint32_t &spillCount(Record &r, NodeId accessor);
+    /** Zero every count of @p r's page. */
+    void resetCounts(Record &r);
 
     std::unique_lock<std::mutex>
     lockIfConcurrent() const
@@ -103,7 +168,8 @@ class PageTable : public SimObject
     std::uint32_t num_nodes_;
     bool concurrent_ = false;
     mutable std::mutex mu_;
-    std::unordered_map<std::uint64_t, Entry> pages_;
+    Buckets<Record> pages_;
+    Buckets<Spill> spills_;
 
     stats::Scalar migrations_{"migrations", "pages migrated"};
     stats::Scalar remote_accesses_{"remoteAccesses",

@@ -35,9 +35,9 @@ class ReplayWindow
     add(NodeId dst, std::uint64_t ctr)
     {
         pending_[dst].push_back(ctr);
-        const std::size_t total = outstandingTotal();
-        peak_ = std::max(peak_, total);
-        if (total > capacity_) {
+        ++total_;
+        peak_ = std::max(peak_, total_);
+        if (total_ > capacity_) {
             ++overflows_;
             return true;
         }
@@ -54,6 +54,7 @@ class ReplayWindow
             q.pop_front();
             ++n;
         }
+        total_ -= n;
         return n;
     }
 
@@ -63,14 +64,8 @@ class ReplayWindow
         return pending_[dst].size();
     }
 
-    std::size_t
-    outstandingTotal() const
-    {
-        std::size_t total = 0;
-        for (const auto &q : pending_)
-            total += q.size();
-        return total;
-    }
+    /** Un-ACKed messages over every destination. */
+    std::size_t outstandingTotal() const { return total_; }
 
     std::size_t peak() const { return peak_; }
     std::uint64_t overflows() const { return overflows_; }
@@ -79,6 +74,7 @@ class ReplayWindow
   private:
     std::vector<RingQueue<std::uint64_t>> pending_;
     std::uint32_t capacity_;
+    std::size_t total_ = 0; ///< sum of pending_ sizes
     std::size_t peak_ = 0;
     std::uint64_t overflows_ = 0;
 };

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
 #include <vector>
 
 #include "secure/batching.hh"
@@ -286,6 +288,42 @@ TEST(ReplayWindow, PeakAndOverflowStats)
     EXPECT_EQ(w.peak(), 3u);
     w.ackUpTo(1, 2);
     EXPECT_EQ(w.peak(), 3u); // peak is sticky
+}
+
+TEST(ReplayWindow, RunningTotalMatchesWalkedSum)
+{
+    // The window keeps its total as a running count; walking every
+    // destination's ring must give the same number after any mix of
+    // adds and cumulative ACKs, and peak/overflows must follow it.
+    constexpr std::uint32_t kNodes = 65;
+    constexpr std::uint32_t kCapacity = 40;
+    ReplayWindow w(kNodes, kCapacity);
+    std::mt19937_64 rng(7);
+    std::vector<std::uint64_t> next_ctr(kNodes, 0);
+    std::size_t peak = 0;
+    std::uint64_t overflows = 0;
+    for (int step = 0; step < 100000; ++step) {
+        const NodeId dst = static_cast<NodeId>(rng() % kNodes);
+        if (rng() % 100 < 55) {
+            const bool over = w.add(dst, next_ctr[dst]++);
+            std::size_t walked = 0;
+            for (NodeId d = 0; d < kNodes; ++d)
+                walked += w.outstanding(d);
+            overflows += walked > kCapacity;
+            EXPECT_EQ(over, walked > kCapacity);
+            peak = std::max(peak, walked);
+        } else {
+            // ACK a random prefix, sometimes past the last counter.
+            w.ackUpTo(dst, rng() % (next_ctr[dst] + 2));
+        }
+        std::size_t walked = 0;
+        for (NodeId d = 0; d < kNodes; ++d)
+            walked += w.outstanding(d);
+        ASSERT_EQ(w.outstandingTotal(), walked) << "step " << step;
+    }
+    EXPECT_EQ(w.peak(), peak);
+    EXPECT_EQ(w.overflows(), overflows);
+    EXPECT_GT(overflows, 0u);
 }
 
 // -------------------------------------------- batching edge cases

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <random>
 #include <utility>
 #include <vector>
@@ -396,6 +397,165 @@ TEST(PageTable, MigrationCanBeDisabled)
     pt.place(9, 1);
     for (int i = 0; i < 10; ++i)
         EXPECT_FALSE(pt.recordRemoteAccess(9, 2));
+}
+
+namespace
+{
+
+/**
+ * The page table as the Volta-style policy states it: one counter per
+ * (page, accessor), all of a page's counters zeroed by a placement, a
+ * migration commit or a counter reaching the threshold.
+ */
+struct PageTableModel
+{
+    std::uint32_t threshold;
+    std::map<std::uint64_t, NodeId> home;
+    std::map<std::pair<std::uint64_t, NodeId>, std::uint32_t> counts;
+    std::uint64_t migrations = 0;
+
+    void
+    reset(std::uint64_t page)
+    {
+        counts.erase(counts.lower_bound({page, 0}),
+                     counts.lower_bound({page + 1, 0}));
+    }
+
+    NodeId
+    touch(std::uint64_t page, NodeId toucher)
+    {
+        return home.try_emplace(page, toucher).first->second;
+    }
+
+    bool
+    recordRemoteAccess(std::uint64_t page, NodeId accessor)
+    {
+        if (++counts[{page, accessor}] < threshold)
+            return false;
+        reset(page);
+        return true;
+    }
+
+    /** Accessors of @p page with a live count. */
+    std::size_t
+    liveAccessors(std::uint64_t page) const
+    {
+        return static_cast<std::size_t>(
+            std::distance(counts.lower_bound({page, 0}),
+                          counts.lower_bound({page + 1, 0})));
+    }
+};
+
+/**
+ * Drive PageTable and the model with the same random calls and compare
+ * every answer. Two thirds of the accesses go to a few hot pages that
+ * many nodes share (their counts spill past the inline slot); the rest
+ * walk a pool large enough to double the table many times.
+ */
+void
+checkAgainstModel(std::uint32_t num_nodes, std::uint64_t seed)
+{
+    SCOPED_TRACE("nodes " + std::to_string(num_nodes));
+    constexpr std::uint32_t kThreshold = 4;
+    constexpr int kCalls = 120000;
+    EventQueue eq;
+    PageTableParams params;
+    params.migrationThreshold = kThreshold;
+    PageTable pt("pt", eq, params, num_nodes);
+    PageTableModel model{kThreshold, {}, {}, 0};
+
+    std::mt19937_64 rng(seed);
+    auto node = [&] { return static_cast<NodeId>(rng() % num_nodes); };
+    std::vector<std::uint64_t> pool(20000);
+    for (std::size_t i = 0; i < pool.size(); ++i)
+        pool[i] = i < 10000 ? 0x100000 + i : rng() >> 20;
+    auto page = [&] {
+        return rng() % 3 != 0 ? pool[rng() % 8] : pool[rng() % pool.size()];
+    };
+
+    std::size_t most_live = 0;
+    std::uint64_t fired = 0;
+    for (int call = 0; call < kCalls; ++call) {
+        const std::uint64_t p = page();
+        const std::uint32_t kind = rng() % 100;
+        if (kind < 25) {
+            const NodeId t = node();
+            ASSERT_EQ(pt.home(p, t), model.touch(p, t)) << "call " << call;
+        } else if (kind < 96) {
+            const NodeId h = model.touch(p, node());
+            pt.home(p, h);
+            // Any node but the home: half the time one of three
+            // frequent accessors (their counts reach the threshold),
+            // else any.
+            const std::uint32_t others =
+                rng() % 2 ? std::min(num_nodes - 1, 3u) : num_nodes - 1;
+            NodeId a = static_cast<NodeId>(rng() % others);
+            a += a >= h;
+            const bool want = model.recordRemoteAccess(p, a);
+            ASSERT_EQ(pt.recordRemoteAccess(p, a), want)
+                << "call " << call << " page " << p << " accessor " << a;
+            fired += want;
+            most_live = std::max(most_live, model.liveAccessors(p));
+        } else if (kind < 98) {
+            const NodeId n = node();
+            pt.place(p, n);
+            model.home[p] = n;
+            model.reset(p);
+        } else if (model.home.count(p)) {
+            const NodeId n = node();
+            pt.finishMigration(p, n);
+            model.home[p] = n;
+            model.reset(p);
+            ++model.migrations;
+        }
+        const std::uint64_t q = pool[rng() % pool.size()];
+        ASSERT_EQ(pt.mapped(q), model.home.count(q) != 0);
+        if (model.home.count(q)) {
+            ASSERT_EQ(pt.homeOf(q), model.home.at(q));
+        }
+    }
+    EXPECT_EQ(pt.migrations(), model.migrations);
+    for (const auto &[p, h] : model.home) {
+        ASSERT_EQ(pt.homeOf(p), h);
+    }
+    EXPECT_GT(model.home.size(), 5000u); // the table doubled many times
+    EXPECT_GT(fired, 1000u);
+    // Beyond two nodes, several accessors held live counts on one page
+    // at once: the spill path ran.
+    if (num_nodes > 2) {
+        EXPECT_GE(most_live, 4u);
+    }
+}
+
+} // anonymous namespace
+
+TEST(PageTable, MatchesPerAccessorCounterModel)
+{
+    checkAgainstModel(2, 11);
+    checkAgainstModel(65, 12);
+    checkAgainstModel(257, 13);
+}
+
+TEST(PageTable, OneAccessorPerPageCostsAtMost64Bytes)
+{
+    // The synthetic workloads' shape at 256 GPUs: every page has one
+    // remote accessor, so no count spills and a page costs its record
+    // in a table kept at most half full.
+    constexpr std::uint32_t kNodes = 257;
+    EventQueue eq;
+    PageTable pt("pt", eq, PageTableParams{}, kNodes);
+    for (std::uint64_t i = 0; i < 100000; ++i) {
+        const std::uint64_t page = (i % 256 + 1) * 0x10000000 + i;
+        const NodeId home = static_cast<NodeId>(i % 256 + 1);
+        ASSERT_EQ(pt.home(page, home), home);
+        const NodeId accessor = home % 256 + 1;
+        for (int k = 0; k < 3; ++k) {
+            ASSERT_FALSE(pt.recordRemoteAccess(page, accessor));
+        }
+        if (i >= 1000) {
+            ASSERT_LE(pt.footprintBytes(), 64 * (i + 1)) << i + 1;
+        }
+    }
 }
 
 TEST(PageTableDeath, HomeOfUnmappedPanics)
