@@ -91,7 +91,7 @@ struct SystemConfig
         20,
         256, // 64 CUs x 4 outstanding remote misses each
         64,  // compute units (Table III)
-        ComputeUnitParams{},
+        CuParams{},
         TlbParams{1024, 8},
         100,
     };
@@ -101,7 +101,7 @@ struct SystemConfig
         30,
         64,
         0, // no CUs: the host only serves
-        ComputeUnitParams{},
+        CuParams{},
         TlbParams{1024, 8},
         100,
     };

@@ -17,16 +17,14 @@ Node::Node(const std::string &name, EventQueue &eq, NodeId id,
       l2_(name + ".l2", eq, params.l2),
       mem_(name + ".mem", eq, params.mem),
       l2_tlb_(name + ".l2tlb", eq, params.l2Tlb),
+      l1_(name + ".l1", eq, params.cu.l1, params.numCus),
+      l1_tlb_(name + ".l1tlb", eq, params.cu.l1Tlb, params.numCus),
       txns_(params.maxOutstanding),
       sends_to_(net.numNodes(), 0), recvs_from_(net.numNodes(), 0)
 {
     if (params_.memProtect.enabled) {
         memprot_ = std::make_unique<MemProtectEngine>(
             name + ".memprot", eq, params_.memProtect, mem_);
-    }
-    for (std::uint32_t c = 0; c < params_.numCus; ++c) {
-        cus_.push_back(std::make_unique<ComputeUnit>(
-            strformat("%s.cu%u", name.c_str(), c), eq, params_.cu));
     }
     channel_.setDeliver([this](PacketPtr pkt) {
         handleDeliver(std::move(pkt));
@@ -44,14 +42,12 @@ Node::Node(const std::string &name, EventQueue &eq, NodeId id,
 void
 Node::translateThroughTlbs(std::uint64_t addr)
 {
-    if (cus_.empty())
-        return;
-    ComputeUnit &cu = *cus_[next_cu_];
-    next_cu_ = (next_cu_ + 1) % cus_.size();
-    if (cu.translate(addr))
+    if (numCus() == 0)
         return;
     const std::uint64_t page = addr / kPageBytes;
-    if (l2_tlb_.lookup(page))
+    const std::uint32_t cu = next_cu_;
+    next_cu_ = (next_cu_ + 1) % numCus();
+    if (l1_tlb_.lookup(page, cu) || l2_tlb_.lookup(page))
         return;
     // L2 TLB miss: the IOMMU on the CPU side resolves it (Fig. 2).
     // The walk overlaps the (optimistically issued) data access, so
@@ -159,12 +155,13 @@ Node::issueCurrent()
         // Satisfied from local memory; assumed hidden by the GPU's
         // thread-level parallelism. The CU L1 filters the L2.
         ++local_ops_;
-        if (!cus_.empty() &&
-            l1Cu(cur_op_.addr).l1Access(cur_op_.addr, cur_op_.write)) {
+        const std::uint64_t addr = cur_op_.addr;
+        if (numCus() > 0 &&
+            l1_.access(addr, cur_op_.write, l1Bank(addr)).hit) {
             ++l1_hits_;
             return;
         }
-        if (!l2_.access(cur_op_.addr, cur_op_.write).hit)
+        if (!l2_.access(addr, cur_op_.write).hit)
             mem_.access(kBlockBytes);
         return;
     }
@@ -227,13 +224,13 @@ Node::shootdown(std::uint64_t page)
     // so any CU TLB may hold the page; each block can only be in the
     // L1 of its interleave CU.
     l2_tlb_.invalidate(page);
-    if (cus_.empty())
+    if (numCus() == 0)
         return;
-    for (auto &cu : cus_)
-        cu->l1Tlb().invalidate(page);
+    for (std::uint32_t cu = 0; cu < numCus(); ++cu)
+        l1_tlb_.invalidate(page, cu);
     const std::uint64_t base = page * kPageBytes;
     for (std::uint64_t a = base; a < base + kPageBytes; a += kBlockBytes)
-        l1Cu(a).l1().invalidate(a);
+        l1_.invalidate(a, l1Bank(a));
 }
 
 void

@@ -23,7 +23,6 @@
 #include <memory>
 #include <vector>
 
-#include "gpu/compute_unit.hh"
 #include "gpu/txn_table.hh"
 #include "mem/cache.hh"
 #include "mem/hbm.hh"
@@ -38,6 +37,13 @@
 namespace mgsec
 {
 
+/** Each CU's private L1 vector cache and L1 TLB (Table III). */
+struct CuParams
+{
+    CacheParams l1{16 * 1024, 4, kBlockBytes, 1};
+    TlbParams l1Tlb{64, 1};
+};
+
 struct NodeParams
 {
     HbmParams mem;           ///< HBM (GPU) or host DRAM (CPU)
@@ -46,7 +52,7 @@ struct NodeParams
     std::uint32_t maxOutstanding = 64;
     /** Compute units (0 for the CPU, Table III: 64 per GPU). */
     std::uint32_t numCus = 0;
-    ComputeUnitParams cu{};
+    CuParams cu{};
     TlbParams l2Tlb{1024, 8};
     /** Host-side IOMMU table-walk latency for L2 TLB misses. */
     Cycles iommuLatency = 100;
@@ -76,20 +82,21 @@ class Node : public SimObject
     {
         return memprot_.get();
     }
-    std::uint32_t numCus() const
-    {
-        return static_cast<std::uint32_t>(cus_.size());
-    }
-    ComputeUnit &cu(std::uint32_t i) { return *cus_[i]; }
+    std::uint32_t numCus() const { return l1_.numBanks(); }
+    /** The CU L1s: bank c is CU c's private L1. */
+    Cache &l1() { return l1_; }
+    /** The CU L1 TLBs: bank c is CU c's private L1 TLB. */
+    Tlb &l1Tlb() { return l1_tlb_; }
 
     /**
-     * The one CU whose L1 may hold the block of @p addr: local
-     * accesses are dealt to CUs by block interleave, and nothing
-     * else fills an L1. Requires numCus() > 0.
+     * The one CU (L1 bank) whose L1 may hold the block of @p addr:
+     * local accesses are dealt to CUs by block interleave, and
+     * nothing else fills an L1. Requires numCus() > 0.
      */
-    ComputeUnit &l1Cu(std::uint64_t addr)
+    std::uint32_t l1Bank(std::uint64_t addr) const
     {
-        return *cus_[(addr / kBlockBytes) % cus_.size()];
+        return static_cast<std::uint32_t>((addr / kBlockBytes) %
+                                          numCus());
     }
 
     /**
@@ -165,7 +172,10 @@ class Node : public SimObject
     Hbm mem_;
     Tlb l2_tlb_;
     std::unique_ptr<MemProtectEngine> memprot_;
-    std::vector<std::unique_ptr<ComputeUnit>> cus_;
+    /** One bank per CU; the CPU has none. */
+    Cache l1_;
+    Tlb l1_tlb_;
+    /** The CU the next translation is dealt to. */
     std::uint32_t next_cu_ = 0;
 
     std::unique_ptr<OpSource> source_;

@@ -19,8 +19,9 @@ isPow2(std::uint64_t v)
 
 } // anonymous namespace
 
-Cache::Cache(const std::string &name, EventQueue &eq, CacheParams params)
-    : SimObject(name, eq), params_(params)
+Cache::Cache(const std::string &name, EventQueue &eq, CacheParams params,
+             std::uint32_t banks)
+    : SimObject(name, eq), params_(params), num_banks_(banks)
 {
     MGSEC_ASSERT(params_.blockSize > 0 && isPow2(params_.blockSize),
                  "block size must be a power of two");
@@ -40,11 +41,12 @@ Cache::Cache(const std::string &name, EventQueue &eq, CacheParams params)
     // The flags sit below the tag, so the tag must leave them room.
     MGSEC_ASSERT(block_shift_ + set_shift_ >= kFlagBits,
                  "need at least %u block+set index bits", kFlagBits);
-    tags_.resize(blocks);
+    const std::size_t lines = static_cast<std::size_t>(blocks) * num_banks_;
+    tags_.resize(lines);
     // Every set starts ranked by way: the ways fill in order, as
     // they would under "first invalid way" anyway.
-    ranks_.resize(blocks);
-    for (std::uint8_t *set = ranks_.data(), *end = set + blocks;
+    ranks_.resize(lines);
+    for (std::uint8_t *set = ranks_.data(), *end = set + lines;
          set != end; set += params_.assoc)
         std::iota(set, set + params_.assoc, std::uint8_t{0});
 
@@ -59,6 +61,13 @@ Cache::setIndex(std::uint64_t addr) const
 {
     return static_cast<std::uint32_t>((addr >> block_shift_) &
                                       (num_sets_ - 1));
+}
+
+std::size_t
+Cache::firstLine(std::uint32_t bank, std::uint32_t set) const
+{
+    return (static_cast<std::size_t>(bank) * num_sets_ + set) *
+           params_.assoc;
 }
 
 std::uint64_t
@@ -83,12 +92,12 @@ Cache::touch(std::uint8_t *ranks, std::uint32_t way)
 }
 
 Cache::AccessResult
-Cache::access(std::uint64_t addr, bool write)
+Cache::access(std::uint64_t addr, bool write, std::uint32_t bank)
 {
     AccessResult res;
     const std::uint32_t set = setIndex(addr);
     const std::uint64_t want = cleanTagWord(addr);
-    const std::size_t first = static_cast<std::size_t>(set) * params_.assoc;
+    const std::size_t first = firstLine(bank, set);
     std::uint64_t *tags = &tags_[first];
     std::uint8_t *ranks = &ranks_[first];
 
@@ -126,12 +135,10 @@ Cache::access(std::uint64_t addr, bool write)
 }
 
 bool
-Cache::contains(std::uint64_t addr) const
+Cache::contains(std::uint64_t addr, std::uint32_t bank) const
 {
-    const std::uint32_t set = setIndex(addr);
     const std::uint64_t want = cleanTagWord(addr);
-    const std::uint64_t *tags =
-        &tags_[static_cast<std::size_t>(set) * params_.assoc];
+    const std::uint64_t *tags = &tags_[firstLine(bank, setIndex(addr))];
     for (std::uint32_t w = 0; w < params_.assoc; ++w) {
         if ((tags[w] & ~kDirty) == want)
             return true;
@@ -140,12 +147,10 @@ Cache::contains(std::uint64_t addr) const
 }
 
 bool
-Cache::invalidate(std::uint64_t addr)
+Cache::invalidate(std::uint64_t addr, std::uint32_t bank)
 {
-    const std::uint32_t set = setIndex(addr);
     const std::uint64_t want = cleanTagWord(addr);
-    std::uint64_t *tags =
-        &tags_[static_cast<std::size_t>(set) * params_.assoc];
+    std::uint64_t *tags = &tags_[firstLine(bank, setIndex(addr))];
     for (std::uint32_t w = 0; w < params_.assoc; ++w) {
         if ((tags[w] & ~kDirty) == want) {
             // The way keeps its rank: a hole is the victim whatever

@@ -7,6 +7,13 @@
  * matches how the paper's Table III caches contribute to the remote
  * access path.
  *
+ * A cache may be banked: B banks of the same geometry that share
+ * nothing but storage and counters, so one object models the 64
+ * private CU L1s of a GPU. Bank b owns sets [b * numSets(), (b + 1) *
+ * numSets()) of one tag array; an address indexes the same set
+ * within whichever bank the caller names. The counters are sums over
+ * the banks. The L2 is a one-bank cache.
+ *
  * Host layout: a line is 9 bytes in two flat arrays of sets, one
  * tag word {tag << 2 | dirty | valid} and one recency rank. The ranks
  * of a set are a permutation of 0..assoc-1, 0 the most recently used:
@@ -43,7 +50,10 @@ struct CacheParams
 class Cache : public SimObject
 {
   public:
-    Cache(const std::string &name, EventQueue &eq, CacheParams params);
+    /** @p banks caches of geometry @p params (size is per bank);
+     *  zero banks hold nothing. */
+    Cache(const std::string &name, EventQueue &eq, CacheParams params,
+          std::uint32_t banks = 1);
 
     /** Result of an access. */
     struct AccessResult
@@ -55,20 +65,23 @@ class Cache : public SimObject
     };
 
     /**
-     * Access a byte address; on a miss the block is filled (with LRU
-     * eviction).
+     * Access a byte address in @p bank; on a miss the block is
+     * filled (with LRU eviction).
      * @param write marks the block dirty on hit or fill.
      */
-    AccessResult access(std::uint64_t addr, bool write);
+    AccessResult access(std::uint64_t addr, bool write,
+                        std::uint32_t bank = 0);
 
     /** Probe without side effects. */
-    bool contains(std::uint64_t addr) const;
+    bool contains(std::uint64_t addr, std::uint32_t bank = 0) const;
 
     /** Invalidate one block (e.g., page migrated away). */
-    bool invalidate(std::uint64_t addr);
+    bool invalidate(std::uint64_t addr, std::uint32_t bank = 0);
 
     const CacheParams &params() const { return params_; }
+    /** Sets per bank. */
     std::uint32_t numSets() const { return num_sets_; }
+    std::uint32_t numBanks() const { return num_banks_; }
 
     std::uint64_t hits() const
     {
@@ -92,7 +105,10 @@ class Cache : public SimObject
     static constexpr std::uint64_t kDirty = 2;
     static constexpr std::uint32_t kFlagBits = 2;
 
+    /** Set of @p addr within its bank. */
     std::uint32_t setIndex(std::uint64_t addr) const;
+    /** First line of set @p set of @p bank in the flat arrays. */
+    std::size_t firstLine(std::uint32_t bank, std::uint32_t set) const;
     /** The tag word of a valid, clean line holding @p addr. */
     std::uint64_t cleanTagWord(std::uint64_t addr) const;
     std::uint64_t blockAddr(std::uint64_t tag, std::uint32_t set) const;
@@ -101,12 +117,14 @@ class Cache : public SimObject
 
     CacheParams params_;
     std::uint32_t num_sets_;
+    std::uint32_t num_banks_;
     /** log2 of blockSize and num_sets_: index math is shifts. */
     std::uint32_t block_shift_ = 0;
     std::uint32_t set_shift_ = 0;
-    /** Per line, set-major: tag << kFlagBits | kDirty | kValid. */
+    /** Per line, bank- then set-major: tag << kFlagBits | kDirty |
+     *  kValid. */
     std::vector<std::uint64_t> tags_;
-    /** Per line, set-major: the way's recency rank in its set. */
+    /** Per line, like tags_: the way's recency rank in its set. */
     std::vector<std::uint8_t> ranks_;
 
     stats::Scalar hits_{"hits", "cache hits"};

@@ -8,24 +8,39 @@
 namespace mgsec
 {
 
-Tlb::Tlb(const std::string &name, EventQueue &eq, TlbParams params)
+Tlb::Tlb(const std::string &name, EventQueue &eq, TlbParams params,
+         std::uint32_t banks)
     : SimObject(name, eq), params_(params)
 {
     MGSEC_ASSERT(params_.entries > 0, "TLB needs entries");
     MGSEC_ASSERT(params_.entries < kNone,
                  "%u TLB entries: slot numbers are 16-bit, at most %u",
                  params_.entries, kNone - 1u);
-    pages_.resize(params_.entries);
-    links_.resize(params_.entries);
+    const std::size_t slots =
+        static_cast<std::size_t>(params_.entries) * banks;
+    pages_.resize(slots);
+    links_.resize(slots);
+    banks_.resize(banks);
     // Load factor at most 1/2 keeps linear-probing runs short.
-    const std::uint64_t buckets = std::bit_ceil(2ull * params_.entries);
+    bank_buckets_ =
+        static_cast<std::uint32_t>(std::bit_ceil(2ull * params_.entries));
     index_shift_ = static_cast<std::uint32_t>(
-        64 - std::countr_zero(buckets));
-    index_.resize(buckets);
+        64 - std::countr_zero(bank_buckets_));
+    index_.resize(static_cast<std::size_t>(bank_buckets_) * banks);
     flush();
     regStat(hits_);
     regStat(misses_);
     regStat(evictions_);
+}
+
+Tlb::Run
+Tlb::run(std::uint32_t bank)
+{
+    const std::size_t slot0 =
+        static_cast<std::size_t>(bank) * params_.entries;
+    return Run{banks_[bank], pages_.data() + slot0, links_.data() + slot0,
+               index_.data() +
+                   static_cast<std::size_t>(bank) * bank_buckets_};
 }
 
 std::uint32_t
@@ -37,103 +52,110 @@ Tlb::bucketOf(std::uint64_t page) const
 }
 
 std::uint32_t
-Tlb::probe(std::uint64_t page) const
+Tlb::probe(const std::uint64_t *pages, const SlotId *index,
+           std::uint64_t page) const
 {
-    const std::uint32_t mask =
-        static_cast<std::uint32_t>(index_.size() - 1);
+    const std::uint32_t mask = bank_buckets_ - 1;
     std::uint32_t pos = bucketOf(page);
-    while (index_[pos] != kNone && pages_[index_[pos]] != page)
+    while (index[pos] != kNone && pages[index[pos]] != page)
         pos = (pos + 1) & mask;
     return pos;
 }
 
 void
-Tlb::eraseIndex(std::uint32_t pos)
+Tlb::eraseIndex(const Run &r, std::uint32_t pos) const
 {
-    const std::uint32_t mask =
-        static_cast<std::uint32_t>(index_.size() - 1);
+    const std::uint32_t mask = bank_buckets_ - 1;
     std::uint32_t hole = pos;
-    for (std::uint32_t j = (pos + 1) & mask; index_[j] != kNone;
+    for (std::uint32_t j = (pos + 1) & mask; r.index[j] != kNone;
          j = (j + 1) & mask) {
-        const std::uint32_t home = bucketOf(pages_[index_[j]]);
+        const std::uint32_t home = bucketOf(r.pages[r.index[j]]);
         // The entry may fill the hole only if the hole lies on its
         // probe path, i.e. between its home bucket and j.
         if (((j - home) & mask) >= ((j - hole) & mask)) {
-            index_[hole] = index_[j];
+            r.index[hole] = r.index[j];
             hole = j;
         }
     }
-    index_[hole] = kNone;
+    r.index[hole] = kNone;
 }
 
 void
-Tlb::unlink(SlotId slot)
+Tlb::unlink(const Run &r, SlotId slot)
 {
-    const SlotId p = links_[slot].prev;
-    const SlotId n = links_[slot].next;
-    (p == kNone ? head_ : links_[p].next) = n;
-    (n == kNone ? tail_ : links_[n].prev) = p;
+    const SlotId p = r.links[slot].prev;
+    const SlotId n = r.links[slot].next;
+    (p == kNone ? r.bank.head : r.links[p].next) = n;
+    (n == kNone ? r.bank.tail : r.links[n].prev) = p;
 }
 
 void
-Tlb::pushFront(SlotId slot)
+Tlb::pushFront(const Run &r, SlotId slot)
 {
-    links_[slot] = Links{kNone, head_};
-    (head_ == kNone ? tail_ : links_[head_].prev) = slot;
-    head_ = slot;
+    r.links[slot] = Links{kNone, r.bank.head};
+    (r.bank.head == kNone ? r.bank.tail : r.links[r.bank.head].prev) =
+        slot;
+    r.bank.head = slot;
 }
 
 bool
-Tlb::lookup(std::uint64_t page)
+Tlb::lookup(std::uint64_t page, std::uint32_t bank)
 {
-    std::uint32_t pos = probe(page);
-    if (index_[pos] != kNone) {
-        const SlotId slot = index_[pos];
-        if (slot != head_) {
-            unlink(slot);
-            pushFront(slot);
+    const Run r = run(bank);
+    std::uint32_t pos = probe(r.pages, r.index, page);
+    if (r.index[pos] != kNone) {
+        const SlotId slot = r.index[pos];
+        if (slot != r.bank.head) {
+            unlink(r, slot);
+            pushFront(r, slot);
         }
         ++hits_;
         return true;
     }
     ++misses_;
     SlotId slot;
-    if (used_ >= params_.entries) {
+    if (r.bank.used >= params_.entries) {
         // The LRU slot is recycled for the new page.
-        slot = tail_;
-        unlink(slot);
-        eraseIndex(probe(pages_[slot]));
-        pos = probe(page); // the delete may have shifted the run
+        slot = r.bank.tail;
+        unlink(r, slot);
+        eraseIndex(r, probe(r.pages, r.index, r.pages[slot]));
+        // The delete may have shifted the run.
+        pos = probe(r.pages, r.index, page);
         ++evictions_;
     } else {
-        slot = free_;
-        free_ = links_[slot].next;
-        ++used_;
+        slot = r.bank.free;
+        r.bank.free = r.links[slot].next;
+        ++r.bank.used;
     }
-    pages_[slot] = page;
-    pushFront(slot);
-    index_[pos] = slot;
+    r.pages[slot] = page;
+    pushFront(r, slot);
+    r.index[pos] = slot;
     return false;
 }
 
 bool
-Tlb::resident(std::uint64_t page) const
+Tlb::resident(std::uint64_t page, std::uint32_t bank) const
 {
-    return index_[probe(page)] != kNone;
+    const std::uint64_t *pages =
+        pages_.data() + static_cast<std::size_t>(bank) * params_.entries;
+    const SlotId *index =
+        index_.data() + static_cast<std::size_t>(bank) * bank_buckets_;
+    return index[probe(pages, index, page)] != kNone;
 }
 
 bool
-Tlb::invalidate(std::uint64_t page)
+Tlb::invalidate(std::uint64_t page, std::uint32_t bank)
 {
-    const std::uint32_t pos = probe(page);
-    const SlotId slot = index_[pos];
+    const Run r = run(bank);
+    const std::uint32_t pos = probe(r.pages, r.index, page);
+    const SlotId slot = r.index[pos];
     if (slot == kNone)
         return false;
-    unlink(slot);
-    eraseIndex(pos);
-    links_[slot].next = free_;
-    free_ = slot;
-    --used_;
+    unlink(r, slot);
+    eraseIndex(r, pos);
+    r.links[slot].next = r.bank.free;
+    r.bank.free = slot;
+    --r.bank.used;
     return true;
 }
 
@@ -141,12 +163,13 @@ void
 Tlb::flush()
 {
     std::fill(index_.begin(), index_.end(), kNone);
-    head_ = tail_ = kNone;
-    used_ = 0;
-    free_ = kNone;
-    for (SlotId s = static_cast<SlotId>(params_.entries); s-- > 0;) {
-        links_[s].next = free_;
-        free_ = s;
+    for (std::uint32_t b = 0; b < numBanks(); ++b) {
+        const Run r = run(b);
+        r.bank = Bank{};
+        for (SlotId s = static_cast<SlotId>(params_.entries); s-- > 0;) {
+            r.links[s].next = r.bank.free;
+            r.bank.free = s;
+        }
     }
 }
 

@@ -8,15 +8,21 @@
  * CPU-GPU message like any other and therefore crosses the secure
  * channel.
  *
+ * A TLB may be banked: B independent TLBs of the same size, so one
+ * object models the 64 private CU L1 TLBs of a GPU. Each bank keeps
+ * its own LRU list, free list and occupancy; its slots and index
+ * buckets are a fixed run of arrays shared by all banks, and the
+ * counters are sums over the banks. The L2 TLB is a one-bank TLB.
+ *
  * Host layout: the entries live in fixed slot arrays sized at
- * construction, the pages apart from their 16-bit list links. An
- * intrusive doubly linked list threads the used slots MRU -> LRU
- * (unused slots form a singly linked free list), and an open-addressed
- * (linear probing) index of 16-bit slot numbers maps a page to its
- * slot. An entry costs 16 bytes: its page, two links and two index
- * buckets; a TLB holds fewer than 65535 entries. Nothing allocates
- * after construction, and the hit / victim / eviction order is exact
- * LRU.
+ * construction, the pages apart from their 16-bit list links. In each
+ * bank an intrusive doubly linked list threads the used slots MRU ->
+ * LRU (unused slots form a singly linked free list), and an
+ * open-addressed (linear probing) index of 16-bit slot numbers maps a
+ * page to its slot. An entry costs 16 bytes: its page, two links and
+ * two index buckets; a bank holds fewer than 65535 entries. Nothing
+ * allocates after construction, and the hit / victim / eviction order
+ * is exact LRU per bank.
  */
 
 #ifndef MGSEC_MEM_TLB_HH
@@ -41,26 +47,37 @@ struct TlbParams
 class Tlb : public SimObject
 {
   public:
-    Tlb(const std::string &name, EventQueue &eq, TlbParams params);
+    /** @p banks TLBs of params.entries entries each; zero banks
+     *  hold nothing. */
+    Tlb(const std::string &name, EventQueue &eq, TlbParams params,
+        std::uint32_t banks = 1);
 
     /**
-     * Translate @p page (a virtual page number).
+     * Translate @p page (a virtual page number) in @p bank.
      * @retval true the mapping was resident.
      * On a miss the mapping is filled (LRU eviction).
      */
-    bool lookup(std::uint64_t page);
+    bool lookup(std::uint64_t page, std::uint32_t bank = 0);
 
     /** Probe without side effects. */
-    bool resident(std::uint64_t page) const;
+    bool resident(std::uint64_t page, std::uint32_t bank = 0) const;
 
     /** Drop one mapping (migration shootdown). */
-    bool invalidate(std::uint64_t page);
+    bool invalidate(std::uint64_t page, std::uint32_t bank = 0);
 
-    /** Drop everything. */
+    /** Drop everything, in every bank. */
     void flush();
 
     const TlbParams &params() const { return params_; }
-    std::uint32_t occupancy() const { return used_; }
+    std::uint32_t numBanks() const
+    {
+        return static_cast<std::uint32_t>(banks_.size());
+    }
+    /** Entries held by @p bank. */
+    std::uint32_t occupancy(std::uint32_t bank = 0) const
+    {
+        return banks_[bank].used;
+    }
 
     std::uint64_t hits() const
     {
@@ -80,34 +97,54 @@ class Tlb : public SimObject
     using SlotId = std::uint16_t;
     static constexpr SlotId kNone = 0xffff;
 
-    /** Home bucket of @p page in the index. */
-    std::uint32_t bucketOf(std::uint64_t page) const;
-    /** Index position of @p page, or of the empty bucket ending its
-     *  probe run. */
-    std::uint32_t probe(std::uint64_t page) const;
-    /** Remove the index entry at @p pos (backward-shift delete). */
-    void eraseIndex(std::uint32_t pos);
-    void unlink(SlotId slot);
-    void pushFront(SlotId slot);
-
-    TlbParams params_;
-
     struct Links
     {
         SlotId prev = kNone; ///< towards MRU
         SlotId next = kNone; ///< towards LRU, or next free
     };
 
-    std::vector<std::uint64_t> pages_; ///< per slot
-    std::vector<Links> links_;         ///< per slot
-    SlotId head_ = kNone; ///< MRU
-    SlotId tail_ = kNone; ///< LRU
-    SlotId free_ = kNone; ///< first unused slot
-    std::uint32_t used_ = 0;
+    /** One bank's list ends, free list and occupancy. */
+    struct Bank
+    {
+        SlotId head = kNone; ///< MRU
+        SlotId tail = kNone; ///< LRU
+        SlotId free = kNone; ///< first unused slot
+        SlotId used = 0;     ///< below kNone, like the entries
+    };
 
-    /** page -> slot, kNone = empty; at least twice the entries. */
+    /** A bank's state and its runs of the shared arrays; slot and
+     *  bucket numbers are relative to the run. */
+    struct Run
+    {
+        Bank &bank;
+        std::uint64_t *pages;
+        Links *links;
+        SlotId *index;
+    };
+
+    Run run(std::uint32_t bank);
+    /** Home bucket of @p page in a bank's index. */
+    std::uint32_t bucketOf(std::uint64_t page) const;
+    /** Position of @p page in the bank index @p index over slot pages
+     *  @p pages, or of the empty bucket ending its probe run. */
+    std::uint32_t probe(const std::uint64_t *pages, const SlotId *index,
+                        std::uint64_t page) const;
+    /** Remove the index entry at @p pos (backward-shift delete). */
+    void eraseIndex(const Run &r, std::uint32_t pos) const;
+    static void unlink(const Run &r, SlotId slot);
+    static void pushFront(const Run &r, SlotId slot);
+
+    TlbParams params_;
+
+    std::vector<std::uint64_t> pages_; ///< per slot, bank-major
+    std::vector<Links> links_;         ///< per slot, bank-major
+    std::vector<Bank> banks_;
+
+    /** page -> slot, kNone = empty, bank-major; each bank has at
+     *  least twice its entries in buckets. */
     std::vector<SlotId> index_;
-    std::uint32_t index_shift_ = 0; ///< 64 - log2(index_.size())
+    std::uint32_t bank_buckets_ = 0; ///< a power of two
+    std::uint32_t index_shift_ = 0;  ///< 64 - log2(bank_buckets_)
 
     stats::Scalar hits_{"hits", "TLB hits"};
     stats::Scalar misses_{"misses", "TLB misses"};

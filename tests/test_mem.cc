@@ -7,7 +7,9 @@
 
 #include <algorithm>
 #include <map>
+#include <memory>
 #include <random>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -238,6 +240,67 @@ TEST(Cache, MatchesReferenceLruModel)
         EXPECT_EQ(c.evictions(), ref.evictions);
         EXPECT_EQ(c.writebacks(), ref.writebacks);
         EXPECT_GT(c.evictions(), 0u) << size << " B " << assoc << "-way";
+    }
+}
+
+TEST(Cache, BanksMatchIndependentCaches)
+{
+    // A B-bank cache is B caches that share storage and counters:
+    // every step on bank b must see what a cache of its own sees.
+    // Addresses are drawn independently of the bank, so one block
+    // lives in several banks at once. The geometries are the CU L1
+    // of Table III and a 2-way one that evicts on most misses.
+    for (const auto &[size, assoc] :
+         {std::pair<Bytes, std::uint32_t>{16 * 1024, 4}, {1024, 2}}) {
+        for (const std::uint32_t banks : {1u, 48u, 64u}) {
+            SCOPED_TRACE(std::to_string(banks) + " banks of " +
+                         std::to_string(size) + " B");
+            EventQueue eq;
+            Cache banked("l1", eq, smallCache(size, assoc), banks);
+            ASSERT_EQ(banked.numBanks(), banks);
+            std::vector<std::unique_ptr<Cache>> own;
+            for (std::uint32_t b = 0; b < banks; ++b)
+                own.push_back(std::make_unique<Cache>(
+                    "own", eq, smallCache(size, assoc)));
+            std::mt19937_64 rng(size + banks);
+            for (int step = 0; step < 100000; ++step) {
+                const std::uint32_t b =
+                    static_cast<std::uint32_t>(rng() % banks);
+                const std::uint64_t addr = rng() % (4 * size);
+                const unsigned kind = static_cast<unsigned>(rng() % 8);
+                if (kind == 0) {
+                    ASSERT_EQ(banked.invalidate(addr, b),
+                              own[b]->invalidate(addr))
+                        << "step " << step;
+                } else {
+                    const bool write = kind < 3;
+                    const auto got = banked.access(addr, write, b);
+                    const auto want = own[b]->access(addr, write);
+                    ASSERT_EQ(got.hit, want.hit) << "step " << step;
+                    ASSERT_EQ(got.evicted, want.evicted)
+                        << "step " << step;
+                    ASSERT_EQ(got.victimAddr, want.victimAddr)
+                        << "step " << step;
+                    ASSERT_EQ(got.victimDirty, want.victimDirty)
+                        << "step " << step;
+                }
+                ASSERT_EQ(banked.contains(addr, b), own[b]->contains(addr))
+                    << "step " << step;
+            }
+            std::uint64_t hits = 0, misses = 0, evictions = 0,
+                          writebacks = 0;
+            for (const auto &c : own) {
+                hits += c->hits();
+                misses += c->misses();
+                evictions += c->evictions();
+                writebacks += c->writebacks();
+            }
+            EXPECT_EQ(banked.hits(), hits);
+            EXPECT_EQ(banked.misses(), misses);
+            EXPECT_EQ(banked.evictions(), evictions);
+            EXPECT_EQ(banked.writebacks(), writebacks);
+            EXPECT_GT(writebacks, 0u);
+        }
     }
 }
 

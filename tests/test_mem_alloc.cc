@@ -9,7 +9,9 @@
  * sealing and opening functional-crypto messages. Observability
  * state costs what a run records: a histogram that was only built,
  * and a wire observer before its first packet, hold O(1) and O(n)
- * bytes. A cache line costs 9 bytes and a TLB entry 16. This binary
+ * bytes. A cache line costs 9 bytes and a TLB entry 16, and a GPU's
+ * CU L1s and L1 TLBs cost the same number of allocations at any CU
+ * count. This binary
  * replaces the global operator new with a counting one, so it is its
  * own test executable.
  */
@@ -26,7 +28,10 @@
 #include <thread>
 #include <vector>
 
+#include "core/system.hh"
+#include "gpu/node.hh"
 #include "gpu/txn_table.hh"
+#include "mem/page_table.hh"
 #include "mem/cache.hh"
 #include "mem/tlb.hh"
 #include "net/network.hh"
@@ -153,6 +158,29 @@ TEST(MemAlloc, CacheLinesAndTlbEntriesFitTheirBytes)
     // A 64-entry L1 TLB: a page, two 16-bit links and two 16-bit
     // index buckets per entry.
     EXPECT_LE(tlbBytes(64) - tlbBytes(1), 16u * 63);
+}
+
+TEST(MemAlloc, GpuNodeAllocationsDoNotGrowWithCus)
+{
+    // A GPU's CU L1s and L1 TLBs are one banked cache and one banked
+    // TLB: building the node makes as many allocations with the 64
+    // CUs of Table III as with 4 (their bytes grow, not their count).
+    const auto news = [](std::uint32_t cus) {
+        EventQueue eq;
+        Network net("net", eq, 2, LinkParams{16.0, 50},
+                    LinkParams{25.0, 10});
+        PageTable pt("pt", eq, PageTableParams{}, 2);
+        NodeParams params = SystemConfig{}.gpu;
+        params.numCus = cus;
+        const std::uint64_t before = g_news;
+        Node gpu("gpu1", eq, 1, net, pt, SecurityConfig{}, params);
+        const std::uint64_t made = g_news - before;
+        EXPECT_EQ(gpu.numCus(), cus);
+        return made;
+    };
+    const std::uint64_t few = news(4);
+    EXPECT_EQ(news(64), few);
+    EXPECT_EQ(news(1), few);
 }
 
 TEST(MemAlloc, TxnTableStopsAllocatingOnceItCoversTheWindow)

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
 #include <sstream>
 #include <string>
 
@@ -272,12 +273,12 @@ TEST_P(MigrationShootdown, ClearsThePageFromEveryL1AndTlb)
         for (std::uint32_t b = 0; b < kBlocksPerPage; ++b) {
             const std::uint64_t addr = base + b * kBlockBytes;
             for (std::uint32_t c = 0; c < num_cus; ++c)
-                blocks_held += gpu.cu(c).l1().contains(addr);
-            in_home_cu += gpu.l1Cu(addr).l1().contains(addr);
+                blocks_held += gpu.l1().contains(addr, c);
+            in_home_cu += gpu.l1().contains(addr, gpu.l1Bank(addr));
         }
         std::uint32_t translations = gpu.l2Tlb().resident(page);
         for (std::uint32_t c = 0; c < num_cus; ++c)
-            translations += gpu.cu(c).l1Tlb().resident(page);
+            translations += gpu.l1Tlb().resident(page, c);
 
         if (pull_back) {
             EXPECT_EQ(blocks_held, 0u);
@@ -297,3 +298,43 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<std::uint32_t> &info) {
         return "cus" + std::to_string(info.param);
     });
+
+/**
+ * The CU interleave (addr / 64) % 64 and the set index of a 16 KB
+ * 4-way L1, (addr / 64) % 64, read the same address bits, so CU c
+ * only ever fills set c and each L1 holds 4 lines (docs/MODEL.md
+ * section 6, "Block-interleaved CU L1s"). This pins that known
+ * aliasing under the default geometry: GPU 1 reads 64 local pages,
+ * 4,096 distinct blocks, and every CU ends up with its lines in
+ * exactly one set, that set full.
+ */
+TEST(NodeModel, EachCuFillsOneL1SetUnderTheDefaultGeometry)
+{
+    MultiGpuSystem sys(smallSystem(), makeProfile("mm", 0.01));
+    const std::uint64_t base = regionBase(1);
+    const std::uint64_t blocks = 64 * kBlocksPerPage;
+    std::vector<RemoteOp> ops;
+    for (std::uint64_t b = 0; b < blocks; ++b)
+        ops.push_back(makeOp(1, 1, base + b * kBlockBytes));
+    sys.replaceWorkload(1, opsSource(ops));
+    sys.replaceWorkload(2, opsSource({makeOp(1, 2, regionBase(2))}));
+    ASSERT_TRUE(sys.run().completed);
+
+    Node &gpu = sys.node(1);
+    const Cache &l1 = gpu.l1();
+    ASSERT_EQ(gpu.numCus(), 64u);
+    ASSERT_EQ(l1.numSets(), 64u);
+    for (std::uint32_t c = 0; c < gpu.numCus(); ++c) {
+        std::set<std::uint64_t> sets;
+        std::uint32_t lines = 0;
+        for (std::uint64_t b = 0; b < blocks; ++b) {
+            const std::uint64_t addr = base + b * kBlockBytes;
+            if (l1.contains(addr, c)) {
+                sets.insert((addr / kBlockBytes) % l1.numSets());
+                ++lines;
+            }
+        }
+        EXPECT_EQ(sets.size(), 1u) << "CU " << c;
+        EXPECT_EQ(lines, l1.params().assoc) << "CU " << c;
+    }
+}

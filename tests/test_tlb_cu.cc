@@ -1,19 +1,21 @@
 /**
  * @file
- * TLB, ComputeUnit, and node-level translation-path tests.
+ * TLB, compute-unit (banked L1 and L1 TLB), and node-level
+ * translation-path tests.
  */
 
 #include <gtest/gtest.h>
 
 #include <array>
 #include <list>
+#include <memory>
 #include <random>
 #include <string>
 #include <unordered_map>
 
 #include "core/experiment.hh"
 #include "core/system.hh"
-#include "gpu/compute_unit.hh"
+#include "gpu/node.hh"
 #include "mem/tlb.hh"
 #include "sim/event_queue.hh"
 
@@ -192,6 +194,67 @@ TEST(Tlb, MatchesReferenceListLru)
     }
 }
 
+TEST(Tlb, BanksMatchIndependentTlbs)
+{
+    // A B-bank TLB is B TLBs that share storage and counters: every
+    // step on bank b must see what a TLB of its own sees, LRU order,
+    // occupancy and all. Pages are drawn independently of the bank,
+    // so one page is resident in several banks at once; a flush
+    // clears every bank.
+    for (const std::uint32_t entries : {2u, 64u}) {
+        for (const std::uint32_t banks : {1u, 48u, 64u}) {
+            SCOPED_TRACE(std::to_string(banks) + " banks of " +
+                         std::to_string(entries));
+            EventQueue eq;
+            Tlb banked("l1tlb", eq, TlbParams{entries, 1}, banks);
+            ASSERT_EQ(banked.numBanks(), banks);
+            std::vector<std::unique_ptr<Tlb>> own;
+            for (std::uint32_t b = 0; b < banks; ++b)
+                own.push_back(std::make_unique<Tlb>(
+                    "own", eq, TlbParams{entries, 1}));
+            std::mt19937_64 rng(entries * 100 + banks);
+            const std::uint64_t pool = 2ull * entries + 3;
+            for (int step = 0; step < 100000; ++step) {
+                const std::uint32_t b =
+                    static_cast<std::uint32_t>(rng() % banks);
+                std::uint64_t page = rng() % pool;
+                if (rng() % 8 == 0)
+                    page = page * 0x10001ull + (1ull << 40);
+                const unsigned op = static_cast<unsigned>(rng() % 20000);
+                if (op < 14000) {
+                    ASSERT_EQ(banked.lookup(page, b), own[b]->lookup(page))
+                        << "step " << step;
+                } else if (op < 17000) {
+                    ASSERT_EQ(banked.resident(page, b),
+                              own[b]->resident(page))
+                        << "step " << step;
+                } else if (op < 19999) {
+                    ASSERT_EQ(banked.invalidate(page, b),
+                              own[b]->invalidate(page))
+                        << "step " << step;
+                } else {
+                    banked.flush();
+                    for (const auto &t : own)
+                        t->flush();
+                }
+                ASSERT_EQ(banked.occupancy(b), own[b]->occupancy())
+                    << "step " << step;
+            }
+            std::uint64_t hits = 0, misses = 0, evictions = 0;
+            for (std::uint32_t b = 0; b < banks; ++b) {
+                EXPECT_EQ(banked.occupancy(b), own[b]->occupancy());
+                hits += own[b]->hits();
+                misses += own[b]->misses();
+                evictions += own[b]->evictions();
+            }
+            EXPECT_EQ(banked.hits(), hits);
+            EXPECT_EQ(banked.misses(), misses);
+            EXPECT_EQ(banked.evictions(), evictions);
+            EXPECT_GT(evictions, 0u);
+        }
+    }
+}
+
 TEST(TlbDeath, SixteenBitSlotNumbersCapTheEntries)
 {
     EventQueue eq;
@@ -199,24 +262,34 @@ TEST(TlbDeath, SixteenBitSlotNumbersCapTheEntries)
     EXPECT_DEATH(Tlb("t", eq, TlbParams{1u << 20, 1}), "16-bit");
 }
 
-// ------------------------------------------------------------ ComputeUnit
+// ---------------------------------------------------------- compute units
+
+// CU c's L1 TLB and L1 are bank c of the node's banked TLB and cache,
+// in the geometry of Table III.
 
 TEST(ComputeUnit, TranslateFillsPrivateTlb)
 {
     EventQueue eq;
-    ComputeUnit cu("cu", eq, ComputeUnitParams{});
-    EXPECT_FALSE(cu.translate(0x4000));
-    EXPECT_TRUE(cu.translate(0x4000));
-    EXPECT_TRUE(cu.translate(0x4fff)); // same page
-    EXPECT_FALSE(cu.translate(0x5000)); // next page
+    Tlb tlbs("l1tlb", eq, CuParams{}.l1Tlb, 64);
+    EXPECT_FALSE(tlbs.lookup(0x4000 / kPageBytes, 7));
+    EXPECT_TRUE(tlbs.lookup(0x4000 / kPageBytes, 7));
+    EXPECT_TRUE(tlbs.lookup(0x4fff / kPageBytes, 7)); // same page
+    EXPECT_FALSE(tlbs.lookup(0x5000 / kPageBytes, 7)); // next page
+    // Private: the other CUs' TLBs stay empty.
+    EXPECT_FALSE(tlbs.resident(0x4000 / kPageBytes, 8));
+    EXPECT_EQ(tlbs.occupancy(7), 2u);
+    EXPECT_EQ(tlbs.occupancy(0), 0u);
 }
 
 TEST(ComputeUnit, L1AccessCachesBlocks)
 {
     EventQueue eq;
-    ComputeUnit cu("cu", eq, ComputeUnitParams{});
-    EXPECT_FALSE(cu.l1Access(0x100, false));
-    EXPECT_TRUE(cu.l1Access(0x100, false));
+    Cache l1s("l1", eq, CuParams{}.l1, 64);
+    EXPECT_FALSE(l1s.access(0x100, false, 7).hit);
+    EXPECT_TRUE(l1s.access(0x100, false, 7).hit);
+    // Private: the block is in CU 7's L1 only.
+    EXPECT_FALSE(l1s.contains(0x100, 8));
+    EXPECT_FALSE(l1s.access(0x100, false, 8).hit);
 }
 
 // --------------------------------------------------------- node-level path
@@ -287,11 +360,8 @@ TEST(TranslationPath, L1FiltersLocalAccesses)
     // node only fills L1s through its block interleave.
     for (NodeId g = 1; g < sys.numNodes(); ++g) {
         Node &node = sys.node(g);
-        std::uint64_t cu_hits = 0;
-        for (std::uint32_t c = 0; c < node.numCus(); ++c)
-            cu_hits += node.cu(c).l1().hits();
-        EXPECT_EQ(cu_hits, node.l1Hits()) << "GPU " << g;
-        EXPECT_GT(cu_hits, 0u) << "GPU " << g;
+        EXPECT_EQ(node.l1().hits(), node.l1Hits()) << "GPU " << g;
+        EXPECT_GT(node.l1().hits(), 0u) << "GPU " << g;
     }
 }
 
@@ -304,25 +374,20 @@ namespace
  * Memory-model counters of one node, in the order of kPinned below:
  * L2 hits/misses/evictions/writebacks, L2 TLB hits/misses/evictions,
  * iommuWalks, l1Hits, migrationsStarted, then the sums over its CUs
- * of L1 hits/misses and L1 TLB hits/misses.
+ * (the banked counters) of L1 hits/misses and L1 TLB hits/misses.
  */
 using NodeCounters = std::array<std::uint64_t, 14>;
 
 NodeCounters
 countersOf(Node &n)
 {
-    NodeCounters c{n.l2().hits(),        n.l2().misses(),
-                   n.l2().evictions(),   n.l2().writebacks(),
-                   n.l2Tlb().hits(),     n.l2Tlb().misses(),
-                   n.l2Tlb().evictions(), n.iommuWalks(),
-                   n.l1Hits(),           n.migrationsStarted()};
-    for (std::uint32_t i = 0; i < n.numCus(); ++i) {
-        c[10] += n.cu(i).l1().hits();
-        c[11] += n.cu(i).l1().misses();
-        c[12] += n.cu(i).l1Tlb().hits();
-        c[13] += n.cu(i).l1Tlb().misses();
-    }
-    return c;
+    return {n.l2().hits(),         n.l2().misses(),
+            n.l2().evictions(),    n.l2().writebacks(),
+            n.l2Tlb().hits(),      n.l2Tlb().misses(),
+            n.l2Tlb().evictions(), n.iommuWalks(),
+            n.l1Hits(),            n.migrationsStarted(),
+            n.l1().hits(),         n.l1().misses(),
+            n.l1Tlb().hits(),      n.l1Tlb().misses()};
 }
 
 struct PinnedRun
